@@ -32,10 +32,8 @@ from .roundflag import (
     recover_bounds,
 )
 from .semantics import (
-    Classification,
     IdentityRecord,
     ZeroMode,
-    classify_vs_ieee,
     extract_bound,
     fp_interval_op,
     fp_scalar_op,
@@ -46,7 +44,9 @@ from .semantics import (
 from .oracle import RealSet, exact_relational_set, exhaustive_compare, oracle_op
 from .harness import (
     DEFAULT_SEED,
+    Classification,
     backend_agreement,
+    classify_vs_ieee,
     deviation_report,
     ieee_reference,
     ieee_reference_native,
@@ -54,8 +54,6 @@ from .harness import (
     run_theorem_suite,
     totality_fuzz,
 )
-
-FpOpKind = OpKind
 
 __all__ = [
     "BINARY64",
@@ -67,7 +65,6 @@ __all__ = [
     "FloatFormat",
     "Fp",
     "FpKind",
-    "FpOpKind",
     "IdentityRecord",
     "OpKind",
     "PreRoundedWord",

@@ -27,12 +27,12 @@ import csv
 import re
 import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .fpformat import (
-    BINARY64,
     EnumerationLimitError,
     FloatFormat,
     Fp,
@@ -86,10 +86,6 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
         self.expected = expected
         super().__init__(f"syntax error at position {pos}: expected {' or '.join(expected)}")
-
-
-class EvalError(ValueError):
-    pass
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -247,6 +243,14 @@ def _decimal_of(q: Fraction) -> str:
     return f"{sign}{text[:-k]}.{text[-k:]}"
 
 
+def _short_decimal(q: Fraction) -> str:
+    """Decimal text of bounded length: exact up to 17 significant digits,
+    rounded beyond, so 1e5000 and 1e-5000 print in exponent form."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 17, MAX_EMAX, MIN_EMIN
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
 _PREC = {OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 2, OpKind.DIV: 2}
 
 
@@ -296,16 +300,14 @@ def eval_expr(
 
 def _literal_fp(e: Lit, fmt: FloatFormat, warn) -> Fp:
     if e.kind is LitKind.NUMBER:
-        try:
-            return Fp.from_exact(fmt, e.value)
-        except ValueError:
-            rounded = fmt.round(e.value, RoundingDirection.NEAREST)
-            if warn is not None:
-                warn(
-                    f"literal {_decimal_of(e.value)} is not representable in "
-                    f"{fmt.descriptor()}; rounded to nearest = {rounded}"
-                )
-            return rounded
+        rounded = fmt.round(e.value, RoundingDirection.NEAREST)
+        exact = rounded.is_finite and rounded.to_rational() == e.value
+        if not exact and warn is not None:
+            warn(
+                f"literal {_short_decimal(e.value)} is not representable in "
+                f"{fmt.descriptor()}; rounded to nearest = {rounded}"
+            )
+        return rounded
     if e.kind is LitKind.POS_ZERO:
         return Fp.zero(fmt)
     if e.kind is LitKind.NEG_ZERO:
@@ -342,7 +344,11 @@ def _resolve(args, config: dict[str, str]):
     mode_text = getattr(args, "mode", None) or config.get("mode", "finite")
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = int(config.get("seed", DEFAULT_SEED))
+        seed_text = config.get("seed", str(DEFAULT_SEED))
+        try:
+            seed = int(seed_text)
+        except ValueError:
+            raise SystemExit(f"error: bad seed {seed_text!r}")
     try:
         fmt = parse_format(fmt_text)
     except ValueError as exc:
@@ -357,20 +363,25 @@ def _resolve(args, config: dict[str, str]):
 # -- subcommands -------------------------------------------------------------------------
 
 
+def _print_result(result: ExtInterval, round_sel: Optional[str]) -> None:
+    """The interval, or the directed bound(s) that round_sel selects."""
+    if round_sel in ("down", "both"):
+        print(f"down: {extract_bound(result, RoundingDirection.TO_NEG_INF)}")
+    if round_sel in ("up", "both"):
+        print(f"up: {extract_bound(result, RoundingDirection.TO_POS_INF)}")
+    if round_sel is None:
+        print(result)
+
+
 def _cmd_eval(args, config) -> int:
     fmt, mode, _ = _resolve(args, config)
     try:
         tree = parse(args.expr)
         result = eval_expr(tree, fmt, mode, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
-    except (ExprSyntaxError, EvalError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.round in ("down", "both"):
-        print(f"down: {extract_bound(result, RoundingDirection.TO_NEG_INF)}")
-    if args.round in ("up", "both"):
-        print(f"up: {extract_bound(result, RoundingDirection.TO_POS_INF)}")
-    if args.round is None:
-        print(result)
+    _print_result(result, args.round)
     return 0
 
 
@@ -469,15 +480,10 @@ def _cmd_repl(args, config) -> int:
         try:
             tree = parse(line)
             result = eval_expr(tree, fmt, mode, warn=lambda m: print(f"warning: {m}"))
-        except (ExprSyntaxError, EvalError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}")
             continue
-        if round_sel in ("down", "both"):
-            print(f"down: {extract_bound(result, RoundingDirection.TO_NEG_INF)}")
-        if round_sel in ("up", "both"):
-            print(f"up: {extract_bound(result, RoundingDirection.TO_POS_INF)}")
-        if round_sel is None:
-            print(result)
+        _print_result(result, round_sel)
 
 
 def _build_parser() -> argparse.ArgumentParser:

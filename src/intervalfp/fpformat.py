@@ -545,13 +545,3 @@ def fraction_from_literal(text: str) -> Fraction:
         q = Fraction(mant, 16 ** len(frac)) * Fraction(2) ** exp
         return -q if m.group("sign") == "-" else q
     return Fraction(text)
-
-
-@lru_cache(maxsize=None)
-def _cached_enumeration(fmt: FloatFormat) -> tuple[Fp, ...]:
-    return tuple(fmt.enumerate())
-
-
-def enumeration(fmt: FloatFormat) -> tuple[Fp, ...]:
-    """Cached form of FloatFormat.enumerate for the test suites."""
-    return _cached_enumeration(fmt)

@@ -6,6 +6,10 @@ signed zeros per the sign rules, directed rounding via the format rounder.
 For binary64 an optional native backend drives the actual FPU through
 fesetround, so the softfloat rules can be diffed against hardware.
 
+Classification against IEEE 754 lives here too, next to the reference it
+needs: an interval result conforms, deviates, or is newly defined where
+IEEE yields NaN.
+
 The conformance suite checks the headline property: for finite operands,
 the directed-rounding IEEE result equals the matching bound of the
 operation's interval.  Zeros take part as exact points and results are
@@ -22,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .fpformat import (
@@ -35,12 +40,11 @@ from .fpformat import (
 )
 from .interval import ExtInterval, OpKind
 from .semantics import (
-    Classification,
     ZeroMode,
-    classify_vs_ieee,
     fp_interval_op,
     fp_scalar_op,
     identity_catalog,
+    represent,
     representative_operand,
     same_value,
 )
@@ -121,74 +125,62 @@ _FE_CANDIDATES = (
     {"near": 0x0, "up": 0x400000, "down": 0x800000, "zero": 0xC00000},  # arm64
 )
 _LIB_NAMES = ("libm.so.6", "libm.so", "libc.so.6", "libSystem.B.dylib")
+_FE_NAMES = {
+    RoundingDirection.TO_NEG_INF: "down",
+    RoundingDirection.TO_POS_INF: "up",
+    RoundingDirection.TO_ZERO: "zero",
+    RoundingDirection.NEAREST: "near",
+}
 
 
-class _NativeRounding:
-    def __init__(self):
-        self.lib = None
-        self.consts = None
-        self.probed = False
-
-    def available(self) -> bool:
-        if not self.probed:
-            self._probe()
-        return self.lib is not None
-
-    def _probe(self):
-        self.probed = True
-        lib = None
-        for name in _LIB_NAMES:
-            try:
-                cand = ctypes.CDLL(name)
-                cand.fesetround
-                cand.fegetround
-                lib = cand
-                break
-            except (OSError, AttributeError):
-                continue
-        if lib is None:
-            return
-        one, three = float(1.0), float(3.0)
-        want_dn = BINARY64.round(Fraction(1, 3), RoundingDirection.TO_NEG_INF).to_float()
-        want_up = BINARY64.round(Fraction(1, 3), RoundingDirection.TO_POS_INF).to_float()
-        for consts in _FE_CANDIDATES:
-            old = lib.fegetround()
-            try:
-                if lib.fesetround(consts["down"]) != 0:
-                    continue
-                got_dn = one / three
-                if lib.fesetround(consts["up"]) != 0:
-                    continue
-                got_up = one / three
-            finally:
-                lib.fesetround(old)
-            if got_dn == want_dn and got_up == want_up:
-                self.lib = lib
-                self.consts = consts
-                return
-
-    @contextmanager
-    def mode(self, direction: RoundingDirection):
-        names = {
-            RoundingDirection.TO_NEG_INF: "down",
-            RoundingDirection.TO_POS_INF: "up",
-            RoundingDirection.TO_ZERO: "zero",
-            RoundingDirection.NEAREST: "near",
-        }
-        old = self.lib.fegetround()
-        self.lib.fesetround(self.consts[names[direction]])
+@lru_cache(maxsize=None)
+def _native_rounding() -> Optional[tuple[ctypes.CDLL, dict]]:
+    """(library, verified fesetround constants), or None if unavailable."""
+    lib = None
+    for name in _LIB_NAMES:
         try:
-            yield
+            cand = ctypes.CDLL(name)
+            cand.fesetround
+            cand.fegetround
+            lib = cand
+            break
+        except (OSError, AttributeError):
+            continue
+    if lib is None:
+        return None
+    one, three = float(1.0), float(3.0)
+    want_dn = BINARY64.round(Fraction(1, 3), RoundingDirection.TO_NEG_INF).to_float()
+    want_up = BINARY64.round(Fraction(1, 3), RoundingDirection.TO_POS_INF).to_float()
+    for consts in _FE_CANDIDATES:
+        old = lib.fegetround()
+        try:
+            if lib.fesetround(consts["down"]) != 0:
+                continue
+            got_dn = one / three
+            if lib.fesetround(consts["up"]) != 0:
+                continue
+            got_up = one / three
         finally:
-            self.lib.fesetround(old)
+            lib.fesetround(old)
+        if got_dn == want_dn and got_up == want_up:
+            return lib, consts
+    return None
 
 
-_NATIVE = _NativeRounding()
+@contextmanager
+def _native_mode(direction: RoundingDirection):
+    lib, consts = _native_rounding()
+    old = lib.fegetround()
+    lib.fesetround(consts[_FE_NAMES[direction]])
+    try:
+        yield
+    finally:
+        lib.fesetround(old)
 
 
 def native_rounding_available() -> bool:
     """True when the host FPU rounding mode can be driven and verified."""
-    return _NATIVE.available()
+    return _native_rounding() is not None
 
 
 def ieee_reference_native(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection) -> Fp:
@@ -198,12 +190,12 @@ def ieee_reference_native(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection
     independent, so the hardware is still exercised everywhere it matters."""
     if a.fmt != BINARY64 or b.fmt != BINARY64:
         raise ValueError("native backend is binary64 only")
-    if not _NATIVE.available():
+    if not native_rounding_available():
         raise RuntimeError("no verified native rounding access on this platform")
     xa, xb = a.to_float(), b.to_float()
     if math.isnan(xa) or math.isnan(xb):
         return Fp.nan(BINARY64)
-    with _NATIVE.mode(direction):
+    with _native_mode(direction):
         if op is OpKind.ADD:
             r = xa + xb
         elif op is OpKind.SUB:
@@ -357,7 +349,35 @@ def run_theorem_suite(
     return result
 
 
-# -- deviation report ----------------------------------------------------------------------
+# -- classification and deviation report ------------------------------------------------
+
+
+class Classification(Enum):
+    CONFORMS = "conforms"
+    DEVIATES = "deviates"
+    NEWLY_DEFINED = "newly-defined"
+
+
+def classify_vs_ieee(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> Classification:
+    """How the interval result relates to the IEEE 754 result.
+
+    NEWLY_DEFINED: IEEE yields NaN but the set semantics yields a set.
+    CONFORMS: the results agree, either as the single float representing
+    the result set (wide results such as the meaning of +inf) or bound by
+    bound against the two directed IEEE results.  DEVIATES otherwise."""
+    r_dn = ieee_reference(a, b, op, RoundingDirection.TO_NEG_INF)
+    r_up = ieee_reference(a, b, op, RoundingDirection.TO_POS_INF)
+    if r_dn.is_nan:
+        return Classification.NEWLY_DEFINED
+    result = fp_interval_op(a, b, op, mode)
+    single = represent(result, mode)
+    if single is not None:
+        ok = same_value(single, r_dn) and same_value(single, r_up)
+    else:
+        ok = same_value(
+            fp_scalar_op(a, b, op, RoundingDirection.TO_NEG_INF, mode), r_dn
+        ) and same_value(fp_scalar_op(a, b, op, RoundingDirection.TO_POS_INF, mode), r_up)
+    return Classification.CONFORMS if ok else Classification.DEVIATES
 
 
 @dataclass(frozen=True)

@@ -229,9 +229,6 @@ def negate(x: ExtInterval) -> ExtInterval:
 
 def sub(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     """Hull of the set of z with y + z = x, which is the difference set."""
-    _check_pair(x, y)
-    if x.is_empty or y.is_empty:
-        return ExtInterval.empty(x.fmt)
     return add(x, negate(y))
 
 

@@ -5,7 +5,8 @@ set containing it, +inf is everything from the greatest finite value up,
 -inf the mirror, and the zeros depend on the selected zero mode.  Under
 this reading all four arithmetic operations are total: combinations that
 IEEE 754 maps to NaN come out as honest (wide) intervals, and a directed
-IEEE result is one bound of the operation's interval.
+result is one bound of the operation's interval.  Comparing results with
+IEEE 754 is the harness layer's job.
 
 The identity catalog records the special-operand formulas this semantics
 produces, parametric in the format constants m (least positive value) and
@@ -32,8 +33,6 @@ from .fpformat import (
 )
 from .interval import ExtInterval, OpKind, apply_op
 
-FpOpKind = OpKind  # one enumeration serves both the interval and the float layer
-
 
 class ZeroMode(Enum):
     """How the signed zeros are read as sets.
@@ -45,12 +44,6 @@ class ZeroMode(Enum):
 
     FINITE = "finite"
     INFINITE = "infinite"
-
-
-class Classification(Enum):
-    CONFORMS = "conforms"
-    DEVIATES = "deviates"
-    NEWLY_DEFINED = "newly-defined"
 
 
 # -- interpretation ----------------------------------------------------------
@@ -136,7 +129,7 @@ def fp_scalar_op(
     return extract_bound(fp_interval_op(a, b, op, mode), direction)
 
 
-# -- comparison against IEEE 754 ---------------------------------------------------
+# -- value comparison --------------------------------------------------------------
 
 
 def same_value(a: Fp, b: Fp) -> bool:
@@ -144,30 +137,6 @@ def same_value(a: Fp, b: Fp) -> bool:
     if a.is_nan or b.is_nan:
         return a.is_nan and b.is_nan
     return value_cmp(a, b) == 0
-
-
-def classify_vs_ieee(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> Classification:
-    """How the interval result relates to the IEEE 754 result.
-
-    NEWLY_DEFINED: IEEE yields NaN but the set semantics yields a set.
-    CONFORMS: the results agree, either as the single float representing
-    the result set (wide results such as the meaning of +inf) or bound by
-    bound against the two directed IEEE results.  DEVIATES otherwise."""
-    from .harness import ieee_reference
-
-    r_dn = ieee_reference(a, b, op, RoundingDirection.TO_NEG_INF)
-    r_up = ieee_reference(a, b, op, RoundingDirection.TO_POS_INF)
-    if r_dn.is_nan:
-        return Classification.NEWLY_DEFINED
-    result = fp_interval_op(a, b, op, mode)
-    single = represent(result, mode)
-    if single is not None:
-        ok = same_value(single, r_dn) and same_value(single, r_up)
-    else:
-        ok = same_value(
-            fp_scalar_op(a, b, op, RoundingDirection.TO_NEG_INF, mode), r_dn
-        ) and same_value(fp_scalar_op(a, b, op, RoundingDirection.TO_POS_INF, mode), r_up)
-    return Classification.CONFORMS if ok else Classification.DEVIATES
 
 
 # -- identity catalog ----------------------------------------------------------------
@@ -465,28 +434,6 @@ def identity_catalog() -> tuple[IdentityRecord, ...]:
     """All 23 special-operand identities (12 redefined, 6 formerly NaN,
     5 exact-zero-mode variants)."""
     return _CATALOG
-
-
-def catalog_rows(fmt: FloatFormat) -> list[dict]:
-    """Catalog as plain rows with one representative instantiation each,
-    for the report generator."""
-    rows = []
-    for rec in identity_catalog():
-        sample = representative_operand(rec, fmt)
-        lhs_a, lhs_b = rec.make_operands(fmt, sample)
-        rows.append(
-            {
-                "name": rec.name,
-                "pattern": rec.pattern,
-                "op": rec.op.value,
-                "mode": rec.mode.value,
-                "group": rec.group,
-                "expr": rec.expr_text,
-                "operands": f"{lhs_a} {rec.op.value} {lhs_b}",
-                "result": str(rec.expected(fmt, sample)),
-            }
-        )
-    return rows
 
 
 def representative_operand(rec: IdentityRecord, fmt: FloatFormat) -> Optional[Fp]:

@@ -239,3 +239,28 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("format p3e-2:3\n")
     assert main(["--config", str(bad), "eval", "1"]) == 1
     assert "key=value" in capsys.readouterr().err
+
+
+def test_config_bad_seed_exits_cleanly(tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = abc\n")
+    with pytest.raises(SystemExit) as err:  # a message as the code: exit status 1
+        main(["--config", str(cfg), "check", "--format", "p2e0:0ns"])
+    assert err.value.code == "error: bad seed 'abc'"
+
+
+@pytest.mark.parametrize(
+    "literal, want",
+    [
+        ("1e5000", "[0x1.fffffffffffffp+1023, +inf)"),
+        ("-1e5000", "(-inf, -0x1.fffffffffffffp+1023]"),
+        ("1e-5000", "[0, 0x0.0000000000001p-1022]"),
+    ],
+)
+def test_eval_huge_exponent_literals(literal, want, capsys):
+    assert main(["eval", "--", literal]) == 0
+    out = capsys.readouterr()
+    assert out.out.strip() == want
+    warnings = out.err.strip().splitlines()
+    assert len(warnings) == 1 and warnings[0].startswith("warning: literal ")
+    assert len(warnings[0]) <= 120

@@ -14,6 +14,7 @@ from intervalfp import (
     backend_agreement,
     classify_vs_ieee,
     deviation_report,
+    identity_catalog,
     ieee_reference,
     ieee_reference_native,
     native_rounding_available,
@@ -21,6 +22,7 @@ from intervalfp import (
     totality_fuzz,
 )
 from intervalfp.harness import binary64_pairs
+from intervalfp.semantics import representative_operand
 
 RD = RoundingDirection
 UP, DOWN = RD.TO_POS_INF, RD.TO_NEG_INF
@@ -113,6 +115,11 @@ def test_report_covers_catalog(toy):
     rows = deviation_report(toy)
     assert len(rows) == 23
     by_name = {r.name: r for r in rows}
+    # each row's interval is the catalog formula at the row's operand
+    for fmt in (toy, BINARY64):
+        for rec, row in zip(identity_catalog(), deviation_report(fmt), strict=True):
+            assert row.name == rec.name
+            assert row.interval == str(rec.expected(fmt, representative_operand(rec, fmt)))
     assert by_name["inf-sub-inf"].ieee == "nan"
     assert by_name["inf-sub-inf"].interval == "(-inf, +inf)"
     assert by_name["inf-sub-inf"].classification is Classification.NEWLY_DEFINED

@@ -1,0 +1,56 @@
+"""The package's modules form one stack: each imports only from modules below it."""
+
+import ast
+from pathlib import Path
+
+import intervalfp
+
+PACKAGE = Path(intervalfp.__file__).parent
+# Lowest layer first.  __init__ re-exports everything and is not a layer.
+LAYERS = ("fpformat", "roundflag", "interval", "semantics", "oracle", "harness", "cli")
+
+
+def _package_imports(tree: ast.AST):
+    """(line, imported module) for every import of a package module,
+    including imports inside functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("intervalfp"):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield node.lineno, parts[0]
+            else:  # from . import x
+                for alias in node.names:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "intervalfp" and len(parts) > 1:
+                    yield node.lineno, parts[1]
+
+
+def layering_violations() -> list[str]:
+    found = []
+    for name in LAYERS:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for line, target in _package_imports(tree):
+            if target not in LAYERS or LAYERS.index(target) >= LAYERS.index(name):
+                found.append(f"{name} -> {target} (line {line})")
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+def test_imports_only_go_down_the_stack():
+    assert layering_violations() == []
+
+
+def test_the_check_sees_imports_inside_functions():
+    tree = ast.parse("def f():\n    from .harness import ieee_reference\n")
+    assert list(_package_imports(tree)) == [(2, "harness")]

@@ -21,7 +21,6 @@ from intervalfp import (
     parse_interval,
     represent,
 )
-from intervalfp.semantics import catalog_rows
 
 RD = RoundingDirection
 FIN, INF = ZeroMode.FINITE, ZeroMode.INFINITE
@@ -182,15 +181,6 @@ def test_catalog_named_examples(toy):
     assert str(rec.expected(toy, a)) == "[0, 0.1875]"
     rec = by_name["neginf-div-neginf"]
     assert str(rec.expected(toy, None)) == "[0, +inf)"
-
-
-def test_catalog_rows_table(toy):
-    rows = catalog_rows(toy)
-    assert len(rows) == 23
-    for row in rows:
-        assert set(row) == {
-            "name", "pattern", "op", "mode", "group", "expr", "operands", "result",
-        }
 
 
 def test_catalog_on_binary64_expressible_operands():
