@@ -339,7 +339,9 @@ def load_config(path: Optional[str]) -> dict[str, str]:
     return settings
 
 
-def _resolve(args, config: dict[str, str]):
+def _resolve(args, config: dict[str, str]) -> tuple[FloatFormat, ZeroMode, int]:
+    """Format, zero mode and seed: the command line over the config file
+    over the defaults.  A bad value raises ValueError naming it."""
     fmt_text = args.format or config.get("format", "b64")
     mode_text = getattr(args, "mode", None) or config.get("mode", "finite")
     seed = getattr(args, "seed", None)
@@ -348,15 +350,12 @@ def _resolve(args, config: dict[str, str]):
         try:
             seed = int(seed_text)
         except ValueError:
-            raise SystemExit(f"error: bad seed {seed_text!r}")
-    try:
-        fmt = parse_format(fmt_text)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+            raise ValueError(f"bad seed {seed_text!r}") from None
+    fmt = parse_format(fmt_text)
     try:
         mode = ZeroMode(mode_text)
     except ValueError:
-        raise SystemExit(f"error: bad zero mode {mode_text!r} (finite or infinite)")
+        raise ValueError(f"bad zero mode {mode_text!r} (finite or infinite)") from None
     return fmt, mode, seed
 
 
@@ -373,8 +372,7 @@ def _print_result(result: ExtInterval, round_sel: Optional[str]) -> None:
         print(result)
 
 
-def _cmd_eval(args, config) -> int:
-    fmt, mode, _ = _resolve(args, config)
+def _cmd_eval(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
     try:
         tree = parse(args.expr)
         result = eval_expr(tree, fmt, mode, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
@@ -385,8 +383,7 @@ def _cmd_eval(args, config) -> int:
     return 0
 
 
-def _cmd_check(args, config) -> int:
-    fmt, mode, seed = _resolve(args, config)
+def _cmd_check(args, fmt: FloatFormat, mode: ZeroMode, seed: int) -> int:
     failed = False
     try:
         mismatches = exhaustive_compare(fmt, mode)
@@ -405,9 +402,8 @@ def _cmd_check(args, config) -> int:
     return 1 if failed else 0
 
 
-def _cmd_report(args, config) -> int:
-    fmt, _, _ = _resolve(args, config)
-    rows = deviation_report(fmt)  # every catalog identity, both zero modes
+def _cmd_report(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
+    rows = deviation_report(fmt)  # catalog identities of both zero modes
     header = ("name", "pattern", "group", "mode", "expected", "operands", "ieee",
               "interval", "classification")
     table = [
@@ -426,8 +422,7 @@ def _cmd_report(args, config) -> int:
     return 0
 
 
-def _cmd_flagdemo(args, config) -> int:
-    fmt, _, _ = _resolve(args, config)
+def _cmd_flagdemo(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
     try:
         word = PreRoundedWord.parse(args.word)
     except ValueError as exc:
@@ -448,8 +443,7 @@ def _cmd_flagdemo(args, config) -> int:
     return 0
 
 
-def _cmd_repl(args, config) -> int:
-    fmt, mode, _ = _resolve(args, config)
+def _cmd_repl(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
     round_sel = None
     interactive = sys.stdin.isatty()
     while True:
@@ -534,11 +528,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        fmt, mode, seed = _resolve(args, load_config(args.config))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args, config)
+    return args.func(args, fmt, mode, seed)
 
 
 if __name__ == "__main__":

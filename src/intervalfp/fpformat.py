@@ -2,11 +2,15 @@
 
 A format is described by its precision (significand bits including the
 hidden bit), an exponent range, and a subnormal toggle.  Values are kept
-in an exact canonical encoding, so every finite number converts to a
-`fractions.Fraction` without loss and rounding is decided by integer
-arithmetic only.  Tiny formats can be enumerated exhaustively, which is
-what the verification suites rely on; binary64 is just another instance
-of the same machinery.
+in an exact canonical encoding with one sign bit on every datum except NaN,
+so every finite number converts to a `fractions.Fraction` without loss.
+
+Rounding follows the reading of the paper: a rational lies in one bracket
+of adjacent format values, and every rounding direction selects one side of
+that bracket.  The bracket, and the side round-to-nearest takes, are decided
+by integer division and remainder comparison only.  Tiny formats can be
+enumerated exhaustively, which is what the verification suites rely on;
+binary64 is just another instance of the same machinery.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ class RoundingDirection(Enum):
 
 
 class FpKind(Enum):
+    """What a datum is; its sign is `Fp.negative`, never part of the kind."""
+
     FINITE = "finite"  # finite and nonzero
-    POS_ZERO = "+0"
-    NEG_ZERO = "-0"
-    POS_INF = "+inf"
-    NEG_INF = "-inf"
+    ZERO = "zero"
+    INF = "inf"
     NAN = "nan"
 
 
@@ -86,39 +90,27 @@ class FloatFormat:
     # -- rounding ----------------------------------------------------------
 
     def round(self, q: RationalLike, direction: RoundingDirection) -> "Fp":
-        """Round an exact rational to the format.  Total: overflow saturates
-        to the greatest finite value or to an infinity depending on direction,
-        and exact zeros come out as +0 (a negative value collapsing to zero
-        yields -0)."""
-        num, den = q.numerator, q.denominator
-        if num == 0:
-            return Fp.zero(self)
-        neg = num < 0
-        lo, hi = _floor_ceil_pos(self, -num if neg else num, den)
+        """Round an exact rational to the format: one side of the bracket
+        of adjacent format values around q.
+
+        Down takes the lower side, up the upper, toward zero the side nearer
+        zero, and nearest the closer side with ties to the even significand.
+        Total: overflow saturates to the greatest finite value or to an
+        infinity depending on direction, and an exact zero comes out as +0
+        (a negative value collapsing to zero yields -0)."""
+        lo, hi, near_hi = _bracket(self, q.numerator, q.denominator)
+        if direction is RoundingDirection.TO_NEG_INF:
+            return lo
         if direction is RoundingDirection.TO_POS_INF:
-            mag = lo if neg else hi
-        elif direction is RoundingDirection.TO_NEG_INF:
-            mag = hi if neg else lo
-        elif direction is RoundingDirection.TO_ZERO:
-            mag = lo
-        else:
-            mag = _nearest_of(self, Fraction(-num if neg else num, den), lo, hi)
-        if mag.is_zero:
-            return Fp.zero(self, negative=neg)
-        if mag.is_inf:
-            return Fp.inf(self, negative=neg)
-        return Fp(self, FpKind.FINITE, neg, mag.c, mag.e) if neg else mag
+            return hi
+        if direction is RoundingDirection.TO_ZERO:
+            return hi if q.numerator < 0 else lo
+        return hi if near_hi else lo
 
     def round_both(self, q: RationalLike) -> tuple["Fp", "Fp"]:
-        """(round down, round up) sharing one bracket computation."""
-        num, den = q.numerator, q.denominator
-        if num == 0:
-            z = Fp.zero(self)
-            return z, z
-        if num > 0:
-            return _floor_ceil_pos(self, num, den)
-        lo, hi = _floor_ceil_pos(self, -num, den)
-        return -hi, -lo
+        """(round down, round up): both sides of the one bracket."""
+        lo, hi, _ = _bracket(self, q.numerator, q.denominator)
+        return lo, hi
 
     # -- enumeration ---------------------------------------------------------
 
@@ -174,12 +166,14 @@ def parse_format(text: str) -> FloatFormat:
 
 @dataclass(frozen=True, slots=True)
 class Fp:
-    """One datum of a format: a finite nonzero value, a signed zero, a signed
-    infinity, or NaN.
+    """One datum of a format: a finite nonzero value, a zero, an infinity,
+    or NaN.
 
-    Finite nonzero values satisfy ``value = (-1)**negative * c * 2**(e - p + 1)``
-    with the canonical constraint that c has exactly p bits (normal) or e is
-    the minimum exponent and c has fewer (subnormal).  Each representable real
+    `negative` is the one sign bit of every datum, zeros and infinities
+    included; NaN is unsigned (`negative` is False).  Finite nonzero values
+    satisfy ``value = (-1)**negative * c * 2**(e - p + 1)`` with the
+    canonical constraint that c has exactly p bits (normal) or e is the
+    minimum exponent and c has fewer (subnormal).  Each representable real
     has exactly one encoding, so dataclass equality is value identity, with
     +0 and -0 distinct.
     """
@@ -194,11 +188,11 @@ class Fp:
 
     @staticmethod
     def zero(fmt: FloatFormat, negative: bool = False) -> "Fp":
-        return Fp(fmt, FpKind.NEG_ZERO if negative else FpKind.POS_ZERO)
+        return Fp(fmt, FpKind.ZERO, negative)
 
     @staticmethod
     def inf(fmt: FloatFormat, negative: bool = False) -> "Fp":
-        return Fp(fmt, FpKind.NEG_INF if negative else FpKind.POS_INF)
+        return Fp(fmt, FpKind.INF, negative)
 
     @staticmethod
     def nan(fmt: FloatFormat) -> "Fp":
@@ -206,14 +200,12 @@ class Fp:
 
     @staticmethod
     def from_exact(fmt: FloatFormat, q: RationalLike) -> "Fp":
-        """Encode a rational that is exactly representable; raise otherwise."""
-        q = Fraction(q)
-        if q == 0:
-            return Fp.zero(fmt)
-        lo, hi = _floor_ceil_pos(fmt, abs(q.numerator), q.denominator)
-        if lo != hi:
+        """Encode a rational that is exactly representable (a bracket with
+        one side); raise otherwise."""
+        lo, hi, _ = _bracket(fmt, q.numerator, q.denominator)
+        if lo is not hi:
             raise ValueError(f"{q} is not representable in {fmt.descriptor()}")
-        return -lo if q < 0 else lo
+        return lo
 
     @staticmethod
     def from_float(fmt: FloatFormat, x: float) -> "Fp":
@@ -236,22 +228,15 @@ class Fp:
 
     @property
     def is_inf(self) -> bool:
-        return self.kind in (FpKind.POS_INF, FpKind.NEG_INF)
+        return self.kind is FpKind.INF
 
     @property
     def is_zero(self) -> bool:
-        return self.kind in (FpKind.POS_ZERO, FpKind.NEG_ZERO)
+        return self.kind is FpKind.ZERO
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is FpKind.FINITE or self.is_zero
-
-    @property
-    def sign_negative(self) -> bool:
-        """Sign bit, meaningful for every kind except NaN."""
-        if self.kind is FpKind.FINITE:
-            return self.negative
-        return self.kind in (FpKind.NEG_ZERO, FpKind.NEG_INF)
+        return self.kind is FpKind.FINITE or self.kind is FpKind.ZERO
 
     # -- conversions -------------------------------------------------------------
 
@@ -267,13 +252,15 @@ class Fp:
 
     def to_float(self) -> float:
         """Host-float value (exact when the format fits in binary64)."""
-        if self.is_nan:
+        k = self.kind
+        if k is FpKind.NAN:
             return math.nan
-        if self.is_inf:
-            return -math.inf if self.kind is FpKind.NEG_INF else math.inf
-        if self.is_zero:
-            return -0.0 if self.kind is FpKind.NEG_ZERO else 0.0
-        mag = math.ldexp(self.c, self.e - self.fmt.precision + 1)
+        if k is FpKind.INF:
+            mag = math.inf
+        elif k is FpKind.ZERO:
+            mag = 0.0
+        else:
+            mag = math.ldexp(self.c, self.e - self.fmt.precision + 1)
         return -mag if self.negative else mag
 
     # -- neighbours ----------------------------------------------------------------
@@ -284,32 +271,24 @@ class Fp:
         next_up(M) is +inf and next_up(-inf) is -M; NaN and +inf have no
         successor."""
         k = self.kind
-        if k is FpKind.NAN or k is FpKind.POS_INF:
+        if k is FpKind.NAN or (k is FpKind.INF and not self.negative):
             raise DomainError(f"next_up undefined for {self}")
-        if k is FpKind.NEG_INF:
-            return -self.fmt.max_finite()
-        if k is FpKind.NEG_ZERO:
-            return Fp.zero(self.fmt)
-        if k is FpKind.POS_ZERO:
-            return self.fmt.min_pos()
         if self.negative:
+            if k is FpKind.INF:
+                return -self.fmt.max_finite()
+            if k is FpKind.ZERO:
+                return Fp.zero(self.fmt)
             return -(-self)._pred()
+        if k is FpKind.ZERO:
+            return self.fmt.min_pos()
         return self._succ()
 
     def next_down(self) -> "Fp":
-        """Predecessor in the same order; mirror of next_up."""
-        k = self.kind
-        if k is FpKind.NAN or k is FpKind.NEG_INF:
+        """Predecessor in the same order: the mirror -next_up(-x).  NaN and
+        -inf have no predecessor."""
+        if self.is_nan or (self.is_inf and self.negative):
             raise DomainError(f"next_down undefined for {self}")
-        if k is FpKind.POS_INF:
-            return self.fmt.max_finite()
-        if k is FpKind.POS_ZERO:
-            return Fp.zero(self.fmt, negative=True)
-        if k is FpKind.NEG_ZERO:
-            return -self.fmt.min_pos()
-        if self.negative:
-            return -(-self)._succ()
-        return self._pred()
+        return -(-self).next_up()
 
     def _succ(self) -> "Fp":
         fmt = self.fmt
@@ -335,17 +314,10 @@ class Fp:
     # -- arithmetic-free helpers ------------------------------------------------------
 
     def __neg__(self) -> "Fp":
-        k = self.kind
-        if k is FpKind.FINITE:
-            return Fp(self.fmt, k, not self.negative, self.c, self.e)
-        flip = {
-            FpKind.POS_ZERO: FpKind.NEG_ZERO,
-            FpKind.NEG_ZERO: FpKind.POS_ZERO,
-            FpKind.POS_INF: FpKind.NEG_INF,
-            FpKind.NEG_INF: FpKind.POS_INF,
-            FpKind.NAN: FpKind.NAN,
-        }
-        return Fp(self.fmt, flip[k])
+        """Flip the sign bit; NaN is unsigned and negates to itself."""
+        if self.kind is FpKind.NAN:
+            return self
+        return Fp(self.fmt, self.kind, not self.negative, self.c, self.e)
 
     # -- text form ----------------------------------------------------------------------
 
@@ -387,14 +359,10 @@ class Fp:
         k = self.kind
         if k is FpKind.NAN:
             return "nan"
-        if k is FpKind.POS_INF:
-            return "+inf"
-        if k is FpKind.NEG_INF:
-            return "-inf"
-        if k is FpKind.POS_ZERO:
-            return "+0"
-        if k is FpKind.NEG_ZERO:
-            return "-0"
+        if k is FpKind.INF:
+            return "-inf" if self.negative else "+inf"
+        if k is FpKind.ZERO:
+            return "-0" if self.negative else "+0"
         dec = self.decimal_str()
         return dec if len(dec) <= 20 else self.hex_str()
 
@@ -422,19 +390,16 @@ def _min_pos(fmt: FloatFormat) -> Fp:
 
 def _value_key(x: Fp) -> tuple[int, int, int]:
     """Integer sort key ordering values of one format (zeros tie): the
-    canonical encoding is value-monotone in (e, c) per sign."""
+    canonical encoding is value-monotone in (e, c), mirrored by the sign."""
     k = x.kind
-    if k is FpKind.FINITE:
-        if x.negative:
-            return (-1, -x.e, -x.c)
-        return (1, x.e, x.c)
-    if k is FpKind.NEG_INF:
-        return (-2, 0, 0)
-    if k is FpKind.POS_INF:
-        return (2, 0, 0)
+    if k is FpKind.ZERO:
+        return (0, 0, 0)
     if k is FpKind.NAN:
         raise DomainError("NaN is unordered")
-    return (0, 0, 0)
+    s = -1 if x.negative else 1
+    if k is FpKind.INF:
+        return (2 * s, 0, 0)
+    return (s, s * x.e, s * x.c)
 
 
 def value_cmp(a: Fp, b: Fp) -> int:
@@ -467,26 +432,40 @@ def _fp_from_bits64(fmt: FloatFormat, bits: int) -> Fp:
     return Fp(fmt, FpKind.FINITE, neg, trailing | (1 << 52), biased - 1023)
 
 
-# -- rounding internals ------------------------------------------------------------
+# -- the rounding bracket ----------------------------------------------------------
 
 
-def _fp_from_mag(fmt: FloatFormat, c: int, scale: int) -> Fp:
-    """Positive finite Fp from magnitude c * 2**scale; c may carry one bit past
-    the precision (normalised here) and must already be format-aligned."""
+def _fp_from_mag(fmt: FloatFormat, negative: bool, c: int, scale: int) -> Fp:
+    """Nonzero Fp of magnitude c * 2**scale; c may carry one bit past the
+    precision (normalised here) and must already be format-aligned."""
     if c == 1 << fmt.precision:
         c >>= 1
         scale += 1
     e = scale + fmt.precision - 1
     if e > fmt.e_max:
-        return Fp.inf(fmt)
-    return Fp(fmt, FpKind.FINITE, False, c, e)
+        return Fp.inf(fmt, negative)
+    return Fp(fmt, FpKind.FINITE, negative, c, e)
 
 
-def _floor_ceil_pos(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, Fp]:
-    """Bracket a positive rational num/den between adjacent representable
-    magnitudes: (greatest value <= q, possibly +0; least value >= q, possibly
-    +inf).  Equal results mean q is representable."""
+def _bracket(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, Fp, bool]:
+    """The rounding bracket of the rational num/den (den > 0): adjacent
+    format values lo <= q <= hi, and whether round-to-nearest takes hi.
+
+    lo is hi exactly when q is representable (0 gives +0).  Beyond the
+    finite range one side is an infinity; a value that rounds to zero keeps
+    its sign.  Nearest compares the remainder of q against half a step of
+    the bracket, so the threshold for overflow is M plus half an ulp, and a
+    tie goes to the side with the even significand, where a zero or an
+    infinity counts as even (without subnormals the step from zero to the
+    least normal is one unit, so zero is the even side)."""
+    if num == 0:
+        zero = Fp.zero(fmt)
+        return zero, zero, False
+    negative = num < 0
+    if negative:
+        num = -num
     p = fmt.precision
+    # e = floor(log2(num/den))
     e = num.bit_length() - den.bit_length()
     if e >= 0:
         if num < (den << e):
@@ -494,35 +473,30 @@ def _floor_ceil_pos(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, Fp]:
     elif (num << -e) < den:
         e -= 1
     if e > fmt.e_max:
-        return fmt.max_finite(), Fp.inf(fmt)
-    if e < fmt.e_min and not fmt.subnormals:
-        return Fp.zero(fmt), fmt.min_pos()
-    scale = max(e, fmt.e_min) - (p - 1)
-    if scale >= 0:
-        c, rem = divmod(num, den << scale)
+        small = Fp(fmt, FpKind.FINITE, negative, (1 << p) - 1, fmt.e_max)
+        big, near_big = Fp.inf(fmt, negative), True
     else:
-        c, rem = divmod(num << -scale, den)
-    lo = _fp_from_mag(fmt, c, scale) if c else Fp.zero(fmt)
-    if rem == 0:
-        return lo, lo
-    return lo, _fp_from_mag(fmt, c + 1, scale)
-
-
-def _nearest_of(fmt: FloatFormat, mag: Fraction, lo: Fp, hi: Fp) -> Fp:
-    """Round-to-nearest between the bracketing magnitudes, ties to even
-    significand; overflow follows the usual threshold at M plus half an ulp."""
-    if lo == hi:
-        return lo
-    if hi.is_inf:
-        threshold = Fraction(1 << (fmt.e_max + 1)) - Fraction(2) ** (fmt.e_max - fmt.precision)
-        return hi if mag >= threshold else lo
-    d_lo = mag - lo.to_rational()
-    d_hi = hi.to_rational() - mag
-    if d_lo < d_hi:
-        return lo
-    if d_hi < d_lo:
-        return hi
-    return lo if lo.c % 2 == 0 else hi
+        no_subnormal = e < fmt.e_min and not fmt.subnormals
+        # the step between the bracket's sides is 2**scale
+        scale = fmt.e_min if no_subnormal else max(e, fmt.e_min) - (p - 1)
+        if scale >= 0:
+            step = den << scale
+            c, rem = divmod(num, step)
+        else:
+            step = den
+            c, rem = divmod(num << -scale, den)
+        small = _fp_from_mag(fmt, negative, c, scale) if c else Fp.zero(fmt, negative)
+        if rem == 0:
+            return small, small, False
+        if no_subnormal:
+            big = Fp(fmt, FpKind.FINITE, negative, 1 << (p - 1), fmt.e_min)
+        else:
+            big = _fp_from_mag(fmt, negative, c + 1, scale)
+        twice = 2 * rem
+        near_big = twice > step or (twice == step and c & 1 == 1)
+    if negative:
+        return big, small, not near_big
+    return small, big, near_big
 
 
 # -- literal parsing ------------------------------------------------------------------

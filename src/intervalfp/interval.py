@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fpformat import FloatFormat, Fp, FpKind, RoundingDirection, fraction_from_literal, value_cmp
+from .fpformat import FloatFormat, Fp, RoundingDirection, fraction_from_literal, value_cmp
 
 # Extended rational: an exact Fraction or one of the float infinities,
 # which are used purely as symbols (never mixed into Fraction arithmetic).
@@ -59,7 +59,7 @@ class ExtInterval:
             raise ValueError("mismatched bound formats")
         if lo.is_nan or hi.is_nan:
             raise ValueError("NaN cannot be an interval bound")
-        if lo.kind is FpKind.POS_INF or hi.kind is FpKind.NEG_INF:
+        if (lo.is_inf and not lo.negative) or (hi.is_inf and hi.negative):
             raise ValueError("bounds leave no reals in the set")
         if lo is hi:  # point interval from a single finite object
             if lo.is_zero:
@@ -93,13 +93,13 @@ class ExtInterval:
     @property
     def lo_ext(self) -> ExtReal:
         """Lower bound as an exact rational, or -inf when unbounded."""
-        if self.lo.kind is FpKind.NEG_INF:
+        if self.lo.is_inf:
             return NEG_INF
         return self.lo.to_rational()
 
     @property
     def hi_ext(self) -> ExtReal:
-        if self.hi.kind is FpKind.POS_INF:
+        if self.hi.is_inf:
             return POS_INF
         return self.hi.to_rational()
 
@@ -131,11 +131,11 @@ class ExtInterval:
     def __str__(self):
         if self.is_empty:
             return "empty"
-        if self.lo.kind is FpKind.NEG_INF:
+        if self.lo.is_inf:
             left = "(-inf"
         else:
             left = "[" + _bound_str(self.lo)
-        if self.hi.kind is FpKind.POS_INF:
+        if self.hi.is_inf:
             right = "+inf)"
         else:
             right = _bound_str(self.hi) + "]"

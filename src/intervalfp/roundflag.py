@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .fpformat import DomainError, FloatFormat, Fp, FpKind
+from .fpformat import DomainError, FloatFormat, Fp
 
 
 class RoundFlag(Enum):
@@ -144,12 +144,12 @@ def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
     magnitude_up = flag is RoundFlag.ROUNDED_UP
     # magnitude rounded up on a positive result, or truncated on a negative
     # one, puts the true value below the result
-    true_below = magnitude_up != nearest.sign_negative
+    true_below = magnitude_up != nearest.negative
     if true_below:
-        if nearest.kind is FpKind.NEG_INF:
+        if nearest.is_inf and nearest.negative:
             return nearest, nearest
         return nearest.next_down(), nearest
-    if nearest.kind is FpKind.POS_INF:
+    if nearest.is_inf and not nearest.negative:
         return nearest, nearest
     return nearest, nearest.next_up()
 

@@ -53,24 +53,25 @@ def interpret(x: Fp, mode: ZeroMode) -> ExtInterval:
     """The set of reals a float stands for."""
     if x.kind is FpKind.FINITE:
         return ExtInterval.point(x)
-    return _special_meaning(x.fmt, x.kind, mode)
+    return _special_meaning(x, mode)
 
 
 @lru_cache(maxsize=None)
-def _special_meaning(fmt: FloatFormat, kind: FpKind, mode: ZeroMode) -> ExtInterval:
-    if kind is FpKind.NAN:
+def _special_meaning(x: Fp, mode: ZeroMode) -> ExtInterval:
+    """Meaning of a zero, an infinity or NaN; a negative one means the
+    mirror image of its positive twin."""
+    fmt = x.fmt
+    if x.is_nan:
         if mode is ZeroMode.FINITE:
             raise DomainError("NaN has no set meaning with finite-width zeros")
         return ExtInterval.empty(fmt)
-    if kind is FpKind.POS_INF:
-        return ExtInterval.make(fmt.max_finite(), Fp.inf(fmt))
-    if kind is FpKind.NEG_INF:
-        return ExtInterval.make(Fp.inf(fmt, negative=True), -fmt.max_finite())
-    if mode is ZeroMode.INFINITE:
-        return ExtInterval.point(Fp.zero(fmt))
-    if kind is FpKind.POS_ZERO:
-        return ExtInterval.make(Fp.zero(fmt), fmt.min_pos())
-    return ExtInterval.make(-fmt.min_pos(), Fp.zero(fmt))
+    if x.is_inf:
+        meaning = ExtInterval.make(fmt.max_finite(), Fp.inf(fmt))
+    elif mode is ZeroMode.INFINITE:
+        return ExtInterval.point(Fp.zero(fmt))  # both zeros: the exact point 0
+    else:
+        meaning = ExtInterval.make(Fp.zero(fmt), fmt.min_pos())
+    return -meaning if x.negative else meaning
 
 
 def represent(x: ExtInterval, mode: ZeroMode) -> Optional[Fp]:
@@ -436,17 +437,20 @@ def identity_catalog() -> tuple[IdentityRecord, ...]:
     return _CATALOG
 
 
+# The representative free operand of each class; each lies in its class.
+_CLASS_TARGETS = {"pos<1": Fraction(1, 2), "pos>=1": Fraction(2), "pos": Fraction(2),
+                  "nonzero": Fraction(2)}
+
+
 def representative_operand(rec: IdentityRecord, fmt: FloatFormat) -> Optional[Fp]:
-    """A single representative free operand for report rows (None for fixed
-    patterns): 1/2 for the below-one branch, 2 otherwise, falling back to
-    whatever the format offers."""
+    """A single representative free operand for report rows: 1/2 for the
+    below-one branch, 2 otherwise, falling back to the first value of the
+    class the format offers.  None for fixed patterns, and for a class with
+    no member in the format."""
     if rec.operand_class is None:
         return None
-    candidates = rec.operand_candidates(fmt)
-    targets = {"pos<1": Fraction(1, 2), "pos>=1": Fraction(2), "pos": Fraction(2),
-               "nonzero": Fraction(2)}
-    want = targets[rec.operand_class]
-    for v in candidates:
-        if v is not None and v.to_rational() == want:
-            return v
-    return candidates[0] if candidates else None
+    try:
+        return Fp.from_exact(fmt, _CLASS_TARGETS[rec.operand_class])
+    except ValueError:
+        candidates = rec.operand_candidates(fmt)
+        return candidates[0] if candidates else None

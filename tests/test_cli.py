@@ -197,6 +197,15 @@ def test_cmd_report_csv(capsys):
     assert lines[0].startswith("name,")
 
 
+def test_cmd_report_leaves_out_empty_operand_classes(capsys):
+    # p2e0:0ns has no value in (0, 1), so "a * +inf (0 < a < 1)" has no row
+    assert main(["report", "--format", "p2e0:0ns", "--csv"]) == 0
+    names = {line.split(",")[0] for line in capsys.readouterr().out.strip().splitlines()[1:]}
+    from intervalfp import identity_catalog
+
+    assert {rec.name for rec in identity_catalog()} - names == {"a-mul-inf-lt1"}
+
+
 def test_cmd_flagdemo(capsys):
     assert main(["flagdemo", "1.011|11", "--format", "p4e-3:3"]) == 0
     out = capsys.readouterr().out
@@ -241,12 +250,22 @@ def test_config_file_errors(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-def test_config_bad_seed_exits_cleanly(tmp_path):
+def test_config_bad_seed_exits_cleanly(tmp_path, capsys):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("seed = abc\n")
-    with pytest.raises(SystemExit) as err:  # a message as the code: exit status 1
-        main(["--config", str(cfg), "check", "--format", "p2e0:0ns"])
-    assert err.value.code == "error: bad seed 'abc'"
+    assert main(["--config", str(cfg), "check", "--format", "p2e0:0ns"]) == 1
+    assert capsys.readouterr().err == "error: bad seed 'abc'\n"
+
+
+def test_bad_format_and_mode_exit_cleanly(tmp_path, capsys):
+    assert main(["eval", "1", "--format", "q5"]) == 1
+    assert capsys.readouterr().err == "error: bad format descriptor 'q5'\n"
+    assert main(["check", "--format", "p3e-2:3", "--mode", "exact"]) == 1
+    assert capsys.readouterr().err == "error: bad zero mode 'exact' (finite or infinite)\n"
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("mode = sideways\n")
+    assert main(["--config", str(cfg), "report"]) == 1
+    assert capsys.readouterr().err == "error: bad zero mode 'sideways' (finite or infinite)\n"
 
 
 @pytest.mark.parametrize(

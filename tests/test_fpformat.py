@@ -1,5 +1,6 @@
 """Format layer: encoding, neighbours, directed rounding, enumeration."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -21,19 +22,43 @@ from intervalfp import (
 RD = RoundingDirection
 
 
+def _is_even(v):
+    return v.is_zero or v.is_inf or v.c % 2 == 0
+
+
 def brute_round(fmt, q, direction):
     """Reference rounder: scan the full enumeration.  Independent of the
-    arithmetic in FloatFormat.round."""
-    values = [v for v in fmt.enumerate() if v.is_finite]
+    arithmetic in FloatFormat.round.
+
+    A zero result carries the sign of q.  Nearest overflows from M plus half
+    an ulp on, and a tie goes to the even significand (a zero counts as even
+    and wins over the least normal of a format without subnormals)."""
+    values = [v for v in fmt.enumerate() if v.is_finite and not (v.is_zero and v.negative)]
     below = [v for v in values if v.to_rational() <= q]
     above = [v for v in values if v.to_rational() >= q]
-    lo = max(below, key=lambda v: v.to_rational()) if below else None
-    hi = min(above, key=lambda v: v.to_rational()) if above else None
+    lo = max(below, key=Fp.to_rational) if below else Fp.inf(fmt, negative=True)
+    hi = min(above, key=Fp.to_rational) if above else Fp.inf(fmt)
+    M = fmt.max_finite().to_rational()
+    half_ulp = (M - fmt.max_finite().next_down().to_rational()) / 2
     if direction is RD.TO_NEG_INF:
-        return lo.to_rational() if lo is not None else "-inf"
-    if direction is RD.TO_POS_INF:
-        return hi.to_rational() if hi is not None else "+inf"
-    raise AssertionError("brute_round covers the directed modes only")
+        got = lo
+    elif direction is RD.TO_POS_INF:
+        got = hi
+    elif direction is RD.TO_ZERO:
+        got = hi if q < 0 else lo
+    elif abs(q) >= M + half_ulp:
+        got = Fp.inf(fmt, negative=q < 0)
+    elif lo.is_inf or hi.is_inf:
+        got = hi if lo.is_inf else lo
+    else:
+        d_lo, d_hi = q - lo.to_rational(), hi.to_rational() - q
+        if d_lo != d_hi:
+            got = lo if d_lo < d_hi else hi
+        elif _is_even(lo) and _is_even(hi):
+            got = lo if abs(lo.to_rational()) < abs(hi.to_rational()) else hi
+        else:
+            got = lo if _is_even(lo) else hi
+    return Fp.zero(fmt, negative=q < 0) if got.is_zero else got
 
 
 # -- constants and enumeration ------------------------------------------------
@@ -167,18 +192,18 @@ def test_round_nearest_overflow_threshold(toy):
 def test_round_against_brute_force(toy, tiny):
     for fmt in (toy, tiny):
         finite = [v.to_rational() for v in fmt.enumerate() if v.is_finite]
+        M = fmt.max_finite().to_rational()
+        half_ulp = (M - fmt.max_finite().next_down().to_rational()) / 2
+        eps = half_ulp / 64
         probes = set()
         for a, b in zip(finite, finite[1:]):
-            probes.update((a, (a + b) / 2, a + (b - a) / 7, b))
-        probes.update((finite[0] - 3, finite[-1] + 3))
+            # the tie (a + b) / 2 and a point on each side of it
+            probes.update((a, (a + b) / 2, a + (b - a) / 7, b - (b - a) / 7, b))
+        for t in (M + half_ulp, M + half_ulp - eps, M + half_ulp + eps, M + 3):
+            probes.update((t, -t))  # the overflow threshold of nearest
         for q in probes:
-            for rd in (RD.TO_NEG_INF, RD.TO_POS_INF):
-                got = fmt.round(q, rd)
-                want = brute_round(fmt, q, rd)
-                if got.is_inf:
-                    assert want in ("-inf", "+inf")
-                else:
-                    assert got.to_rational() == want, (q, rd)
+            for rd in RD:
+                assert fmt.round(q, rd) == brute_round(fmt, q, rd), (fmt, q, rd)
 
 
 def test_round_trip_every_value_every_direction(toy):
@@ -221,6 +246,29 @@ def test_round_negation_symmetry(toy):
         assert down_neg == -up_pos
 
 
+def test_binary64_nearest_matches_host_division():
+    # CPython rounds int / int correctly to nearest, ties to even, and
+    # raises OverflowError from M plus half an ulp on
+    rng = random.Random(14)
+    M = BINARY64.max_finite().to_rational()
+    half_ulp = F(2) ** 970
+    m = BINARY64.min_pos().to_rational()
+    qs = [F(rng.getrandbits(rng.randint(1, 200)) + 1, rng.getrandbits(rng.randint(1, 200)) + 1)
+          * F(2) ** rng.randint(-1100, 1000) for _ in range(2000)]
+    for _ in range(300):  # exact ties between neighbours, normal and subnormal
+        x = Fp.from_float(BINARY64, rng.choice((1.0, 1e-310, 3e300)) * rng.random())
+        qs.append((x.to_rational() + x.next_up().to_rational()) / 2)
+    qs += [M + half_ulp, M + half_ulp - m, M + half_ulp + m, m / 2, m * 3 / 2, m / 3,
+           2 * M, F(1, 3), F(0)]
+    for q in qs + [-q for q in qs]:
+        got = BINARY64.round(q, RD.NEAREST).to_float()
+        try:
+            want = float(q)
+        except OverflowError:
+            want = -math.inf if q < 0 else math.inf
+        assert got == want and math.copysign(1, got) == math.copysign(1, want), q
+
+
 def test_round_both_matches_directed(toy):
     rng = random.Random(12)
     for _ in range(300):
@@ -232,6 +280,16 @@ def test_round_both_matches_directed(toy):
 
 
 # -- conversions and text -----------------------------------------------------------
+
+
+def test_negation_round_trips(toy, tiny):
+    for fmt in (toy, tiny):
+        for v in fmt.enumerate():
+            assert -(-v) == v
+            assert -v != v and (-v).negative != v.negative
+            assert value_cmp(-v, Fp.zero(fmt)) == -value_cmp(v, Fp.zero(fmt))
+        nan = Fp.nan(fmt)
+        assert (-nan).is_nan and -nan == nan and not (-nan).negative
 
 
 def test_to_rational_examples(toy):

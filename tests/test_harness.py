@@ -7,6 +7,7 @@ import pytest
 from intervalfp import (
     BINARY64,
     Classification,
+    FloatFormat,
     Fp,
     OpKind,
     RoundingDirection,
@@ -127,6 +128,30 @@ def test_report_covers_catalog(toy):
     assert by_name["a-mul-inf-ge1"].classification is Classification.CONFORMS
 
 
+def test_report_operands_without_enumeration(toy, toy4, monkeypatch):
+    calls = []
+    enumerate_values = FloatFormat.enumerate
+
+    def counting(fmt):
+        calls.append(fmt)
+        return enumerate_values(fmt)
+
+    for fmt in (toy, toy4):
+        monkeypatch.setattr(FloatFormat, "enumerate", counting)
+        rows = deviation_report(fmt)
+        monkeypatch.setattr(FloatFormat, "enumerate", enumerate_values)
+        assert calls == []
+        # the rows hold the operand a scan over the format picks: 1/2 below
+        # one, 2 otherwise
+        for rec, row in zip(identity_catalog(), rows, strict=True):
+            if rec.operand_class is None:
+                continue
+            want = F(1, 2) if rec.operand_class == "pos<1" else F(2)
+            (a,) = [v for v in rec.operand_candidates(fmt) if v.to_rational() == want]
+            x, y = rec.make_operands(fmt, a)
+            assert row.operands == f"{x} {rec.op.value} {y}"
+
+
 def _finite_positives(fmt):
     return [v for v in fmt.enumerate() if v.is_finite and not v.is_zero and not v.negative]
 
@@ -220,7 +245,7 @@ def test_backend_agreement_sample():
     if result.skipped:
         pytest.skip(result.skipped)
     assert result.ok
-    assert result.checked == 500 * 8
+    assert result.checked == 500 * 16  # 4 ops x 4 directions
 
 
 @pytest.mark.skipif(not native_rounding_available(), reason="no rounding-mode access")
