@@ -26,17 +26,19 @@ import argparse
 import csv
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .fpformat import (
+    BINARY64,
     EnumerationLimitError,
     FloatFormat,
     Fp,
+    FpKind,
     RoundingDirection,
+    exact_decimal,
     fraction_from_literal,
     parse_format,
 )
@@ -49,19 +51,14 @@ from .harness import DEFAULT_SEED, deviation_report, run_theorem_suite
 # -- abstract syntax ------------------------------------------------------------
 
 
-class LitKind(Enum):
-    NUMBER = "number"
-    POS_ZERO = "+0"
-    NEG_ZERO = "-0"
-    POS_INF = "+inf"
-    NEG_INF = "-inf"
-    NAN = "nan"
-
-
 @dataclass(frozen=True)
 class Lit:
-    kind: LitKind
-    value: Optional[Fraction] = None  # set for NUMBER only
+    """A literal datum: its kind and sign as in `Fp`, and for FINITE the
+    exact magnitude."""
+
+    kind: FpKind
+    negative: bool = False
+    magnitude: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -178,13 +175,13 @@ class _Parser:
         if tok.kind == "number":
             q = fraction_from_literal(tok.text)
             if q == 0:
-                return Lit(LitKind.POS_ZERO)
-            return Lit(LitKind.NUMBER, q)
+                return Lit(FpKind.ZERO)
+            return Lit(FpKind.FINITE, False, q)
         if tok.kind == "name":
             if tok.text == "inf":
-                return Lit(LitKind.POS_INF)
+                return Lit(FpKind.INF)
             if tok.text == "nan":
-                return Lit(LitKind.NAN)
+                return Lit(FpKind.NAN)
             raise ExprSyntaxError(tok.pos, ("inf", "nan", "number"))
         if tok.kind == "(":
             e = self.expr()
@@ -198,16 +195,8 @@ class _Parser:
 def _negated(e: Expr) -> Expr:
     """Fold a unary minus into a literal; wrap anything else."""
     if isinstance(e, Lit):
-        flip = {
-            LitKind.POS_ZERO: Lit(LitKind.NEG_ZERO),
-            LitKind.NEG_ZERO: Lit(LitKind.POS_ZERO),
-            LitKind.POS_INF: Lit(LitKind.NEG_INF),
-            LitKind.NEG_INF: Lit(LitKind.POS_INF),
-            LitKind.NAN: Lit(LitKind.NAN),
-        }
-        if e.kind is LitKind.NUMBER:
-            return Lit(LitKind.NUMBER, -e.value)
-        return flip[e.kind]
+        # NaN is unsigned, as in Fp
+        return e if e.kind is FpKind.NAN else replace(e, negative=not e.negative)
     if isinstance(e, Neg):
         return e.operand
     return Neg(e)
@@ -220,27 +209,6 @@ def parse(text: str) -> Expr:
 
 
 # -- printing -----------------------------------------------------------------------
-
-
-def _decimal_of(q: Fraction) -> str:
-    """Exact decimal for fractions with 10-smooth denominators (every
-    parseable literal); falls back to num/den otherwise."""
-    den = q.denominator
-    twos = (den & -den).bit_length() - 1
-    rest = den >> twos
-    fives = 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return f"{q.numerator}/{q.denominator}"
-    k = max(twos, fives)
-    digits = abs(q.numerator) * 10**k // den
-    sign = "-" if q < 0 else ""
-    if k == 0:
-        return sign + str(digits)
-    text = str(digits).rjust(k + 1, "0")
-    return f"{sign}{text[:-k]}.{text[-k:]}"
 
 
 def _short_decimal(q: Fraction) -> str:
@@ -261,9 +229,9 @@ def unparse(e: Expr) -> str:
 
 def _unparse(e: Expr, parent_prec: int, is_right: bool) -> str:
     if isinstance(e, Lit):
-        if e.kind is LitKind.NUMBER:
-            return _decimal_of(e.value)
-        return e.kind.value
+        if e.kind is FpKind.FINITE:
+            return exact_decimal(-e.magnitude if e.negative else e.magnitude)
+        return str(Fp(BINARY64, e.kind, e.negative))  # a special's text has no format
     if isinstance(e, Neg):
         inner = _unparse(e.operand, 3, False)
         text = f"-{inner}"
@@ -299,24 +267,17 @@ def eval_expr(
 
 
 def _literal_fp(e: Lit, fmt: FloatFormat, warn) -> Fp:
-    if e.kind is LitKind.NUMBER:
-        rounded = fmt.round(e.value, RoundingDirection.NEAREST)
-        exact = rounded.is_finite and rounded.to_rational() == e.value
-        if not exact and warn is not None:
-            warn(
-                f"literal {_short_decimal(e.value)} is not representable in "
-                f"{fmt.descriptor()}; rounded to nearest = {rounded}"
-            )
-        return rounded
-    if e.kind is LitKind.POS_ZERO:
-        return Fp.zero(fmt)
-    if e.kind is LitKind.NEG_ZERO:
-        return Fp.zero(fmt, negative=True)
-    if e.kind is LitKind.POS_INF:
-        return Fp.inf(fmt)
-    if e.kind is LitKind.NEG_INF:
-        return Fp.inf(fmt, negative=True)
-    return Fp.nan(fmt)
+    if e.kind is not FpKind.FINITE:
+        return Fp(fmt, e.kind, e.negative)
+    value = -e.magnitude if e.negative else e.magnitude
+    rounded = fmt.round(value, RoundingDirection.NEAREST)
+    exact = rounded.is_finite and rounded.to_rational() == value
+    if not exact and warn is not None:
+        warn(
+            f"literal {_short_decimal(value)} is not representable in "
+            f"{fmt.descriptor()}; rounded to nearest = {rounded}"
+        )
+    return rounded
 
 
 # -- configuration ---------------------------------------------------------------------
@@ -396,7 +357,11 @@ def _cmd_check(args, fmt: FloatFormat, mode: ZeroMode, seed: int) -> int:
         failed = failed or bool(mismatches)
     except EnumerationLimitError:
         print(f"oracle: skipped ({fmt.descriptor()} is too large to enumerate)")
-    suite = run_theorem_suite(fmt, samples=args.samples, seed=seed)
+    try:
+        suite = run_theorem_suite(fmt, samples=args.samples, seed=seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(suite.summary())
     failed = failed or not suite.ok
     return 1 if failed else 0

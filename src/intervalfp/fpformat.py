@@ -220,6 +220,22 @@ class Fp:
             return Fp.zero(fmt, negative=math.copysign(1.0, x) < 0)
         return Fp.from_exact(fmt, Fraction(*x.as_integer_ratio()))
 
+    @staticmethod
+    def from_text(fmt: FloatFormat, text: str) -> "Fp":
+        """The inverse of str: an optional sign, then ``inf``, ``nan``, or a
+        decimal or hex-float literal the format holds exactly.  A zero keeps
+        its sign and NaN is unsigned; inexact or malformed text raises
+        ValueError."""
+        negative, body = _split_sign(text)
+        if body == "inf":
+            return Fp.inf(fmt, negative)
+        if body == "nan":
+            return Fp.nan(fmt)
+        q = _magnitude(body)
+        if q == 0:
+            return Fp.zero(fmt, negative)
+        return Fp.from_exact(fmt, -q if negative else q)
+
     # -- predicates ------------------------------------------------------------
 
     @property
@@ -323,21 +339,7 @@ class Fp:
 
     def decimal_str(self) -> str:
         """Exact decimal expansion of a finite value (may be long)."""
-        if self.is_zero:
-            return "0"
-        if self.kind is not FpKind.FINITE:
-            raise DomainError(f"{self} has no decimal form")
-        c, s = self.c, self.e - self.fmt.precision + 1
-        tz = (c & -c).bit_length() - 1
-        c, s = c >> tz, s + tz
-        sign = "-" if self.negative else ""
-        if s >= 0:
-            return sign + str(c << s)
-        digits = str(c * 5**-s)
-        point = len(digits) + s
-        if point <= 0:
-            return sign + "0." + "0" * -point + digits
-        return sign + digits[:point] + "." + digits[point:]
+        return exact_decimal(self.to_rational())
 
     def hex_str(self) -> str:
         """C-style hex float; subnormals print with a leading 0 digit."""
@@ -499,23 +501,60 @@ def _bracket(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, Fp, bool]:
     return small, big, near_big
 
 
-# -- literal parsing ------------------------------------------------------------------
+# -- value text ---------------------------------------------------------------------
 
 
 _HEX_RE = re.compile(
-    r"^(?P<sign>[+-]?)0x(?P<int>[0-9a-fA-F]+)(?:\.(?P<frac>[0-9a-fA-F]*))?"
-    r"(?:p(?P<exp>[+-]?\d+))?$"
+    r"0[xX](?P<int>[0-9a-fA-F]+)(?:\.(?P<frac>[0-9a-fA-F]*))?(?:[pP](?P<exp>[+-]?\d+))?"
 )
+_DEC_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
-def fraction_from_literal(text: str) -> Fraction:
-    """Exact value of a decimal or hex-float literal."""
+def _split_sign(text: str) -> tuple[bool, str]:
+    """(negative, the text after an optional leading sign)."""
     text = text.strip()
-    m = _HEX_RE.match(text)
+    if text[:1] in ("+", "-"):
+        return text[0] == "-", text[1:]
+    return False, text
+
+
+def _magnitude(body: str) -> Fraction:
+    """Exact value of an unsigned decimal or hex-float literal."""
+    m = _HEX_RE.fullmatch(body)
     if m:
         frac = m.group("frac") or ""
         mant = int(m.group("int") + frac, 16)
-        exp = int(m.group("exp") or 0)
-        q = Fraction(mant, 16 ** len(frac)) * Fraction(2) ** exp
-        return -q if m.group("sign") == "-" else q
-    return Fraction(text)
+        return Fraction(mant, 16 ** len(frac)) * Fraction(2) ** int(m.group("exp") or 0)
+    if _DEC_RE.fullmatch(body):
+        return Fraction(body)
+    raise ValueError(f"bad literal {body!r}")
+
+
+def fraction_from_literal(text: str) -> Fraction:
+    """Exact value of an optionally signed decimal or hex-float literal;
+    any other text raises ValueError."""
+    negative, body = _split_sign(text)
+    q = _magnitude(body)
+    return -q if negative else q
+
+
+def exact_decimal(q: Fraction) -> str:
+    """Exact decimal of a rational whose denominator has no prime factor
+    but 2 and 5 (every float and every literal); other rationals print as
+    num/den."""
+    num, den = q.numerator, q.denominator
+    twos = (den & -den).bit_length() - 1
+    rest = den >> twos
+    fives = 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    k = max(twos, fives)
+    digits = abs(num) * 2 ** (k - twos) * 5 ** (k - fives)  # |q| * 10**k
+    sign = "-" if num < 0 else ""
+    if k == 0:
+        return sign + str(digits)
+    text = str(digits).rjust(k + 1, "0")
+    return f"{sign}{text[:-k]}.{text[-k:]}"

@@ -307,24 +307,27 @@ _DIRECTED = (RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF)
 
 
 def run_theorem_suite(
-    fmt: FloatFormat,
-    samples: int = 100_000,
-    seed: int = DEFAULT_SEED,
-    ops: tuple[OpKind, ...] = tuple(OpKind),
+    fmt: FloatFormat, samples: int = 100_000, seed: int = DEFAULT_SEED
 ) -> SuiteResult:
     """Check that each directed IEEE result equals the matching interval
     bound: over every finite operand pair for enumerable formats, or a
-    seeded random sample for formats too large to enumerate.  Division
-    skips zero divisors, the one case the claim excludes."""
+    seeded random sample for binary64.  Any other format too large to
+    enumerate raises ValueError, since the sampler draws binary64 values
+    only.  Division skips zero divisors, the one case the claim excludes."""
     result = SuiteResult(fmt)
     try:
         finites = [v for v in fmt.enumerate() if v.is_finite]
         pairs = [(a, b) for a in finites for b in finites]
         result.notes.append(f"exhaustive over {len(finites)} finite values")
     except EnumerationLimitError:
+        if fmt != BINARY64:
+            raise ValueError(
+                f"{fmt.descriptor()} is too large to enumerate, and only binary64 "
+                "can be sampled"
+            ) from None
         pairs = list(binary64_pairs(samples, seed, finite_only=True))
         result.notes.append(f"random sample of {len(pairs)} pairs, seed {seed}")
-    for op in ops:
+    for op in OpKind:
         for a, b in pairs:
             if op is OpKind.DIV and b.is_zero:
                 continue

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fpformat import FloatFormat, Fp, RoundingDirection, fraction_from_literal, value_cmp
+from .fpformat import FloatFormat, Fp, RoundingDirection, value_cmp
 
 # Extended rational: an exact Fraction or one of the float infinities,
 # which are used purely as symbols (never mixed into Fraction arithmetic).
@@ -237,12 +237,12 @@ def mul(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
+    xl, yl = x.lo_ext, y.lo_ext
     if x.lo is x.hi and y.lo is y.hi:  # point operands share one corner
-        p = _mul_bound(x.lo_ext, y.lo_ext)
+        p = _mul_bound(xl, yl)
         return hull(p, p, x.fmt)
-    corners = [
-        _mul_bound(a, b) for a in (x.lo_ext, x.hi_ext) for b in (y.lo_ext, y.hi_ext)
-    ]
+    xh, yh = x.hi_ext, y.hi_ext
+    corners = [_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)]
     return hull(min(corners), max(corners), x.fmt)
 
 
@@ -259,13 +259,13 @@ def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
         return ExtInterval.empty(x.fmt)
     xl, xh = x.lo_ext, x.hi_ext
     yl, yh = y.lo_ext, y.hi_ext
-    if not y.contains_zero():
+    if not yl <= 0 <= yh:
         if x.lo is x.hi and y.lo is y.hi:
             q = _div_bound(xl, yl)
             return hull(q, q, x.fmt)
         corners = [_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)]
         return hull(min(corners), max(corners), x.fmt)
-    if x.contains_zero():
+    if xl <= 0 <= xh:
         return ExtInterval.full_line(x.fmt)
     if yl == 0 == yh:
         return ExtInterval.empty(x.fmt)
@@ -323,8 +323,8 @@ def subset(x: ExtInterval, y: ExtInterval) -> bool:
 
 def parse_interval(text: str, fmt: FloatFormat) -> ExtInterval:
     """Parse interval syntax: ``[a, b]``, ``[a, inf)``, ``(-inf, b]``,
-    ``(-inf, inf)`` or ``empty``; endpoints are decimal or hex-float
-    literals and must be representable in the format."""
+    ``(-inf, inf)`` or ``empty``; endpoints are read by `Fp.from_text`, so
+    they must be representable in the format."""
     t = text.strip()
     if t == "empty":
         return ExtInterval.empty(fmt)
@@ -333,17 +333,5 @@ def parse_interval(text: str, fmt: FloatFormat) -> ExtInterval:
     body = t[1:-1]
     if body.count(",") != 1:
         raise ValueError(f"bad interval syntax {text!r}")
-    lo_txt, hi_txt = (part.strip() for part in body.split(","))
-    lo = _parse_bound(lo_txt, fmt)
-    hi = _parse_bound(hi_txt, fmt)
-    return ExtInterval.make(lo, hi)
-
-
-def _parse_bound(text: str, fmt: FloatFormat) -> Fp:
-    if text in ("inf", "+inf"):
-        return Fp.inf(fmt)
-    if text == "-inf":
-        return Fp.inf(fmt, negative=True)
-    if text in ("0", "+0", "-0"):
-        return Fp.zero(fmt)
-    return Fp.from_exact(fmt, fraction_from_literal(text))
+    lo_txt, hi_txt = body.split(",")
+    return ExtInterval.make(Fp.from_text(fmt, lo_txt), Fp.from_text(fmt, hi_txt))

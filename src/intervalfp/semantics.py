@@ -11,7 +11,9 @@ IEEE 754 is the harness layer's job.
 The identity catalog records the special-operand formulas this semantics
 produces, parametric in the format constants m (least positive value) and
 M (greatest finite value), so they can be instantiated and checked on any
-format.
+format.  Each record's operation and operands are read from its pattern
+(``+inf / -inf``, ``a * +inf (0 < a < 1)``): ``a`` is the free operand and
+every other operand is the text of a float (`Fp.from_text`).
 """
 
 from __future__ import annotations
@@ -142,32 +144,41 @@ def same_value(a: Fp, b: Fp) -> bool:
 
 # -- identity catalog ----------------------------------------------------------------
 
-# Operand classes a record may quantify over.
-_CLASS_PREDICATES = {
-    "pos": lambda q: q > 0,
-    "pos<1": lambda q: 0 < q < 1,
-    "pos>=1": lambda q: q >= 1,
-    "nonzero": lambda q: q != 0,
+# Operand classes a record may quantify over: each class's predicate and
+# its representative value, which lies in the class.
+_CLASSES = {
+    "pos": (lambda q: q > 0, Fraction(2)),
+    "pos<1": (lambda q: 0 < q < 1, Fraction(1, 2)),
+    "pos>=1": (lambda q: q >= 1, Fraction(2)),
+    "nonzero": (lambda q: q != 0, Fraction(2)),
 }
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """One special-operand identity: an operand pattern, the operation, the
-    zero mode it lives in, and the expected interval as a format-parametric
-    expression (rd/ru denote rounding down/up in the active format)."""
+    """One special-operand identity: an operand pattern, the zero mode it
+    lives in, and the expected interval as a format-parametric expression
+    (rd/ru denote rounding down/up in the active format)."""
 
     name: str
     pattern: str
-    op: OpKind
     mode: ZeroMode
     group: str  # "redefined" | "formerly-nan" | "exact-zeros"
     operand_class: Optional[str]
     expr_text: str
-    make_operands: Callable[[FloatFormat, Optional[Fp]], tuple[Fp, Fp]]
     expected: Callable[[FloatFormat, Optional[Fp]], ExtInterval]
 
-    def operand_candidates(self, fmt: FloatFormat, cap: Optional[int] = None) -> list[Optional[Fp]]:
+    @property
+    def op(self) -> OpKind:
+        """The operation: the pattern's second token."""
+        return OpKind(self.pattern.split()[1])
+
+    def make_operands(self, fmt: FloatFormat, a: Optional[Fp]) -> tuple[Fp, Fp]:
+        """The pattern's two operands in fmt, with a as the free operand."""
+        lhs, _, rhs = self.pattern.split()[:3]
+        return tuple(a if tok == "a" else Fp.from_text(fmt, tok) for tok in (lhs, rhs))
+
+    def operand_candidates(self, fmt: FloatFormat) -> list[Optional[Fp]]:
         """Concrete choices for the free operand; [None] for fixed patterns.
 
         Enumerable formats yield every matching finite value; larger ones a
@@ -175,7 +186,7 @@ class IdentityRecord:
         formulas change character (a near m*M)."""
         if self.operand_class is None:
             return [None]
-        pred = _CLASS_PREDICATES[self.operand_class]
+        pred = _CLASSES[self.operand_class][0]
         try:
             values = [
                 v for v in fmt.enumerate() if v.kind is FpKind.FINITE and pred(v.to_rational())
@@ -202,8 +213,6 @@ class IdentityRecord:
                     values.append(Fp.from_exact(fmt, q))
                 except ValueError:
                     pass
-        if cap is not None:
-            values = values[:cap]
         return values
 
 
@@ -259,121 +268,95 @@ def _full(fmt: FloatFormat, _a=None) -> ExtInterval:
     return ExtInterval.full_line(fmt)
 
 
-def _fixed(b_of_fmt_a: Callable[[FloatFormat], tuple[Fp, Fp]]):
-    return lambda fmt, _a: b_of_fmt_a(fmt)
-
-
-_PINF = lambda fmt: Fp.inf(fmt)
-_NINF = lambda fmt: Fp.inf(fmt, negative=True)
-_PZ = lambda fmt: Fp.zero(fmt)
-_NZ = lambda fmt: Fp.zero(fmt, negative=True)
-
-
 def _build_catalog() -> tuple[IdentityRecord, ...]:
     F, I = ZeroMode.FINITE, ZeroMode.INFINITE
     records = [
         # --- operations IEEE defines whose meaning is re-derived ---
         IdentityRecord(
-            "inf-mul-inf", "+inf * +inf", OpKind.MUL, F, "redefined", None,
+            "inf-mul-inf", "+inf * +inf", F, "redefined", None,
             "[M, +inf)",
-            _fixed(lambda fmt: (_PINF(fmt), _PINF(fmt))),
             _pos_inf_meaning,
         ),
         IdentityRecord(
-            "inf-mul-neginf", "+inf * -inf", OpKind.MUL, F, "redefined", None,
+            "inf-mul-neginf", "+inf * -inf", F, "redefined", None,
             "(-inf, -M]",
-            _fixed(lambda fmt: (_PINF(fmt), _NINF(fmt))),
             _neg_inf_meaning,
         ),
         IdentityRecord(
-            "a-mul-inf-ge1", "a * +inf (a >= 1)", OpKind.MUL, F, "redefined", "pos>=1",
+            "a-mul-inf-ge1", "a * +inf (a >= 1)", F, "redefined", "pos>=1",
             "[M, +inf)",
-            lambda fmt, a: (a, _PINF(fmt)),
             _pos_inf_meaning,
         ),
         IdentityRecord(
-            "a-mul-inf-lt1", "a * +inf (0 < a < 1)", OpKind.MUL, F, "redefined", "pos<1",
+            "a-mul-inf-lt1", "a * +inf (0 < a < 1)", F, "redefined", "pos<1",
             "[rd(a*M), +inf)",
-            lambda fmt, a: (a, _PINF(fmt)),
             lambda fmt, a: _up_from(fmt, _rd(fmt, a.to_rational() * _M(fmt))),
         ),
         IdentityRecord(
-            "inf-add-inf", "+inf + +inf", OpKind.ADD, F, "redefined", None,
+            "inf-add-inf", "+inf + +inf", F, "redefined", None,
             "[M, +inf)",
-            _fixed(lambda fmt: (_PINF(fmt), _PINF(fmt))),
             _pos_inf_meaning,
         ),
         IdentityRecord(
-            "a-add-inf", "a + +inf (finite nonzero a)", OpKind.ADD, F, "redefined", "nonzero",
+            "a-add-inf", "a + +inf (finite nonzero a)", F, "redefined", "nonzero",
             "[min(rd(a+M), M), +inf)",
-            lambda fmt, a: (a, _PINF(fmt)),
             lambda fmt, a: _up_from(
                 fmt, _min_fp(_rd(fmt, a.to_rational() + _M(fmt)), fmt.max_finite())
             ),
         ),
         IdentityRecord(
-            "poszero-add-poszero", "+0 + +0", OpKind.ADD, F, "redefined", None,
+            "poszero-add-poszero", "+0 + +0", F, "redefined", None,
             "[0, ru(2m)]",
-            _fixed(lambda fmt: (_PZ(fmt), _PZ(fmt))),
             lambda fmt, _a: ExtInterval.make(Fp.zero(fmt), _ru(fmt, 2 * _m(fmt))),
         ),
         IdentityRecord(
-            "poszero-add-negzero", "+0 + -0", OpKind.ADD, F, "redefined", None,
+            "poszero-add-negzero", "+0 + -0", F, "redefined", None,
             "[-m, m]",
-            _fixed(lambda fmt: (_PZ(fmt), _NZ(fmt))),
             lambda fmt, _a: ExtInterval.make(-fmt.min_pos(), fmt.min_pos()),
         ),
         IdentityRecord(
-            "a-div-inf", "a / +inf (finite positive a)", OpKind.DIV, F, "redefined", "pos",
+            "a-div-inf", "a / +inf (finite positive a)", F, "redefined", "pos",
             "[0, ru(a/M)]",
-            lambda fmt, a: (a, _PINF(fmt)),
             lambda fmt, a: ExtInterval.make(
                 Fp.zero(fmt), _ru(fmt, a.to_rational() / _M(fmt))
             ),
         ),
         IdentityRecord(
-            "inf-div-a", "+inf / a (finite positive a)", OpKind.DIV, F, "redefined", "pos",
+            "inf-div-a", "+inf / a (finite positive a)", F, "redefined", "pos",
             "[min(M, rd(M/a)), +inf)",
-            lambda fmt, a: (_PINF(fmt), a),
             lambda fmt, a: _up_from(
                 fmt, _min_fp(fmt.max_finite(), _rd(fmt, _M(fmt) / a.to_rational()))
             ),
         ),
         IdentityRecord(
-            "inf-div-poszero", "+inf / +0", OpKind.DIV, F, "redefined", None,
+            "inf-div-poszero", "+inf / +0", F, "redefined", None,
             "[rd(M/m), +inf) = [M, +inf)",
-            _fixed(lambda fmt: (_PINF(fmt), _PZ(fmt))),
             lambda fmt, _a: _up_from(fmt, _rd(fmt, _M(fmt) / _m(fmt))),
         ),
         IdentityRecord(
-            "a-div-poszero", "a / +0 (finite positive a)", OpKind.DIV, F, "redefined", "pos",
+            "a-div-poszero", "a / +0 (finite positive a)", F, "redefined", "pos",
             "[rd(a/m), +inf)",
-            lambda fmt, a: (a, _PZ(fmt)),
             lambda fmt, a: _up_from(fmt, _rd(fmt, a.to_rational() / _m(fmt))),
         ),
         # --- operations IEEE leaves undefined (NaN) ---
         IdentityRecord(
-            "zero-mul-inf", "+0 * +inf", OpKind.MUL, F, "formerly-nan", None,
+            "zero-mul-inf", "+0 * +inf", F, "formerly-nan", None,
             "[0, +inf)",
-            _fixed(lambda fmt: (_PZ(fmt), _PINF(fmt))),
             _nonneg_halfline,
         ),
         IdentityRecord(
-            "inf-div-inf", "+inf / +inf", OpKind.DIV, F, "formerly-nan", None,
+            "inf-div-inf", "+inf / +inf", F, "formerly-nan", None,
             "[0, +inf)",
-            _fixed(lambda fmt: (_PINF(fmt), _PINF(fmt))),
             _nonneg_halfline,
         ),
         IdentityRecord(
-            "inf-div-neginf", "+inf / -inf", OpKind.DIV, F, "formerly-nan", None,
+            "inf-div-neginf", "+inf / -inf", F, "formerly-nan", None,
             "(-inf, 0]",
-            _fixed(lambda fmt: (_PINF(fmt), _NINF(fmt))),
             _nonpos_halfline,
         ),
         IdentityRecord(
-            "neginf-div-neginf", "-inf / -inf", OpKind.DIV, F, "formerly-nan", None,
+            "neginf-div-neginf", "-inf / -inf", F, "formerly-nan", None,
             "[0, +inf)",
-            _fixed(lambda fmt: (_NINF(fmt), _NINF(fmt))),
             _nonneg_halfline,
         ),
         # Note: the divisor set [0, m] admits the witness y = 0 with x = 0,
@@ -381,47 +364,40 @@ def _build_catalog() -> tuple[IdentityRecord, ...]:
         # that makes [0,0]/[0,0] the whole line in exact-zero mode); the
         # quotients alone would only cover [0, +inf).
         IdentityRecord(
-            "poszero-div-poszero", "+0 / +0", OpKind.DIV, F, "formerly-nan", None,
+            "poszero-div-poszero", "+0 / +0", F, "formerly-nan", None,
             "(-inf, +inf)",
-            _fixed(lambda fmt: (_PZ(fmt), _PZ(fmt))),
             _full,
         ),
         IdentityRecord(
-            "inf-sub-inf", "+inf - +inf", OpKind.SUB, F, "formerly-nan", None,
+            "inf-sub-inf", "+inf - +inf", F, "formerly-nan", None,
             "(-inf, +inf)",
-            _fixed(lambda fmt: (_PINF(fmt), _PINF(fmt))),
             _full,
         ),
         # --- the zero-involving formulas under exact (point) zeros ---
         IdentityRecord(
-            "poszero-add-poszero-exact", "+0 + +0", OpKind.ADD, I, "exact-zeros", None,
+            "poszero-add-poszero-exact", "+0 + +0", I, "exact-zeros", None,
             "[0, 0]",
-            _fixed(lambda fmt: (_PZ(fmt), _PZ(fmt))),
             _zero_point,
         ),
         IdentityRecord(
-            "poszero-add-negzero-exact", "+0 + -0", OpKind.ADD, I, "exact-zeros", None,
+            "poszero-add-negzero-exact", "+0 + -0", I, "exact-zeros", None,
             "[0, 0]",
-            _fixed(lambda fmt: (_PZ(fmt), _NZ(fmt))),
             _zero_point,
         ),
         IdentityRecord(
-            "inf-div-poszero-exact", "+inf / +0", OpKind.DIV, I, "exact-zeros", None,
+            "inf-div-poszero-exact", "+inf / +0", I, "exact-zeros", None,
             "empty",
-            _fixed(lambda fmt: (_PINF(fmt), _PZ(fmt))),
             _empty,
         ),
         IdentityRecord(
-            "a-div-poszero-exact", "a / +0 (finite positive a)", OpKind.DIV, I,
+            "a-div-poszero-exact", "a / +0 (finite positive a)", I,
             "exact-zeros", "pos",
             "empty",
-            lambda fmt, a: (a, _PZ(fmt)),
             _empty,
         ),
         IdentityRecord(
-            "zero-mul-inf-exact", "+0 * +inf", OpKind.MUL, I, "exact-zeros", None,
+            "zero-mul-inf-exact", "+0 * +inf", I, "exact-zeros", None,
             "[0, 0]",
-            _fixed(lambda fmt: (_PZ(fmt), _PINF(fmt))),
             _zero_point,
         ),
     ]
@@ -437,11 +413,6 @@ def identity_catalog() -> tuple[IdentityRecord, ...]:
     return _CATALOG
 
 
-# The representative free operand of each class; each lies in its class.
-_CLASS_TARGETS = {"pos<1": Fraction(1, 2), "pos>=1": Fraction(2), "pos": Fraction(2),
-                  "nonzero": Fraction(2)}
-
-
 def representative_operand(rec: IdentityRecord, fmt: FloatFormat) -> Optional[Fp]:
     """A single representative free operand for report rows: 1/2 for the
     below-one branch, 2 otherwise, falling back to the first value of the
@@ -450,7 +421,7 @@ def representative_operand(rec: IdentityRecord, fmt: FloatFormat) -> Optional[Fp
     if rec.operand_class is None:
         return None
     try:
-        return Fp.from_exact(fmt, _CLASS_TARGETS[rec.operand_class])
+        return Fp.from_exact(fmt, _CLASSES[rec.operand_class][1])
     except ValueError:
         candidates = rec.operand_candidates(fmt)
         return candidates[0] if candidates else None

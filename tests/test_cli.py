@@ -5,12 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from intervalfp import OpKind
+from intervalfp import FpKind, OpKind
 from intervalfp.cli import (
     BinOp,
     ExprSyntaxError,
     Lit,
-    LitKind,
     Neg,
     eval_expr,
     main,
@@ -22,8 +21,8 @@ from intervalfp import ZeroMode, member, oracle_op, parse_format, parse_interval
 
 def lit(v):
     if v == 0:
-        return Lit(LitKind.POS_ZERO)
-    return Lit(LitKind.NUMBER, F(v))
+        return Lit(FpKind.ZERO)
+    return Lit(FpKind.FINITE, v < 0, abs(F(v)))
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -34,17 +33,17 @@ def test_parse_example_tree():
     want = BinOp(
         OpKind.ADD,
         BinOp(OpKind.DIV, lit(1), lit(3)),
-        BinOp(OpKind.MUL, lit(2), Lit(LitKind.POS_INF)),
+        BinOp(OpKind.MUL, lit(2), Lit(FpKind.INF)),
     )
     assert got == want
 
 
 def test_parse_signed_zero_literals():
     got = parse("(-0)/( +0)")
-    assert got == BinOp(OpKind.DIV, Lit(LitKind.NEG_ZERO), Lit(LitKind.POS_ZERO))
+    assert got == BinOp(OpKind.DIV, Lit(FpKind.ZERO, True), Lit(FpKind.ZERO))
     # a bare 0 means +0, and 1-0 stays a subtraction
-    assert parse("0") == Lit(LitKind.POS_ZERO)
-    assert parse("1-0") == BinOp(OpKind.SUB, lit(1), Lit(LitKind.POS_ZERO))
+    assert parse("0") == Lit(FpKind.ZERO)
+    assert parse("1-0") == BinOp(OpKind.SUB, lit(1), Lit(FpKind.ZERO))
 
 
 def test_parse_error_position_and_expectations():
@@ -70,15 +69,15 @@ def test_precedence_and_associativity():
 
 
 def test_unary_minus_folds_into_literals():
-    assert parse("-3") == Lit(LitKind.NUMBER, F(-3))
-    assert parse("-inf") == Lit(LitKind.NEG_INF)
+    assert parse("-3") == Lit(FpKind.FINITE, True, F(3))
+    assert parse("-inf") == Lit(FpKind.INF, True)
     assert parse("--3") == lit(3)
     assert parse("-(1+2)") == Neg(BinOp(OpKind.ADD, lit(1), lit(2)))
-    assert parse("-2*3") == BinOp(OpKind.MUL, Lit(LitKind.NUMBER, F(-2)), lit(3))
+    assert parse("-2*3") == BinOp(OpKind.MUL, Lit(FpKind.FINITE, True, F(2)), lit(3))
 
 
 def test_hex_literals():
-    assert parse("0x1.8p+1") == Lit(LitKind.NUMBER, F(3))
+    assert parse("0x1.8p+1") == Lit(FpKind.FINITE, False, F(3))
 
 
 @pytest.mark.parametrize(
@@ -92,6 +91,10 @@ def test_hex_literals():
         "-0 - -0",
         "0.5 * inf - nan",
         "1.25e2 / 0x1.8p+1",
+        "-inf",
+        "--inf",
+        "-(-0)",
+        "-nan",
     ],
 )
 def test_unparse_round_trip(text):
@@ -179,6 +182,14 @@ def test_cmd_check_passes(capsys):
 
 def test_cmd_check_infinite_mode(capsys):
     assert main(["check", "--format", "p2e0:0ns", "--mode", "infinite"]) == 0
+
+
+def test_cmd_check_refuses_unsampled_format(capsys):
+    # too large to enumerate, and the sampler draws binary64 values only
+    assert main(["check", "--format", "p24e-126:127", "--samples", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "oracle: skipped (p24e-126:127 is too large to enumerate)\n"
+    assert captured.err.startswith("error: p24e-126:127 ")
 
 
 def test_cmd_report_contains_all_identities(capsys):

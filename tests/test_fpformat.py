@@ -353,3 +353,26 @@ def test_hex_literals_parse_back(toy):
 def test_binary64_prints_hex_when_decimal_is_long():
     assert str(BINARY64.max_finite()) == "0x1.fffffffffffffp+1023"
     assert str(Fp.from_exact(BINARY64, F(1, 2))) == "0.5"
+
+
+def test_from_text_inverts_str(toy, tiny):
+    from intervalfp.harness import adversarial_binary64
+
+    cases = [(fmt, v) for fmt in (tiny, toy) for v in fmt.enumerate()]
+    cases += [(BINARY64, v) for v in adversarial_binary64()]
+    for fmt, v in cases:
+        assert Fp.from_text(fmt, str(v)) == v  # equality tells the zero signs apart
+    for text in ("nan", "+nan", "-nan"):
+        assert Fp.from_text(toy, text).is_nan
+    assert Fp.from_text(toy, "inf") == Fp.inf(toy)
+    # the hex spelling the expression lexer also accepts
+    assert Fp.from_text(toy, "0X1.8P+1") == Fp.from_exact(toy, 3)
+
+
+def test_from_text_rejects_inexact_and_malformed(toy):
+    inexact = ["0.3", "15", "-15", "0x1.1p+0", "1e-5"]
+    malformed = ["", "+", "-", "--1", "+-inf", "1..2", "0x", "0x1.8p", "3/4", "1_0", "1e",
+                 "infinity", "nan1", "- 1"]
+    for text in inexact + malformed:
+        with pytest.raises(ValueError):
+            Fp.from_text(toy, text)

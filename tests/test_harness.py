@@ -19,6 +19,7 @@ from intervalfp import (
     ieee_reference,
     ieee_reference_native,
     native_rounding_available,
+    parse_format,
     run_theorem_suite,
     totality_fuzz,
 )
@@ -89,10 +90,15 @@ def test_nan_propagates(toy):
 
 
 def test_theorem_suite_exhaustive_toy(toy):
-    result = run_theorem_suite(toy, ops=(OpKind.ADD, OpKind.SUB, OpKind.MUL))
-    assert result.ok and result.checked == 3 * 56 * 56 * 2
-    result = run_theorem_suite(toy, ops=(OpKind.DIV,))
-    assert result.ok and result.checked == 56 * 54 * 2  # zero divisors excluded
+    result = run_theorem_suite(toy)
+    # +, - and * over all 56 * 56 finite pairs, / without the zero divisors
+    assert result.ok and result.checked == 3 * 56 * 56 * 2 + 56 * 54 * 2 == 24_864
+
+
+def test_theorem_suite_refuses_unsampled_format():
+    # too large to enumerate, and the sampler draws binary64 values only
+    with pytest.raises(ValueError, match="p24e-126:127"):
+        run_theorem_suite(parse_format("p24e-126:127"), samples=20)
 
 
 def test_theorem_suite_random_binary64():
@@ -126,6 +132,16 @@ def test_report_covers_catalog(toy):
     assert by_name["inf-sub-inf"].classification is Classification.NEWLY_DEFINED
     assert by_name["a-mul-inf-lt1"].classification is Classification.DEVIATES
     assert by_name["a-mul-inf-ge1"].classification is Classification.CONFORMS
+
+
+def test_report_operands_follow_pattern(toy):
+    # the operands column is the pattern's first three tokens, with a
+    # replaced by the representative operand
+    for fmt in (toy, BINARY64):
+        for rec, row in zip(identity_catalog(), deviation_report(fmt), strict=True):
+            a = representative_operand(rec, fmt)
+            tokens = rec.pattern.split()[:3]
+            assert row.operands == " ".join(str(a) if t == "a" else t for t in tokens)
 
 
 def test_report_operands_without_enumeration(toy, toy4, monkeypatch):
