@@ -27,7 +27,6 @@ import csv
 import re
 import sys
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -41,6 +40,7 @@ from .fpformat import (
     exact_decimal,
     fraction_from_literal,
     parse_format,
+    short_decimal,
 )
 from .interval import ExtInterval, OpKind, apply_op, negate
 from .oracle import exhaustive_compare
@@ -211,14 +211,6 @@ def parse(text: str) -> Expr:
 # -- printing -----------------------------------------------------------------------
 
 
-def _short_decimal(q: Fraction) -> str:
-    """Decimal text of bounded length: exact up to 17 significant digits,
-    rounded beyond, so 1e5000 and 1e-5000 print in exponent form."""
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = 17, MAX_EMAX, MIN_EMIN
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
-
-
 _PREC = {OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 2, OpKind.DIV: 2}
 
 
@@ -274,7 +266,7 @@ def _literal_fp(e: Lit, fmt: FloatFormat, warn) -> Fp:
     exact = rounded.is_finite and rounded.to_rational() == value
     if not exact and warn is not None:
         warn(
-            f"literal {_short_decimal(value)} is not representable in "
+            f"literal {short_decimal(value)} is not representable in "
             f"{fmt.descriptor()}; rounded to nearest = {rounded}"
         )
     return rounded

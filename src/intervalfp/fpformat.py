@@ -19,6 +19,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -204,7 +205,7 @@ class Fp:
         one side); raise otherwise."""
         lo, hi, _ = _bracket(fmt, q.numerator, q.denominator)
         if lo is not hi:
-            raise ValueError(f"{q} is not representable in {fmt.descriptor()}")
+            raise ValueError(f"{short_decimal(q)} is not representable in {fmt.descriptor()}")
         return lo
 
     @staticmethod
@@ -365,8 +366,13 @@ class Fp:
             return "-inf" if self.negative else "+inf"
         if k is FpKind.ZERO:
             return "-0" if self.negative else "+0"
-        dec = self.decimal_str()
-        return dec if len(dec) <= 20 else self.hex_str()
+        # the exact decimal when it has at most 20 characters, else hex
+        s = self.e - self.fmt.precision + 1
+        if self.negative + _decimal_length_floor(self.c, s) <= 20:
+            dec = self.decimal_str()
+            if len(dec) <= 20:
+                return dec
+        return self.hex_str()
 
     def __repr__(self):
         return f"Fp({str(self)!r}, {self.fmt.descriptor()!r})"
@@ -526,7 +532,9 @@ def _magnitude(body: str) -> Fraction:
         mant = int(m.group("int") + frac, 16)
         return Fraction(mant, 16 ** len(frac)) * Fraction(2) ** int(m.group("exp") or 0)
     if _DEC_RE.fullmatch(body):
-        return Fraction(body)
+        # through Decimal: Fraction(str) stops at the interpreter's
+        # int-from-str digit limit
+        return Fraction(Decimal(body))
     raise ValueError(f"bad literal {body!r}")
 
 
@@ -536,6 +544,28 @@ def fraction_from_literal(text: str) -> Fraction:
     negative, body = _split_sign(text)
     q = _magnitude(body)
     return -q if negative else q
+
+
+def _decimal_length_floor(c: int, s: int) -> int:
+    """A lower bound on the length of the exact decimal of c * 2**s (c > 0),
+    without sign: the digits of the integer part implied by its bit length,
+    then a point and one digit per factor of 2 left in the denominator once
+    c is odd."""
+    t = (c & -c).bit_length() - 1
+    c, s = c >> t, s + t
+    int_bits = c.bit_length() + s
+    # 30102/100000 < log10(2), so this never overestimates the digit count
+    int_digits = (int_bits - 1) * 30102 // 100000 + 1 if int_bits > 0 else 1
+    return int_digits + (1 - s if s < 0 else 0)
+
+
+def short_decimal(q: Fraction) -> str:
+    """Decimal text of bounded length at any magnitude: exact up to 17
+    significant digits, rounded beyond, so 1e5000 and 1e-5000 print in
+    exponent form."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 17, MAX_EMAX, MIN_EMIN
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
 def exact_decimal(q: Fraction) -> str:
@@ -554,7 +584,10 @@ def exact_decimal(q: Fraction) -> str:
     k = max(twos, fives)
     digits = abs(num) * 2 ** (k - twos) * 5 ** (k - fives)  # |q| * 10**k
     sign = "-" if num < 0 else ""
+    # Decimal formats any number of digits; str(int) stops at the
+    # interpreter's digit limit
+    text = format(Decimal(digits), "f")
     if k == 0:
-        return sign + str(digits)
-    text = str(digits).rjust(k + 1, "0")
+        return sign + text
+    text = text.rjust(k + 1, "0")
     return f"{sign}{text[:-k]}.{text[-k:]}"

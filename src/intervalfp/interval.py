@@ -7,8 +7,13 @@ set-theoretic meaning inside an interval.
 
 The four arithmetic operations are total.  Each one computes the exact
 bounds of the relational solution set (for division: all z with y*z = x)
-in extended rational arithmetic and then takes the format hull, rounding
-the lower bound down and the upper bound up.
+on plain integers and then takes the format hull, rounding the lower bound
+down and the upper bound up.  An exact bound is a pair (num, den) of ints:
+the rational num/den, unreduced, when den > 0, and the infinity signed like
+num when den == 0 (the infinity flag).  The pair goes straight to the
+format's integer rounding bracket, so no operation builds a Fraction.
+`hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
+for callers outside the operations.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fpformat import FloatFormat, Fp, RoundingDirection, value_cmp
+from .fpformat import FloatFormat, Fp, FpKind, _bracket, value_cmp
 
-# Extended rational: an exact Fraction or one of the float infinities,
-# which are used purely as symbols (never mixed into Fraction arithmetic).
+# Extended rational of the Fraction view: an exact Fraction or one of the
+# float infinities, which are used purely as symbols.
 ExtReal = Union[Fraction, float]
 
 NEG_INF: float = -math.inf
@@ -54,23 +59,27 @@ class ExtInterval:
 
     @staticmethod
     def make(lo: Fp, hi: Fp) -> "ExtInterval":
-        """Build a non-empty interval, normalising zero bounds to +0."""
+        """Build a non-empty interval from outside input: the bounds are
+        checked, and zero bounds are normalised to +0."""
         if lo.fmt is not hi.fmt and lo.fmt != hi.fmt:
             raise ValueError("mismatched bound formats")
         if lo.is_nan or hi.is_nan:
             raise ValueError("NaN cannot be an interval bound")
         if (lo.is_inf and not lo.negative) or (hi.is_inf and hi.negative):
             raise ValueError("bounds leave no reals in the set")
-        if lo is hi:  # point interval from a single finite object
-            if lo.is_zero:
-                lo = hi = Fp.zero(lo.fmt)
-            return ExtInterval(lo.fmt, lo, hi)
-        if lo.is_zero:
-            lo = Fp.zero(lo.fmt)
-        if hi.is_zero:
-            hi = Fp.zero(hi.fmt)
-        if value_cmp(lo, hi) > 0:
+        if lo is not hi and value_cmp(lo, hi) > 0:
             raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+        return ExtInterval.unchecked(lo, hi)
+
+    @staticmethod
+    def unchecked(lo: Fp, hi: Fp) -> "ExtInterval":
+        """Build a non-empty interval from bounds known to be valid (one
+        format, no NaN, lo <= hi, no +inf below or -inf above) without
+        checking them; zero bounds are normalised to +0."""
+        if lo.kind is FpKind.ZERO and lo.negative:
+            lo = Fp.zero(lo.fmt)
+        if hi.kind is FpKind.ZERO and hi.negative:
+            hi = Fp.zero(hi.fmt)
         return ExtInterval(lo.fmt, lo, hi)
 
     @staticmethod
@@ -78,7 +87,7 @@ class ExtInterval:
         """The singleton set of a finite value."""
         if not x.is_finite:
             raise ValueError(f"{x} is not finite")
-        return ExtInterval.make(x, x)
+        return ExtInterval.unchecked(x, x)
 
     @staticmethod
     def full_line(fmt: FloatFormat) -> "ExtInterval":
@@ -107,7 +116,12 @@ class ExtInterval:
         return not self.is_empty and self.lo == self.hi and self.lo.is_finite
 
     def contains_zero(self) -> bool:
-        return not self.is_empty and self.lo_ext <= 0 <= self.hi_ext
+        # zero bounds are stored as +0, so the sign bits decide
+        return (
+            not self.is_empty
+            and (self.lo.negative or self.lo.kind is FpKind.ZERO)
+            and not self.hi.negative
+        )
 
     # -- operators -----------------------------------------------------------
 
@@ -149,59 +163,133 @@ def _bound_str(x: Fp) -> str:
     return "0" if x.is_zero else str(x)
 
 
-# -- hull ---------------------------------------------------------------------
+# -- exact bounds and their hull ---------------------------------------------------
+# An exact bound of the operations is an integer pair (num, den): the
+# rational num/den when den > 0, unreduced, and the infinity with the sign
+# of num when den == 0.  The special products 0*inf -> 0 and x/inf -> 0 make
+# the corner recipes below reproduce the exact solution-set bounds; this is
+# checked exhaustively against the independent oracle on enumerable formats.
+
+Bound = tuple[int, int]
+
+_ZERO: Bound = (0, 1)
+_MINUS_INF: Bound = (-1, 0)
+_PLUS_INF: Bound = (1, 0)
+
+
+def _bound(x: Fp) -> Bound:
+    """Exact value of an interval bound, read from its significand and
+    exponent; a format value's denominator is a power of two."""
+    if x.kind is FpKind.FINITE:
+        s = x.e - x.fmt.precision + 1
+        c = -x.c if x.negative else x.c
+        return (c << s, 1) if s >= 0 else (c, 1 << -s)
+    if x.kind is FpKind.ZERO:
+        return _ZERO
+    return _MINUS_INF if x.negative else _PLUS_INF
+
+
+def _add_bound(a: Bound, b: Bound) -> Bound:
+    """a + b of two format values; an infinity absorbs the other operand
+    (lower bounds are never +inf and upper bounds never -inf, so the two
+    infinities never meet)."""
+    an, ad = a
+    bn, bd = b
+    if ad == 0:
+        return a
+    if bd == 0:
+        return b
+    # power-of-two denominators: shift the numerator of the coarser one
+    if ad >= bd:
+        return an + (bn << (ad.bit_length() - bd.bit_length())), ad
+    return (an << (bd.bit_length() - ad.bit_length())) + bn, bd
+
+
+def _signed_inf(a: int, b: int) -> Bound:
+    return _PLUS_INF if (a > 0) == (b > 0) else _MINUS_INF
+
+
+def _mul_bound(a: Bound, b: Bound) -> Bound:
+    an, ad = a
+    bn, bd = b
+    if an == 0 or bn == 0:
+        return _ZERO
+    if ad == 0 or bd == 0:
+        return _signed_inf(an, bn)
+    return an * bn, ad * bd
+
+
+def _div_bound(a: Bound, b: Bound) -> Bound:
+    """a / b for a nonzero divisor b."""
+    an, ad = a
+    bn, bd = b
+    if bd == 0:
+        return _ZERO
+    if ad == 0:
+        return _signed_inf(an, bn)
+    if bn < 0:
+        return -an * bd, -ad * bn
+    return an * bd, ad * bn
+
+
+def _less(a: Bound, b: Bound) -> bool:
+    """a < b: cross-multiplied when both are finite, by sign otherwise."""
+    an, ad = a
+    bn, bd = b
+    if ad and bd:
+        return an * bd < bn * ad
+    if ad:
+        return bn > 0
+    if bd:
+        return an < 0
+    return an < bn
+
+
+def _lowest(bounds: list[Bound]) -> Bound:
+    low = bounds[0]
+    for b in bounds[1:]:
+        if _less(b, low):
+            low = b
+    return low
+
+
+def _highest(bounds: list[Bound]) -> Bound:
+    high = bounds[0]
+    for b in bounds[1:]:
+        if _less(high, b):
+            high = b
+    return high
+
+
+def _round_point(p: Bound, fmt: FloatFormat) -> ExtInterval:
+    """Least format interval containing the finite value p: both sides of
+    its one rounding bracket."""
+    small, big, _ = _bracket(fmt, *p)
+    return ExtInterval.unchecked(small, big)
+
+
+def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
+    """Least format interval containing [lo, hi]: the lower bound is rounded
+    down and the upper bound up, so bounds beyond the finite range become
+    infinite (unbounded) sides; an infinite bound stays infinite."""
+    lo_fp = Fp.inf(fmt, negative=True) if lo[1] == 0 else _bracket(fmt, *lo)[0]
+    hi_fp = Fp.inf(fmt) if hi[1] == 0 else _bracket(fmt, *hi)[1]
+    return ExtInterval.unchecked(lo_fp, hi_fp)
 
 
 def hull(lo: ExtReal, hi: ExtReal, fmt: FloatFormat) -> ExtInterval:
     """Least format interval containing [lo, hi]: the lower bound is rounded
     down and the upper bound up, so bounds beyond the finite range become
-    infinite (unbounded) sides."""
-    if _is_infinite(lo):
-        lo_fp = Fp.inf(fmt, negative=True)
-    elif _is_infinite(hi):
-        lo_fp = fmt.round(lo, RoundingDirection.TO_NEG_INF)
-    else:
-        if lo > hi:
-            raise ValueError(f"hull of reversed bounds {lo} > {hi}")
-        if lo == hi:  # point: one bracket serves both directions
-            lo_fp, hi_fp = fmt.round_both(lo)
-            return ExtInterval.make(lo_fp, hi_fp)
-        lo_fp = fmt.round(lo, RoundingDirection.TO_NEG_INF)
-    if _is_infinite(hi):
-        hi_fp = Fp.inf(fmt)
-    else:
-        hi_fp = fmt.round(hi, RoundingDirection.TO_POS_INF)
-    return ExtInterval.make(lo_fp, hi_fp)
-
-
-# -- bound-level arithmetic -----------------------------------------------------
-# The special products 0*inf -> 0 and x/inf -> 0 make the corner recipes
-# below reproduce the exact solution-set bounds; this is checked exhaustively
-# against the independent oracle on enumerable formats.
-
-
-def _add_bound(a: ExtReal, b: ExtReal) -> ExtReal:
-    if _is_infinite(a):
-        return a
-    if _is_infinite(b):
-        return b
-    return a + b
-
-
-def _mul_bound(a: ExtReal, b: ExtReal) -> ExtReal:
-    if a == 0 or b == 0:
-        return Fraction(0)
-    if _is_infinite(a) or _is_infinite(b):
-        return POS_INF if (a > 0) == (b > 0) else NEG_INF
-    return a * b
-
-
-def _div_bound(a: ExtReal, b: ExtReal) -> ExtReal:
-    if _is_infinite(b):
-        return Fraction(0)
-    if _is_infinite(a):
-        return POS_INF if (a > 0) == (b > 0) else NEG_INF
-    return a / b
+    infinite (unbounded) sides.  An infinite lo means -inf and an infinite
+    hi +inf."""
+    lo_inf, hi_inf = _is_infinite(lo), _is_infinite(hi)
+    if not lo_inf and not hi_inf and lo > hi:
+        raise ValueError(f"hull of reversed bounds {lo} > {hi}")
+    return _round_out(
+        _MINUS_INF if lo_inf else (lo.numerator, lo.denominator),
+        _PLUS_INF if hi_inf else (hi.numerator, hi.denominator),
+        fmt,
+    )
 
 
 def _check_pair(x: ExtInterval, y: ExtInterval):
@@ -210,6 +298,8 @@ def _check_pair(x: ExtInterval, y: ExtInterval):
 
 
 # -- the four operations -----------------------------------------------------------
+# Point operands (lo is hi, as `semantics.interpret` builds them) share one
+# corner and round through one bracket.
 
 
 def add(x: ExtInterval, y: ExtInterval) -> ExtInterval:
@@ -217,14 +307,20 @@ def add(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
-    return hull(_add_bound(x.lo_ext, y.lo_ext), _add_bound(x.hi_ext, y.hi_ext), x.fmt)
+    lo = _add_bound(_bound(x.lo), _bound(y.lo))
+    if x.lo is x.hi and y.lo is y.hi:
+        return _round_point(lo, x.fmt)
+    return _round_out(lo, _add_bound(_bound(x.hi), _bound(y.hi)), x.fmt)
 
 
 def negate(x: ExtInterval) -> ExtInterval:
     """Exact mirror image; no rounding is involved."""
     if x.is_empty:
         return x
-    return ExtInterval.make(-x.hi, -x.lo)
+    if x.lo is x.hi:
+        p = -x.lo
+        return ExtInterval.unchecked(p, p)
+    return ExtInterval.unchecked(-x.hi, -x.lo)
 
 
 def sub(x: ExtInterval, y: ExtInterval) -> ExtInterval:
@@ -237,13 +333,12 @@ def mul(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
-    xl, yl = x.lo_ext, y.lo_ext
-    if x.lo is x.hi and y.lo is y.hi:  # point operands share one corner
-        p = _mul_bound(xl, yl)
-        return hull(p, p, x.fmt)
-    xh, yh = x.hi_ext, y.hi_ext
+    xl, yl = _bound(x.lo), _bound(y.lo)
+    if x.lo is x.hi and y.lo is y.hi:
+        return _round_point(_mul_bound(xl, yl), x.fmt)
+    xh, yh = _bound(x.hi), _bound(y.hi)
     corners = [_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)]
-    return hull(min(corners), max(corners), x.fmt)
+    return _round_out(_lowest(corners), _highest(corners), x.fmt)
 
 
 def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
@@ -257,36 +352,36 @@ def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
-    xl, xh = x.lo_ext, x.hi_ext
-    yl, yh = y.lo_ext, y.hi_ext
-    if not yl <= 0 <= yh:
-        if x.lo is x.hi and y.lo is y.hi:
-            q = _div_bound(xl, yl)
-            return hull(q, q, x.fmt)
+    xl, yl = _bound(x.lo), _bound(y.lo)
+    if x.lo is x.hi and y.lo is y.hi and yl[0] != 0:
+        return _round_point(_div_bound(xl, yl), x.fmt)
+    xh, yh = _bound(x.hi), _bound(y.hi)
+    # a bound's sign is the sign of its numerator
+    if not yl[0] <= 0 <= yh[0]:
         corners = [_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)]
-        return hull(min(corners), max(corners), x.fmt)
-    if xl <= 0 <= xh:
+        return _round_out(_lowest(corners), _highest(corners), x.fmt)
+    if xl[0] <= 0 <= xh[0]:
         return ExtInterval.full_line(x.fmt)
-    if yl == 0 == yh:
+    if yl[0] == 0 == yh[0]:
         return ExtInterval.empty(x.fmt)
     los, his = [], []
-    x_positive = xl > 0
-    if yh > 0:
+    x_positive = xl[0] > 0
+    if yh[0] > 0:
         # divisors arbitrarily close to zero from above
         if x_positive:
             los.append(_div_bound(xl, yh))
-            his.append(POS_INF)
+            his.append(_PLUS_INF)
         else:
-            los.append(NEG_INF)
+            los.append(_MINUS_INF)
             his.append(_div_bound(xh, yh))
-    if yl < 0:
+    if yl[0] < 0:
         if x_positive:
-            los.append(NEG_INF)
+            los.append(_MINUS_INF)
             his.append(_div_bound(xl, yl))
         else:
             los.append(_div_bound(xh, yl))
-            his.append(POS_INF)
-    return hull(min(los), max(his), x.fmt)
+            his.append(_PLUS_INF)
+    return _round_out(_lowest(los), _highest(his), x.fmt)
 
 
 _OPS = {OpKind.ADD: add, OpKind.SUB: sub, OpKind.MUL: mul, OpKind.DIV: div}

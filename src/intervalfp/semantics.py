@@ -54,7 +54,7 @@ class ZeroMode(Enum):
 def interpret(x: Fp, mode: ZeroMode) -> ExtInterval:
     """The set of reals a float stands for."""
     if x.kind is FpKind.FINITE:
-        return ExtInterval.point(x)
+        return ExtInterval.unchecked(x, x)
     return _special_meaning(x, mode)
 
 
@@ -119,7 +119,7 @@ def extract_bound(result: ExtInterval, direction: RoundingDirection) -> Fp:
         return Fp.nan(result.fmt)
     if direction is RoundingDirection.TO_POS_INF:
         bound = result.hi
-        if bound.is_zero and result.lo_ext < 0:
+        if bound.is_zero and result.lo.negative:
             return Fp.zero(result.fmt, negative=True)
         return bound
     return result.lo

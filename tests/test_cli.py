@@ -95,6 +95,9 @@ def test_hex_literals():
         "--inf",
         "-(-0)",
         "-nan",
+        "1e5000",
+        "-1e5000",
+        "1e-5000",
     ],
 )
 def test_unparse_round_trip(text):

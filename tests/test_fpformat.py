@@ -376,3 +376,32 @@ def test_from_text_rejects_inexact_and_malformed(toy):
     for text in inexact + malformed:
         with pytest.raises(ValueError):
             Fp.from_text(toy, text)
+
+
+def test_str_is_short_decimal_else_hex(toy, toy4):
+    from intervalfp.harness import adversarial_binary64
+
+    def b64(x):
+        return Fp.from_float(BINARY64, x)
+
+    # exact decimals of exactly 20 and exactly 21 characters
+    edge = {20: [b64(2.0**64), b64(-(2.0**63)), b64(2.0**-18), b64(-(2.0**-17)), b64(3 * 2.0**-18)],
+            21: [b64(2.0**67), b64(-(2.0**64)), b64(2.0**-19), b64(-(2.0**-18))]}
+    for length, values in edge.items():
+        assert all(len(v.decimal_str()) == length for v in values), length
+    cases = [v for fmt in (toy, toy4) for v in fmt.enumerate() if v.kind is FpKind.FINITE]
+    cases += [v for v in adversarial_binary64() if v.kind is FpKind.FINITE]
+    for v in cases + edge[20] + edge[21]:
+        dec = v.decimal_str()
+        assert str(v) == (dec if len(dec) <= 20 else v.hex_str()), v.hex_str()
+
+
+def test_unrepresentable_error_is_bounded():
+    from intervalfp import parse_interval
+
+    for build in (lambda: Fp.from_text(BINARY64, "1e5000"),
+                  lambda: parse_interval("[1e5000, inf)", BINARY64),
+                  lambda: Fp.from_text(BINARY64, "-1e-5000")):
+        with pytest.raises(ValueError, match="not representable") as info:
+            build()
+        assert len(str(info.value)) <= 120

@@ -142,6 +142,19 @@ def test_subset_examples(toy):
     assert not subset(iv("[1, 1]", toy), ExtInterval.empty(toy))
 
 
+def test_contains_zero_agrees_with_rational_bounds(toy):
+    values = toy.enumerate()
+    intervals = [ExtInterval.empty(toy)]
+    for lo in values:
+        for hi in values:
+            try:
+                intervals.append(ExtInterval.make(lo, hi))  # both zero signs as bounds
+            except ValueError:
+                pass
+    for x in intervals:
+        assert x.contains_zero() == (not x.is_empty and x.lo_ext <= 0 <= x.hi_ext), x
+
+
 # -- algebraic properties (seeded random) ----------------------------------------------
 
 
@@ -182,6 +195,36 @@ def test_point_interval_consistency(toy):
                     continue  # not exactly representable
                 got = apply_op(op, pa, pb)
                 assert got == ExtInterval.point(expected), (a, b, op)
+
+
+def test_binary64_point_ops_build_no_fraction(monkeypatch):
+    """The operation path works on integers alone and validates nothing it
+    built itself: no Fraction and no `ExtInterval.make` call."""
+    from intervalfp import BINARY64, FpKind, ZeroMode, fp_interval_op
+    from intervalfp.harness import binary64_pairs
+
+    pairs = [(a, b) for a, b in binary64_pairs(2000, 7, finite_only=True)
+             if a.kind is FpKind.FINITE and b.kind is FpKind.FINITE][-250:]
+    assert len(pairs) == 250 and all(a.fmt is BINARY64 for a, _ in pairs)
+    counts = {"fraction": 0, "make": 0}
+    new_fraction, make = F.__new__, ExtInterval.make
+
+    def counting_fraction(cls, *args, **kwargs):
+        counts["fraction"] += 1
+        return new_fraction(cls, *args, **kwargs)
+
+    def counting_make(lo, hi):
+        counts["make"] += 1
+        return make(lo, hi)
+
+    monkeypatch.setattr(F, "__new__", counting_fraction)
+    monkeypatch.setattr(ExtInterval, "make", staticmethod(counting_make))
+    for a, b in pairs:
+        for op in OpKind:
+            fp_interval_op(a, b, op, ZeroMode.FINITE)
+    assert counts == {"fraction": 0, "make": 0}
+    F(1, 3)  # the counter itself works
+    assert counts["fraction"] == 1
 
 
 def _sample_points(x, rng):

@@ -179,6 +179,27 @@ def test_exhaustive_compare_all_interval_pairs_tiny(tiny):
                 assert iv_mod.apply_op(op, x, y) == oracle_op(x, y, op, tiny)
 
 
+def test_binary64_ops_match_oracle():
+    """The integer core against the Fraction oracle on binary64, a format too
+    large to enumerate: the adversarial block in both zero modes and a seeded
+    bit-uniform stream.  Results are built without validation, so their
+    well-formedness is checked here."""
+    from intervalfp import BINARY64, fp_interval_op, interpret
+    from intervalfp.harness import _interval_well_formed, adversarial_binary64, binary64_pairs
+
+    fixed = adversarial_binary64()
+    cases = [(a, b, mode) for mode in ZeroMode for a in fixed for b in fixed]
+    # the stream starts with the adversarial block; keep the 1,000 pairs after it
+    stream = list(binary64_pairs(len(fixed) ** 2 + 1000, 41))[len(fixed) ** 2:]
+    cases += [(a, b, ZeroMode.FINITE) for a, b in stream]
+    for a, b, mode in cases:
+        x, y = interpret(a, mode), interpret(b, mode)
+        for op in OpKind:
+            got = fp_interval_op(a, b, op, mode)
+            assert _interval_well_formed(got), (a, op, b, mode, got)
+            assert got == oracle_op(x, y, op, BINARY64), (a, op, b, mode, got)
+
+
 def test_mutation_is_detected(toy, monkeypatch):
     """A deliberately corrupted multiplication bound must produce mismatches;
     this proves the comparator can fail."""
@@ -187,8 +208,9 @@ def test_mutation_is_detected(toy, monkeypatch):
     original = interval_mod._mul_bound
 
     def corrupted(a, b):
-        if (a == 0 and isinstance(b, float)) or (b == 0 and isinstance(a, float)):
-            return F(1, 16)  # 0 * inf -> m instead of 0
+        # bounds are (num, den) pairs; den == 0 marks an infinity
+        if (a[0] == 0 and b[1] == 0) or (b[0] == 0 and a[1] == 0):
+            return (1, 16)  # 0 * inf -> m instead of 0
         return original(a, b)
 
     monkeypatch.setattr(interval_mod, "_mul_bound", corrupted)
