@@ -18,7 +18,6 @@ from .fpformat import (
     Fp,
     FpKind,
     RoundingDirection,
-    fraction_from_literal,
     parse_format,
     value_cmp,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "extract_bound",
     "fp_interval_op",
     "fp_scalar_op",
-    "fraction_from_literal",
     "hull",
     "identity_catalog",
     "ieee_reference",

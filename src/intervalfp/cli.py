@@ -14,6 +14,17 @@ through the set interpretation of the active format and zero mode, inner
 nodes combine intervals directly (intermediate results are never collapsed
 back to single floats, which would silently drop width).
 
+A literal stands for one float of the active format.  A literal the format
+holds exactly is that float: hex-float literals spell binary values, so
+they are exact whenever the format has their bits and their exponent.  Any
+other literal rounds to nearest (ties to even) with a warning, so in
+p3e-2:3 ``0.3`` is 0.3125 and the result need not contain the decimal
+value.  A literal beyond the range gives what nearest rounding gives, at
+any exponent: +-inf from M plus half an ulp up, +-0 from half the least
+positive value down.  Literals are read as integers (`decode_literal`) and
+rounded in one bracket (`round_literal`), so a huge exponent costs no more
+than its digits.
+
 Subcommands: ``eval`` an expression, ``check`` a format against the
 independent oracle and the directed-rounding conformance suite, ``report``
 the special-operand identity table, ``flagdemo`` the rounding-flag scheme,
@@ -26,9 +37,8 @@ import argparse
 import csv
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .fpformat import (
     BINARY64,
@@ -36,11 +46,13 @@ from .fpformat import (
     FloatFormat,
     Fp,
     FpKind,
+    NUMBER_PATTERN,
     RoundingDirection,
-    exact_decimal,
-    fraction_from_literal,
+    decode_literal,
+    literal_text,
     parse_format,
-    short_decimal,
+    round_literal,
+    short_literal,
 )
 from .interval import ExtInterval, OpKind, apply_op, negate
 from .oracle import exhaustive_compare
@@ -50,24 +62,29 @@ from .harness import DEFAULT_SEED, deviation_report, run_theorem_suite
 
 # -- abstract syntax ------------------------------------------------------------
 
+# Nodes are NamedTuples: immutable and compared by value like frozen
+# dataclasses, and about twice as cheap to build, which parsing does for
+# every literal and operator.
 
-@dataclass(frozen=True)
-class Lit:
+
+class Lit(NamedTuple):
     """A literal datum: its kind and sign as in `Fp`, and for FINITE the
-    exact magnitude."""
+    magnitude sig * 2**exp2 * 10**exp10 in the canonical parts of
+    `decode_literal` (sig has no factor 2 or 5), so equal values give equal
+    literals."""
 
     kind: FpKind
     negative: bool = False
-    magnitude: Optional[Fraction] = None
+    sig: int = 0
+    exp2: int = 0
+    exp10: int = 0
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: OpKind
     lhs: "Expr"
     rhs: "Expr"
@@ -87,116 +104,106 @@ class ExprSyntaxError(ValueError):
 
 # -- lexer ----------------------------------------------------------------------
 
+# One group per token: a number (fpformat's grammar, its named groups made
+# non-capturing), a name or an operator.  Any other non-space character is
+# consumed outside the group, so it comes out as an empty token.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>
-        0[xX][0-9a-fA-F]+(?:\.[0-9a-fA-F]*)?(?:[pP][+-]?\d+)?
-      | (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?
-    )
-  | (?P<name>[a-zA-Z_]\w*)
-  | (?P<op>[-+*/()])
-    """,
-    re.VERBOSE,
+    r"\s*(?:(" + re.sub(r"\?P<\w+>", "?:", NUMBER_PATTERN) + r"|[a-zA-Z_]\w*|[-+*/()])|\S)"
 )
+_BAD = ""
+_END = None  # past the last token
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | one of "+-*/()" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ExprSyntaxError(pos, ("number", "inf", "nan", "operator", "("))
-        if m.lastgroup != "ws":
-            kind = m.group("op") if m.lastgroup == "op" else m.lastgroup
-            tokens.append(_Token(kind, m.group(m.lastgroup), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+def _tokenize(text: str) -> list[Optional[str]]:
+    """The tokens of text in one pass, then _END; raises ExprSyntaxError at
+    the first character that starts no token."""
+    tokens = _TOKEN_RE.findall(text)
+    if _BAD in tokens:
+        raise ExprSyntaxError(
+            _token_position(text, tokens.index(_BAD)), ("number", "inf", "nan", "operator", "(")
+        )
+    tokens.append(_END)
     return tokens
+
+
+def _token_position(text: str, index: int) -> int:
+    """Offset of token number index in text (len(text) for _END)."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == index:
+            return m.start(1) if m.start(1) >= 0 else m.end() - 1
+    return len(text)
 
 
 # -- parser -----------------------------------------------------------------------
 
 
+_BINARY_OPS = {"+": OpKind.ADD, "-": OpKind.SUB, "*": OpKind.MUL, "/": OpKind.DIV}
+
+
 class _Parser:
+    """Recursive descent over the token list; self.i is the next token."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, index: int, expected: tuple[str, ...]) -> ExprSyntaxError:
+        return ExprSyntaxError(_token_position(self.text, index), expected)
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(tok.pos, ("+", "-", "*", "/", "end of input"))
+        if self.tokens[self.i] is not _END:
+            raise self.error(self.i, ("+", "-", "*", "/", "end of input"))
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = OpKind.ADD if self.advance().kind == "+" else OpKind.SUB
-            e = BinOp(op, e, self.term())
+        tokens = self.tokens
+        while tokens[self.i] in ("+", "-"):
+            self.i += 1
+            e = BinOp(_BINARY_OPS[tokens[self.i - 1]], e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = OpKind.MUL if self.advance().kind == "*" else OpKind.DIV
-            e = BinOp(op, e, self.unary())
+        tokens = self.tokens
+        while tokens[self.i] in ("*", "/"):
+            self.i += 1
+            e = BinOp(_BINARY_OPS[tokens[self.i - 1]], e, self.unary())
         return e
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
-            self.advance()
-            inner = self.unary()
-            if tok.kind == "+":
-                return inner
-            return _negated(inner)
-        return self.atom()
-
-    def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "number":
-            q = fraction_from_literal(tok.text)
-            if q == 0:
-                return Lit(FpKind.ZERO)
-            return Lit(FpKind.FINITE, False, q)
-        if tok.kind == "name":
-            if tok.text == "inf":
-                return Lit(FpKind.INF)
-            if tok.text == "nan":
-                return Lit(FpKind.NAN)
-            raise ExprSyntaxError(tok.pos, ("inf", "nan", "number"))
-        if tok.kind == "(":
+        """The grammar's unary and atom."""
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok == "(":
             e = self.expr()
-            closing = self.advance()
-            if closing.kind != ")":
-                raise ExprSyntaxError(closing.pos, (")",))
+            if self.tokens[self.i] != ")":
+                raise self.error(self.i, (")",))
+            self.i += 1
             return e
-        raise ExprSyntaxError(tok.pos, ("number", "inf", "nan", "(", "-"))
+        if tok in ("+", "-"):
+            inner = self.unary()
+            return inner if tok == "+" else _negated(inner)
+        if tok is _END or tok in ("*", "/", ")"):
+            raise self.error(self.i - 1, ("number", "inf", "nan", "(", "-"))
+        if tok[0].isdigit() or tok[0] == ".":
+            negative, sig, exp2, exp10 = decode_literal(tok)
+            return Lit(FpKind.FINITE if sig else FpKind.ZERO, negative, sig, exp2, exp10)
+        if tok == "inf":
+            return Lit(FpKind.INF)
+        if tok == "nan":
+            return Lit(FpKind.NAN)
+        raise self.error(self.i - 1, ("inf", "nan", "number"))
 
 
 def _negated(e: Expr) -> Expr:
     """Fold a unary minus into a literal; wrap anything else."""
     if isinstance(e, Lit):
-        # NaN is unsigned, as in Fp
-        return e if e.kind is FpKind.NAN else replace(e, negative=not e.negative)
+        if e.kind is FpKind.NAN:  # NaN is unsigned, as in Fp
+            return e
+        return Lit(e.kind, not e.negative, e.sig, e.exp2, e.exp10)
     if isinstance(e, Neg):
         return e.operand
     return Neg(e)
@@ -222,7 +229,7 @@ def unparse(e: Expr) -> str:
 def _unparse(e: Expr, parent_prec: int, is_right: bool) -> str:
     if isinstance(e, Lit):
         if e.kind is FpKind.FINITE:
-            return exact_decimal(-e.magnitude if e.negative else e.magnitude)
+            return literal_text(e.negative, e.sig, e.exp2, e.exp10)
         return str(Fp(BINARY64, e.kind, e.negative))  # a special's text has no format
     if isinstance(e, Neg):
         inner = _unparse(e.operand, 3, False)
@@ -261,12 +268,11 @@ def eval_expr(
 def _literal_fp(e: Lit, fmt: FloatFormat, warn) -> Fp:
     if e.kind is not FpKind.FINITE:
         return Fp(fmt, e.kind, e.negative)
-    value = -e.magnitude if e.negative else e.magnitude
-    rounded = fmt.round(value, RoundingDirection.NEAREST)
-    exact = rounded.is_finite and rounded.to_rational() == value
+    rounded, exact = round_literal(fmt, e.negative, e.sig, e.exp2, e.exp10)
     if not exact and warn is not None:
+        text = short_literal(fmt, e.negative, e.sig, e.exp2, e.exp10)
         warn(
-            f"literal {short_decimal(value)} is not representable in "
+            f"literal {text} is not representable in "
             f"{fmt.descriptor()}; rounded to nearest = {rounded}"
         )
     return rounded

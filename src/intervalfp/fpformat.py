@@ -11,6 +11,12 @@ that bracket.  The bracket, and the side round-to-nearest takes, are decided
 by integer division and remainder comparison only.  Tiny formats can be
 enumerated exhaustively, which is what the verification suites rely on;
 binary64 is just another instance of the same machinery.
+
+Literal text is read as integers, a sign, a significand and powers of two
+and ten (`decode_literal`), and rounded in one bracket (`round_literal`).
+A literal beyond the range is replaced by a power of two in the same
+bracket before any power is built, so hostile exponents cost only their
+digits.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -205,7 +211,10 @@ class Fp:
         one side); raise otherwise."""
         lo, hi, _ = _bracket(fmt, q.numerator, q.denominator)
         if lo is not hi:
-            raise ValueError(f"{short_decimal(q)} is not representable in {fmt.descriptor()}")
+            raise ValueError(
+                f"{short_decimal(q.numerator, q.denominator)} is not representable in "
+                f"{fmt.descriptor()}"
+            )
         return lo
 
     @staticmethod
@@ -232,10 +241,13 @@ class Fp:
             return Fp.inf(fmt, negative)
         if body == "nan":
             return Fp.nan(fmt)
-        q = _magnitude(body)
-        if q == 0:
-            return Fp.zero(fmt, negative)
-        return Fp.from_exact(fmt, -q if negative else q)
+        parts = decode_literal(text)
+        nearest, exact = round_literal(fmt, *parts)
+        if not exact:
+            raise ValueError(
+                f"{short_literal(fmt, *parts)} is not representable in {fmt.descriptor()}"
+            )
+        return nearest
 
     # -- predicates ------------------------------------------------------------
 
@@ -507,13 +519,23 @@ def _bracket(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, Fp, bool]:
     return small, big, near_big
 
 
-# -- value text ---------------------------------------------------------------------
+# -- literals -----------------------------------------------------------------------
 
-
-_HEX_RE = re.compile(
-    r"0[xX](?P<int>[0-9a-fA-F]+)(?:\.(?P<frac>[0-9a-fA-F]*))?(?:[pP](?P<exp>[+-]?\d+))?"
+# The grammar of a number: a hex-float or a decimal literal, unsigned; a
+# decimal has a digit before or right after its point.  The expression
+# lexer uses the same pattern, so both read the same texts.
+NUMBER_PATTERN = (
+    r"0[xX](?P<hex>[0-9a-fA-F]+)(?:\.(?P<hexfrac>[0-9a-fA-F]*))?(?:[pP](?P<exp2>[+-]?\d+))?"
+    r"|(?=\.?\d)(?P<int>\d*)(?:\.(?P<frac>\d*))?(?:[eE](?P<exp10>[+-]?\d+))?"
 )
-_DEC_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(NUMBER_PATTERN)
+
+# str -> int stops at the interpreter's digit limit (4300 by default);
+# Decimal converts longer digit strings without one
+_INT_STR_DIGITS = 4300
+
+# 3321928094 / 10**9 < log2(10) < 3321928095 / 10**9
+_LOG2_10_BELOW, _LOG2_10_ABOVE, _LOG2_10_DEN = 3321928094, 3321928095, 10**9
 
 
 def _split_sign(text: str) -> tuple[bool, str]:
@@ -524,26 +546,146 @@ def _split_sign(text: str) -> tuple[bool, str]:
     return False, text
 
 
-def _magnitude(body: str) -> Fraction:
-    """Exact value of an unsigned decimal or hex-float literal."""
-    m = _HEX_RE.fullmatch(body)
-    if m:
-        frac = m.group("frac") or ""
-        mant = int(m.group("int") + frac, 16)
-        return Fraction(mant, 16 ** len(frac)) * Fraction(2) ** int(m.group("exp") or 0)
-    if _DEC_RE.fullmatch(body):
-        # through Decimal: Fraction(str) stops at the interpreter's
-        # int-from-str digit limit
-        return Fraction(Decimal(body))
-    raise ValueError(f"bad literal {body!r}")
+def _int(digits: str) -> int:
+    """int of a decimal digit string of any length."""
+    return int(Decimal(digits)) if len(digits) > _INT_STR_DIGITS else int(digits)
 
 
-def fraction_from_literal(text: str) -> Fraction:
-    """Exact value of an optionally signed decimal or hex-float literal;
-    any other text raises ValueError."""
+def _strip_fives(n: int) -> tuple[int, int]:
+    """(m, k) with n = m * 5**k and m not divisible by 5 (n != 0).  Divides
+    by 5, 5**2, 5**4, ... while they divide, then greedily by the same
+    powers going down, so k costs O(log k) divisions, not k."""
+    powers = []
+    p = 5
+    while True:
+        q, r = divmod(n, p)
+        if r:
+            break
+        n = q
+        powers.append(p)
+        p *= p
+    k = (1 << len(powers)) - 1
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n = q
+            k += 1 << i
+    return n, k
+
+
+def decode_literal(text: str) -> tuple[bool, int, int, int]:
+    """Read an optionally signed decimal or hex-float literal as integers
+    (negative, sig, exp2, exp10), its value being
+    ``(-1)**negative * sig * 2**exp2 * 10**exp10``; any other text raises
+    ValueError.
+
+    The parts are canonical: sig has no factor 2 or 5 (zero is sig 0 with
+    both exponents 0), so equal values give equal parts.  No power is
+    built, so a huge exponent costs only the digits that spell it."""
     negative, body = _split_sign(text)
-    q = _magnitude(body)
-    return -q if negative else q
+    m = _NUMBER_RE.fullmatch(body)
+    if m is None:
+        raise ValueError(f"bad literal {body!r}")
+    hex_int, hex_frac, exp2_text, int_digits, frac, exp10_text = m.groups()
+    if hex_int is not None:
+        hex_frac = hex_frac or ""
+        sig = int(hex_int + hex_frac, 16)
+        exp2 = (_int(exp2_text) if exp2_text else 0) - 4 * len(hex_frac)
+        exp10 = 0
+    else:
+        frac = frac or ""
+        digits = int_digits + frac
+        sig_digits = digits.rstrip("0")
+        sig = _int(sig_digits) if sig_digits else 0
+        exp2 = 0
+        exp10 = (_int(exp10_text) if exp10_text else 0) - len(frac) + len(digits) - len(sig_digits)
+    if sig == 0:
+        return negative, 0, 0, 0
+    twos = (sig & -sig).bit_length() - 1
+    sig, exp2 = sig >> twos, exp2 + twos
+    if sig % 5 == 0:
+        sig, fives = _strip_fives(sig)
+        exp2, exp10 = exp2 - fives, exp10 + fives
+    return negative, sig, exp2, exp10
+
+
+def _literal_ratio(fmt: FloatFormat, sig: int, exp2: int, exp10: int) -> tuple[int, int, bool]:
+    """(num, den, beyond) for the magnitude v = sig * 2**exp2 * 10**exp10
+    (sig > 0): num/den = v, or, when v lies beyond the format's range, a
+    power of two in the same rounding bracket, with beyond set.
+
+    log2(v) is bounded first, from the bit length of sig and rational
+    bounds on log2(10), so no power is built for a v far out of range.  At
+    or above 2**(e_max + 1) the bracket is (M, +inf) and nearest takes the
+    infinity; below 2**(e_min - p) it is (0, the least positive value) and
+    nearest takes the zero.  2**(e_max + 1) and 2**(e_min - p - 1) stand in
+    for the two tails."""
+    top = sig.bit_length() + exp2  # log2(sig * 2**exp2) lies in [top - 1, top)
+    # exp10 * log2(10) lies in [ten_lo, ten_hi]
+    if exp10 >= 0:
+        ten_lo = exp10 * _LOG2_10_BELOW // _LOG2_10_DEN
+        ten_hi = -(-exp10 * _LOG2_10_ABOVE // _LOG2_10_DEN)
+    else:
+        ten_lo = exp10 * _LOG2_10_ABOVE // _LOG2_10_DEN
+        ten_hi = -(-exp10 * _LOG2_10_BELOW // _LOG2_10_DEN)
+    if top - 1 + ten_lo > fmt.e_max:
+        tail = fmt.e_max + 1
+    elif top + ten_hi <= fmt.e_min - fmt.precision:
+        tail = fmt.e_min - fmt.precision - 1
+    else:
+        tail = None
+    if tail is not None:
+        return (1 << tail, 1, True) if tail >= 0 else (1, 1 << -tail, True)
+    num, den = sig, 1
+    if exp10 >= 0:
+        num *= 10**exp10
+    else:
+        den = 10**-exp10
+    if exp2 >= 0:
+        num <<= exp2
+    else:
+        den <<= -exp2
+    return num, den, False
+
+
+def round_literal(
+    fmt: FloatFormat, negative: bool, sig: int, exp2: int, exp10: int
+) -> tuple[Fp, bool]:
+    """(nearest, exact): the literal ``(-1)**negative * sig * 2**exp2 *
+    10**exp10`` rounded to nearest in the format, and whether it is
+    representable.  A zero keeps its sign; a literal beyond the range gives
+    what nearest rounding gives, an infinity or a zero.  One `_bracket`
+    call, whatever the exponents."""
+    if sig == 0:
+        return Fp.zero(fmt, negative), True
+    num, den, _ = _literal_ratio(fmt, sig, exp2, exp10)
+    lo, hi, near_hi = _bracket(fmt, -num if negative else num, den)
+    return (hi if near_hi else lo), lo is hi
+
+
+def literal_text(negative: bool, sig: int, exp2: int, exp10: int) -> str:
+    """Literal text that `decode_literal` reads back to the same parts.
+
+    Decimal, with 2**exp2 or 5**-exp2 folded into its digits, while |exp2|
+    is at most 64 or at most exp10; otherwise hex-float, with 5**exp10
+    folded into its significand.  Either way the folded power is no larger
+    than the text the parts came from implies, so 1e20000000 and
+    0x1p200000000 print as short as they read."""
+    sign = "-" if negative else ""
+    if exp10 < 0 or abs(exp2) <= max(exp10, 64):
+        digits, exp = (sig << exp2, exp10) if exp2 >= 0 else (sig * 5**-exp2, exp10 + exp2)
+        text = format(Decimal(digits), "f")  # str(int) stops at the digit limit
+        return f"{sign}{text}e{exp}" if exp else sign + text
+    return f"{sign}0x{sig * 5**exp10:x}p{exp2 + exp10:+d}"
+
+
+def short_literal(fmt: FloatFormat, negative: bool, sig: int, exp2: int, exp10: int) -> str:
+    """The literal's value as text of bounded length: `short_decimal`
+    within the format's range, and the literal's own text beyond it."""
+    num, den, beyond = _literal_ratio(fmt, sig, exp2, exp10)
+    if beyond:
+        return literal_text(negative, sig, exp2, exp10)
+    return short_decimal(-num if negative else num, den)
 
 
 def _decimal_length_floor(c: int, s: int) -> int:
@@ -559,13 +701,15 @@ def _decimal_length_floor(c: int, s: int) -> int:
     return int_digits + (1 - s if s < 0 else 0)
 
 
-def short_decimal(q: Fraction) -> str:
-    """Decimal text of bounded length at any magnitude: exact up to 17
-    significant digits, rounded beyond, so 1e5000 and 1e-5000 print in
-    exponent form."""
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = 17, MAX_EMAX, MIN_EMIN
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+# a 17-digit context without exponent limits; only its flags ever change
+_DECIMAL17 = Context(prec=17, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def short_decimal(num: int, den: int) -> str:
+    """Decimal text of num/den (den > 0) in bounded length at any
+    magnitude: exact up to 17 significant digits, rounded beyond, so 1e5000
+    and 1e-5000 print in exponent form."""
+    return str(_DECIMAL17.divide(Decimal(num), Decimal(den)))
 
 
 def exact_decimal(q: Fraction) -> str:
@@ -574,11 +718,7 @@ def exact_decimal(q: Fraction) -> str:
     num/den."""
     num, den = q.numerator, q.denominator
     twos = (den & -den).bit_length() - 1
-    rest = den >> twos
-    fives = 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
+    rest, fives = _strip_fives(den >> twos)
     if rest != 1:
         return f"{num}/{den}"
     k = max(twos, fives)

@@ -20,9 +20,16 @@ from intervalfp import ZeroMode, member, oracle_op, parse_format, parse_interval
 
 
 def lit(v):
+    """The literal of the integer v, in canonical parts: v = sig * 2**exp2 *
+    10**exp10 with sig free of factors 2 and 5."""
     if v == 0:
         return Lit(FpKind.ZERO)
-    return Lit(FpKind.FINITE, v < 0, abs(F(v)))
+    sig, exp2, exp10 = abs(v), 0, 0
+    while sig % 2 == 0:
+        sig, exp2 = sig // 2, exp2 + 1
+    while sig % 5 == 0:
+        sig, exp2, exp10 = sig // 5, exp2 - 1, exp10 + 1
+    return Lit(FpKind.FINITE, v < 0, sig, exp2, exp10)
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -69,15 +76,15 @@ def test_precedence_and_associativity():
 
 
 def test_unary_minus_folds_into_literals():
-    assert parse("-3") == Lit(FpKind.FINITE, True, F(3))
+    assert parse("-3") == Lit(FpKind.FINITE, True, 3)
     assert parse("-inf") == Lit(FpKind.INF, True)
     assert parse("--3") == lit(3)
     assert parse("-(1+2)") == Neg(BinOp(OpKind.ADD, lit(1), lit(2)))
-    assert parse("-2*3") == BinOp(OpKind.MUL, Lit(FpKind.FINITE, True, F(2)), lit(3))
+    assert parse("-2*3") == BinOp(OpKind.MUL, Lit(FpKind.FINITE, True, 1, 1), lit(3))
 
 
 def test_hex_literals():
-    assert parse("0x1.8p+1") == Lit(FpKind.FINITE, False, F(3))
+    assert parse("0x1.8p+1") == Lit(FpKind.FINITE, False, 3)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from intervalfp import (
     Fp,
     FpKind,
     RoundingDirection,
-    fraction_from_literal,
     parse_format,
     value_cmp,
 )
@@ -346,8 +345,8 @@ def test_hex_literals_parse_back(toy):
     for v in toy.enumerate():
         if v.kind is not FpKind.FINITE:
             continue
-        assert fraction_from_literal(v.hex_str()) == v.to_rational()
-        assert fraction_from_literal(v.decimal_str()) == v.to_rational()
+        assert Fp.from_text(toy, v.hex_str()) == v
+        assert Fp.from_text(toy, v.decimal_str()) == v
 
 
 def test_binary64_prints_hex_when_decimal_is_long():
