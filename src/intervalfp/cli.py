@@ -395,7 +395,11 @@ def _cmd_flagdemo(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
     print(f"word:     {word}   (exact value {word.value()})")
     print(f"rounded:  {rounded}   flag: {rounded.flag.value}")
     exponent = args.exp
-    result = attach_exponent(rounded, exponent, fmt)
+    try:
+        result = attach_exponent(rounded, exponent, fmt)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     lo, hi = recover_bounds(result, rounded.flag)
     true_value = word.value() * Fraction(2) ** exponent
     down = fmt.round(true_value, RoundingDirection.TO_NEG_INF)

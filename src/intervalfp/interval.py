@@ -14,6 +14,17 @@ num when den == 0 (the infinity flag).  The pair goes straight to the
 format's integer rounding bracket, so no operation builds a Fraction.
 `hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
 for callers outside the operations.
+
+Point operands share one corner, and `point_op` rounds it.  For binary64
+it reads the bracket off the host FPU, as the paper's hardware would: the
+nearest result r is one side, and the exact sign of the error (a op b) - r,
+the rounding flag, names the other (TwoSum for + and -, an integer
+comparison with r for * and /).  It falls back to the exact core on
+overflow, on results that are zero or below 2**-1022, and for + and - on
+operands of magnitude 2**1022 or more; every other format uses the exact
+core alone.  The host must round to nearest: only
+`harness._native_mode` changes the rounding mode, and only around its own
+float ops.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fpformat import FloatFormat, Fp, FpKind, _bracket, value_cmp
+from .fpformat import BINARY64, FloatFormat, Fp, FpKind, _bracket, value_cmp
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -39,6 +50,10 @@ class OpKind(Enum):
     SUB = "-"
     MUL = "*"
     DIV = "/"
+
+
+# module names for the members `point_op` tests (see `fpformat._FINITE`)
+_ADD, _SUB, _MUL = OpKind.ADD, OpKind.SUB, OpKind.MUL
 
 
 def _is_infinite(v: ExtReal) -> bool:
@@ -297,9 +312,98 @@ def _check_pair(x: ExtInterval, y: ExtInterval):
         raise ValueError("operands use different formats")
 
 
+# -- point operands ------------------------------------------------------------------
+
+# Below 2**1022 in magnitude no TwoSum step can overflow (Boldo, Graillat and
+# Muller, ACM TOMS 44(1), 2017); from 2**-1022 up, r is normal
+_TWOSUM_LIMIT = 2.0**1022
+_LEAST_NORMAL = 2.0**-1022
+
+
+def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
+    """Hull of a op b for finite a and b of one format (b nonzero for
+    division): the exact result as a point (lo is hi), or both sides of its
+    rounding bracket.
+
+    binary64 takes the host-float path.  It falls back to the exact core
+    where that path cannot decide alone: r infinite (overflow, whose
+    bracket ends at an infinity), r zero or below 2**-1022 (cancellation
+    and underflow, where r or its neighbour toward zero can be a zero,
+    which the exact core signs and normalises), and for + and - an
+    operand of magnitude 2**1022 or more, where a TwoSum step could
+    overflow.  Every other format goes through the exact core."""
+    fmt = a.fmt
+    if fmt is not b.fmt and fmt != b.fmt:
+        raise ValueError("operands use different formats")
+    if fmt is BINARY64 or fmt == BINARY64:
+        result = _point_op64(op, a, b)
+        if result is not None:
+            return result
+    pa, pb = _bound(a), _bound(b)
+    if op is _ADD:
+        p = _add_bound(pa, pb)
+    elif op is _SUB:
+        p = _add_bound(pa, (-pb[0], pb[1]))
+    elif op is _MUL:
+        p = _mul_bound(pa, pb)
+    else:
+        p = _div_bound(pa, pb)
+    return _round_point(p, fmt)
+
+
+def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[ExtInterval]:
+    """`point_op` on host floats, or None where the exact core must decide.
+
+    With r the nearest result, the exact value is r itself, or lies between
+    r and its neighbour on the side of its error's sign."""
+    fmt = a.fmt
+    xa, xb = a.to_float(), b.to_float()
+    if op is _ADD or op is _SUB:
+        if op is _SUB:
+            xb = -xb
+        if abs(xa) >= _TWOSUM_LIMIT or abs(xb) >= _TWOSUM_LIMIT:
+            return None
+        r = xa + xb
+        if abs(r) < _LEAST_NORMAL:
+            return None
+        # TwoSum (Knuth, TAOCP vol. 2, 4.2.2): err = (xa + xb) - r exactly
+        t = r - xa
+        err = (xa - (r - t)) + (xb - t)
+        near = Fp.from_float(fmt, r)
+        if err == 0:
+            return ExtInterval(fmt, near, near)
+        # the exact magnitude exceeds |r| when err has the sign of r
+        away = (err > 0) != near.negative
+    else:
+        r = xa * xb if op is _MUL else xa / xb
+        if not _LEAST_NORMAL <= abs(r) < math.inf:
+            return None
+        near = Fp.from_float(fmt, r)
+        # |a op b| against |r| = near.c * 2**(near.e - 52), on integers
+        if op is _MUL:
+            exact, rounded, shift = a.c * b.c, near.c, a.e + b.e - 52 - near.e
+        else:
+            exact, rounded, shift = a.c, near.c * b.c, a.e - b.e - near.e + 52
+        if shift >= 0:
+            exact <<= shift
+        else:
+            rounded <<= -shift
+        if exact == rounded:
+            return ExtInterval(fmt, near, near)
+        away = exact > rounded
+    # the bracket's other side is r's neighbour on the exact value's side
+    if away:
+        far = near.away_from_zero()
+    else:
+        far = near.toward_zero()
+    if away != near.negative:
+        return ExtInterval(fmt, near, far)
+    return ExtInterval(fmt, far, near)
+
+
 # -- the four operations -----------------------------------------------------------
 # Point operands (lo is hi, as `semantics.interpret` builds them) share one
-# corner and round through one bracket.
+# corner and go through `point_op`.
 
 
 def add(x: ExtInterval, y: ExtInterval) -> ExtInterval:
@@ -307,9 +411,9 @@ def add(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
-    lo = _add_bound(_bound(x.lo), _bound(y.lo))
     if x.lo is x.hi and y.lo is y.hi:
-        return _round_point(lo, x.fmt)
+        return point_op(OpKind.ADD, x.lo, y.lo)
+    lo = _add_bound(_bound(x.lo), _bound(y.lo))
     return _round_out(lo, _add_bound(_bound(x.hi), _bound(y.hi)), x.fmt)
 
 
@@ -333,10 +437,9 @@ def mul(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
-    xl, yl = _bound(x.lo), _bound(y.lo)
     if x.lo is x.hi and y.lo is y.hi:
-        return _round_point(_mul_bound(xl, yl), x.fmt)
-    xh, yh = _bound(x.hi), _bound(y.hi)
+        return point_op(OpKind.MUL, x.lo, y.lo)
+    xl, yl, xh, yh = _bound(x.lo), _bound(y.lo), _bound(x.hi), _bound(y.hi)
     corners = [_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)]
     return _round_out(_lowest(corners), _highest(corners), x.fmt)
 
@@ -352,10 +455,9 @@ def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
-    xl, yl = _bound(x.lo), _bound(y.lo)
-    if x.lo is x.hi and y.lo is y.hi and yl[0] != 0:
-        return _round_point(_div_bound(xl, yl), x.fmt)
-    xh, yh = _bound(x.hi), _bound(y.hi)
+    if x.lo is x.hi and y.lo is y.hi and y.lo.kind is not FpKind.ZERO:
+        return point_op(OpKind.DIV, x.lo, y.lo)
+    xl, yl, xh, yh = _bound(x.lo), _bound(y.lo), _bound(x.hi), _bound(y.hi)
     # a bound's sign is the sign of its numerator
     if not yl[0] <= 0 <= yh[0]:
         corners = [_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)]

@@ -157,8 +157,24 @@ def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
 def attach_exponent(rounded: RoundedWord, exponent: int, fmt: FloatFormat) -> Fp:
     """Place a rounded-word significand at a binary exponent in a format.
 
-    The retained width must match what the format can hold at that exponent;
-    a carry past the top exponent saturates to infinity."""
+    The word must be one the format produces: it keeps precision - 1
+    fraction bits, and a ``1.`` word sits at an exponent in e_min..e_max, a
+    ``0.`` word (subnormal) only at e_min.  Any other placement raises
+    ValueError, before any power of two is built.  A carry past the top
+    exponent saturates to infinity."""
+    kept = len(rounded.bits) - 1
+    if kept != fmt.precision - 1:
+        raise ValueError(
+            f"the word keeps {kept} fraction bits, {fmt.descriptor()} {fmt.precision - 1}"
+        )
+    if rounded.bits[0] or rounded.carry:
+        if not fmt.e_min <= exponent <= fmt.e_max:
+            raise ValueError(
+                f"exponent {exponent} is outside {fmt.descriptor()}'s range "
+                f"{fmt.e_min}..{fmt.e_max}"
+            )
+    elif exponent != fmt.e_min:
+        raise ValueError(f"a 0. word sits only at {fmt.descriptor()}'s e_min {fmt.e_min}")
     mag = rounded.magnitude() * Fraction(2) ** exponent
     if mag == 0:
         return Fp.zero(fmt, negative=rounded.negative)

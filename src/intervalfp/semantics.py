@@ -31,9 +31,10 @@ from .fpformat import (
     Fp,
     FpKind,
     RoundingDirection,
+    _FINITE,
     value_cmp,
 )
-from .interval import ExtInterval, OpKind, apply_op
+from .interval import ExtInterval, OpKind, apply_op, point_op
 
 
 class ZeroMode(Enum):
@@ -104,7 +105,22 @@ def represent(x: ExtInterval, mode: ZeroMode) -> Optional[Fp]:
 
 def fp_interval_op(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> ExtInterval:
     """Interval result of a float operation; total for all non-NaN inputs,
-    and total outright in INFINITE mode (NaN reads as the empty set)."""
+    and total outright in INFINITE mode (NaN reads as the empty set).
+
+    Two finite nonzero operands are points in either zero mode, so they go
+    straight to `interval.point_op` without building their intervals.  For
+    binary64 that is the host-float path: the FPU's nearest result, which
+    assumes the host rounds to nearest (only `harness._native_mode` changes
+    the mode, around its own float ops), plus the exact sign of its error.
+    It falls back to the exact core where the host result cannot decide
+    alone: overflow (the bracket ends at an infinity), results that are
+    zero or below 2**-1022 (a zero side needs its sign normalised), and for
+    + and - operands of magnitude 2**1022 or more (a TwoSum step could
+    overflow).  Other formats use the exact core.  Zeros, infinities and
+    NaN take their mode's meaning through `interpret` and go through
+    `apply_op`."""
+    if a.kind is _FINITE and b.kind is _FINITE:
+        return point_op(op, a, b)
     return apply_op(op, interpret(a, mode), interpret(b, mode))
 
 

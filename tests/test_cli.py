@@ -1,6 +1,7 @@
 """Expression language and the command-line surface."""
 
 import io
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -232,6 +233,47 @@ def test_cmd_flagdemo(capsys):
     out = capsys.readouterr().out
     assert "rounded-up" in out and "recovered bounds: [1.375, 1.5]" in out
     assert main(["flagdemo", "not-a-word"]) == 1
+
+
+def test_cmd_flagdemo_toy_output_is_fixed(capsys):
+    assert main(["flagdemo", "1.011|11", "--format", "p4e-3:3"]) == 0
+    assert capsys.readouterr().out == (
+        "word:     1.011|11   (exact value 47/32)\n"
+        "rounded:  1.100   flag: rounded-up\n"
+        "placed at 2^0 in p4e-3:3: 1.5\n"
+        "recovered bounds: [1.375, 1.5]\n"
+        "directed rounding of the exact value: [1.375, 1.5]\n"
+    )
+
+
+B64_WORD = "1." + "0" * 51 + "1|01"  # the 52 fraction bits binary64 keeps
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a word narrower than the format's significand (the default format
+        # is binary64) would recover bounds of the wrong width
+        (["flagdemo", "1.011|01"], "the word keeps 3 fraction bits, b64 52"),
+        (["flagdemo", "1.011|01", "--format", "b64", "--exp", "-2000"], "keeps 3"),
+        (["flagdemo", B64_WORD, "--format", "b64", "--exp", "-2000"], "outside b64's range"),
+        # placed past the top exponent the word would be +inf with a flag
+        # that no longer describes it
+        (["flagdemo", B64_WORD, "--format", "b64", "--exp", "1030"], "-1022..1023"),
+        (["flagdemo", "0.011|1", "--format", "p4e-3:3", "--exp", "-2"], "only at"),
+    ],
+)
+def test_cmd_flagdemo_refuses_placements_the_format_cannot_make(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "recovered bounds" not in captured.out
+
+
+def test_cmd_flagdemo_huge_exponent_is_refused_fast(capsys):
+    start = time.perf_counter()
+    assert main(["flagdemo", "1.011|11", "--format", "p4e-3:3", "--exp", "2000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "outside p4e-3:3's range -3..3" in capsys.readouterr().err
 
 
 def test_cmd_repl(capsys, monkeypatch):

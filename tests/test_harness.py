@@ -23,6 +23,7 @@ from intervalfp import (
     run_theorem_suite,
     totality_fuzz,
 )
+from intervalfp import harness
 from intervalfp.harness import binary64_pairs
 from intervalfp.semantics import representative_operand
 
@@ -89,10 +90,17 @@ def test_nan_propagates(toy):
 # -- conformance suites ------------------------------------------------------------
 
 
-def test_theorem_suite_exhaustive_toy(toy):
+def test_theorem_suite_exhaustive_toy(toy, monkeypatch):
+    calls = []
+    interval_op = harness.fp_interval_op
+    monkeypatch.setattr(
+        harness, "fp_interval_op", lambda *args: calls.append(args) or interval_op(*args)
+    )
     result = run_theorem_suite(toy)
     # +, - and * over all 56 * 56 finite pairs, / without the zero divisors
     assert result.ok and result.checked == 3 * 56 * 56 * 2 + 56 * 54 * 2 == 24_864
+    # one interval per pair and op serves both directed bounds
+    assert len(calls) == result.checked // 2
 
 
 def test_theorem_suite_refuses_unsampled_format():

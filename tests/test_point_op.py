@@ -1,0 +1,186 @@
+"""The binary64 point kernel against the exact core, the oracle and the FPU.
+
+`interval.point_op` decides binary64 point ops on host floats: the nearest
+result r plus the exact sign of its error.  Its hard cases are built here
+on purpose: exact results, ties and values one unit either side, exact
+cancellation, results around M + half an ulp and around 2**-1022, operands
+at 2**1022 +- one ulp, subnormal operands, and the adversarial block.
+"""
+
+import math
+import random
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from intervalfp import BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, oracle_op
+from intervalfp.harness import adversarial_binary64, ieee_reference_native, native_rounding_available
+from intervalfp.interval import _point_op64, _round_point, point_op
+from intervalfp.semantics import interpret, same_value
+
+M = sys.float_info.max
+TINY = 2.0**-1022  # least normal
+SUB = 5e-324  # least subnormal
+EXACT = {
+    OpKind.ADD: lambda p, q: p + q,
+    OpKind.SUB: lambda p, q: p - q,
+    OpKind.MUL: lambda p, q: p * q,
+    OpKind.DIV: lambda p, q: p / q,
+}
+
+
+def _signed(rng, x):
+    return -x if rng.random() < 0.5 else x
+
+
+def _clustered(rng, lo=-64, hi=64):
+    """A random full-precision value with binary exponent in [lo, hi]."""
+    mant = rng.getrandbits(52) | (1 << 52)
+    return _signed(rng, math.ldexp(mant, rng.randint(lo, hi) - 52))
+
+
+def _odd(rng, bits):
+    """A random odd integer of exactly `bits` bits."""
+    return rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
+
+
+def _around(x, units=2):
+    """x and its neighbours up to `units` steps either side."""
+    out, lo, hi = [x], x, x
+    for _ in range(units):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _solve_pairs(rng, op, target, count):
+    """Pairs whose result lies within a few units of target: a random a,
+    then b and its neighbours around the b that sends a to target."""
+    out = []
+    for _ in range(count):
+        if op is OpKind.ADD or op is OpKind.SUB:
+            a = target * rng.uniform(0.25, 0.75)
+            b0 = target - a if op is OpKind.ADD else a - target
+        elif op is OpKind.MUL:
+            a = math.ldexp(1 + rng.random(), rng.randint(0, 8))
+            b0 = target / a
+        else:
+            a = math.ldexp(1 + rng.random(), rng.randint(-8, 0))
+            b0 = a / target
+        out += [(a, b) for b in _around(b0) if math.isfinite(b) and b != 0]
+    return out
+
+
+def _sum_pairs(rng, n):
+    """Addends: exact sums, ties and one unit either side, cancellation,
+    sums around 2**-1022 and operands at 2**1022 +- one ulp."""
+    out = []
+    for _ in range(n):
+        a = _clustered(rng)
+        u = math.ulp(a)
+        half = u / 2
+        out += [(a, _signed(rng, b)) for b in (half, *_around(half, 1), 1.5 * u, 3 * u)]
+        out += [(a, -b) for b in _around(a, 1)]  # cancellation and near it
+        out.append((a, _clustered(rng, -60, 60)))
+        # same binade: a 54-bit sum ends in a tie when its last bit is set
+        e = math.frexp(a)[1]
+        out.append((a, math.copysign(math.ldexp(1 + rng.random(), e - 1), a)))
+        k, j = rng.randrange(1, 1 << 20), rng.randrange(1, 1 << 20)
+        out.append((TINY + k * SUB, -(j * SUB)))  # sums around 2**-1022
+        big = rng.choice(_around(2.0**1022, 1))
+        out.append((_signed(rng, big), rng.choice((_clustered(rng, 1000, 1021), _clustered(rng)))))
+        out.append((_signed(rng, rng.randrange(1, 1 << 52) * SUB), _clustered(rng, -1030, -1000)))
+    return out
+
+
+def _product_pairs(rng, n):
+    """Factors: exact products, ties, and products a tiny remainder either
+    side of a tie or of a format value."""
+    out = []
+    for _ in range(n):
+        s, t = rng.randint(-40, 40), rng.randint(-40, 40)
+        out.append((math.ldexp(_odd(rng, 26), s), math.ldexp(_odd(rng, 26), t)))  # exact
+        out.append((math.ldexp(_odd(rng, 27), s), math.ldexp(_odd(rng, 28), t)))  # tie or near
+        u, v = rng.randrange(1, 1 << 20), rng.randrange(1, 1 << 20)
+        a = 1 + u * 2.0**-52
+        for b in (1 + v * 2.0**-52, 1 - v * 2.0**-53, 2 - v * 2.0**-52, 1.5 + v * 2.0**-52):
+            out.append((_signed(rng, math.ldexp(a, s)), _signed(rng, math.ldexp(b, t))))
+        out.append((_clustered(rng), _clustered(rng)))
+        out.append((_signed(rng, rng.randrange(1, 1 << 52) * SUB), _clustered(rng, 900, 1023)))
+    return out
+
+
+def _quotient_pairs(rng, n):
+    """Dividends and divisors: exact quotients and one unit either side."""
+    out = []
+    for _ in range(n):
+        b = math.ldexp(_odd(rng, 40), rng.randint(-80, 0))
+        a = b * _odd(rng, 12)  # exact
+        out += [(x, _signed(rng, b)) for x in _around(a, 1)]
+        out.append((_clustered(rng), _clustered(rng)))
+        out.append((_signed(rng, rng.randrange(1, 1 << 52) * SUB), _clustered(rng, -60, 0)))
+        out.append((_clustered(rng, 900, 1023), _signed(rng, rng.randrange(1, 1 << 52) * SUB)))
+    return out
+
+
+def _boundary_pairs(rng, op):
+    """Results around M + half an ulp and around 2**-1022."""
+    targets = (M, M + math.ulp(M) / 2, TINY, TINY - SUB / 2)
+    return [p for t in targets for s in (1, -1) for p in _solve_pairs(rng, op, s * t, 12)]
+
+
+def hard_pairs(op, seed=8):
+    rng = random.Random(seed * 10 + list(OpKind).index(op))
+    if op in (OpKind.ADD, OpKind.SUB):
+        pairs = _sum_pairs(rng, 320)
+    elif op is OpKind.MUL:
+        pairs = _product_pairs(rng, 540)
+    else:
+        pairs = _quotient_pairs(rng, 800)
+    pairs += _boundary_pairs(rng, op)
+    block = [x for x in adversarial_binary64() if not x.is_inf]
+    fps = [(Fp.from_float(BINARY64, a), Fp.from_float(BINARY64, b)) for a, b in pairs]
+    return fps + [(a, b) for a in block for b in block]
+
+
+@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
+def test_point_op_equals_exact_core_oracle_and_fpu(op):
+    native = native_rounding_available()
+    seen = dict.fromkeys(("host", "exact", "tie", "subnormal", "overflow", "underflow"), 0)
+    checked = 0
+    for a, b in hard_pairs(op):
+        if op is OpKind.DIV and b.is_zero:
+            continue
+        got = point_op(op, a, b)
+        q = EXACT[op](a.to_rational(), b.to_rational())
+        assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
+        x, y = interpret(a, ZeroMode.INFINITE), interpret(b, ZeroMode.INFINITE)
+        assert got == oracle_op(x, y, op, BINARY64), (a, op, b)
+        # an exact result is one object, as a point interval is
+        assert (got.lo is got.hi) == (got.lo.is_finite and got.lo.to_rational() == q)
+        if native:
+            down = ieee_reference_native(a, b, op, RoundingDirection.TO_NEG_INF)
+            up = ieee_reference_native(a, b, op, RoundingDirection.TO_POS_INF)
+            assert same_value(got.lo, down) and same_value(got.hi, up), (a, op, b, got)
+        checked += 1
+        seen["subnormal"] += any(v.kind is FpKind.FINITE and v.c >> 52 == 0 for v in (a, b))
+        if _point_op64(op, a, b) is None:
+            seen["overflow"] += abs(q) > F(M)
+            seen["underflow"] += 0 < abs(q) < F(TINY)
+            continue
+        seen["host"] += 1
+        seen["exact"] += got.lo is got.hi
+        if got.lo.is_finite and got.hi.is_finite:
+            seen["tie"] += 2 * q == got.lo.to_rational() + got.hi.to_rational()
+    # the host path decides most pairs, and the generators reach the cases
+    # they are built for; a quotient of normal range is never a tie
+    assert checked > 5000 and checked * 3 < seen["host"] * 4 < checked * 4, seen
+    cases = [case for case in seen if not (op is OpKind.DIV and case == "tie")]
+    assert min(seen[case] for case in cases) >= 20, seen
+
+
+def test_point_op_rejects_mixed_formats(toy):
+    with pytest.raises(ValueError, match="different formats"):
+        point_op(OpKind.ADD, Fp.from_float(BINARY64, 1.0), Fp.from_float(toy, 1.0))
+

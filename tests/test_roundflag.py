@@ -163,3 +163,19 @@ def test_flag_faithfulness(toy):
             assert got > exact
         else:
             assert got < exact
+
+
+def test_attach_exponent_enforces_its_placement(toy):
+    one = apply_flagged_round(word("1.01|1"))
+    zero_lead = apply_flagged_round(word("0.01|0"))
+    assert attach_exponent(one, toy.e_max, toy) == Fp.from_exact(toy, F(12))
+    assert attach_exponent(zero_lead, toy.e_min, toy) == Fp.from_exact(toy, F(1, 16))
+    carried = apply_flagged_round(word("1.11|1"))
+    assert attach_exponent(carried, toy.e_max, toy) == Fp.inf(toy)  # saturates
+    with pytest.raises(ValueError, match="keeps 3 fraction bits"):
+        attach_exponent(apply_flagged_round(word("1.011|1")), 0, toy)
+    for e in (toy.e_min - 1, toy.e_max + 1, -(10**12), 10**12):
+        with pytest.raises(ValueError, match="outside"):
+            attach_exponent(one, e, toy)
+    with pytest.raises(ValueError, match="only at"):
+        attach_exponent(zero_lead, toy.e_min + 1, toy)
