@@ -17,18 +17,18 @@ from .fpformat import (
     FloatFormat,
     Fp,
     FpKind,
+    RoundFlag,
     RoundingDirection,
     parse_format,
+    recover_bounds,
     value_cmp,
 )
 from .interval import ExtInterval, OpKind, hull, member, parse_interval, subset
 from .roundflag import (
     PreRoundedWord,
     RoundedWord,
-    RoundFlag,
     apply_flagged_round,
     compute_flag,
-    recover_bounds,
 )
 from .semantics import (
     IdentityRecord,

@@ -22,7 +22,7 @@ p3e-2:3 ``0.3`` is 0.3125 and the result need not contain the decimal
 value.  A literal beyond the range gives what nearest rounding gives, at
 any exponent: +-inf from M plus half an ulp up, +-0 from half the least
 positive value down.  Literals are read as integers (`decode_literal`) and
-rounded in one bracket (`round_literal`), so a huge exponent costs no more
+rounded to nearest once (`round_literal`), so a huge exponent costs no more
 than its digits.
 
 Subcommands: ``eval`` an expression, ``check`` a format against the
@@ -402,8 +402,7 @@ def _cmd_flagdemo(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
         return 1
     lo, hi = recover_bounds(result, rounded.flag)
     true_value = word.value() * Fraction(2) ** exponent
-    down = fmt.round(true_value, RoundingDirection.TO_NEG_INF)
-    up = fmt.round(true_value, RoundingDirection.TO_POS_INF)
+    down, up = fmt.round_both(true_value)
     print(f"placed at 2^{exponent} in {fmt.descriptor()}: {result}")
     print(f"recovered bounds: [{lo}, {hi}]")
     print(f"directed rounding of the exact value: [{down}, {up}]")
@@ -479,10 +478,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=_cmd_report)
 
     p_flag = sub.add_parser("flagdemo", help="demonstrate the rounding-flag scheme")
-    p_flag.add_argument("word", help="pre-rounded word, e.g. 1.011|01")
+    p_flag.add_argument("word", help="pre-rounded word, e.g. 1.011|01 with --format p4e-3:3")
     p_flag.add_argument("--format", help="format descriptor")
     p_flag.add_argument("--exp", type=int, default=0, help="binary exponent for placement")
     p_flag.set_defaults(func=_cmd_flagdemo)
+    # argparse reads a word that starts with '-' as an option unless its
+    # negative-number pattern matches; here a word with one leading '-' that
+    # names no option is the expression or the word (-inf, -(1), -1.11|1)
+    for p in (p_eval, p_flag):
+        p._negative_number_matcher = re.compile(r"-[^-]")
 
     p_repl = sub.add_parser("repl", help="line-oriented read-eval loop")
     p_repl.add_argument("--format", help="format descriptor")

@@ -5,15 +5,16 @@ hidden bit), an exponent range, and a subnormal toggle.  Values are kept
 in an exact canonical encoding with one sign bit on every datum except NaN,
 so every finite number converts to a `fractions.Fraction` without loss.
 
-Rounding follows the reading of the paper: a rational lies in one bracket
-of adjacent format values, and every rounding direction selects one side of
-that bracket.  The bracket, and the side round-to-nearest takes, are decided
-by integer division and remainder comparison only.  Tiny formats can be
-enumerated exhaustively, which is what the verification suites rely on;
-binary64 is just another instance of the same machinery.
+Rounding follows the paper's hardware: a rational is rounded once, to
+nearest, with a flag saying whether its magnitude was rounded up, not up,
+or was exact (`round_flagged`), on integers only.  From the two,
+`recover_bounds` builds the bracket of adjacent format values around the
+rational, and every directed rounding is one side of it.  Tiny formats
+can be enumerated exhaustively, which is what the verification suites
+rely on; binary64 is just another instance of the same machinery.
 
 Literal text is read as integers, a sign, a significand and powers of two
-and ten (`decode_literal`), and rounded in one bracket (`round_literal`).
+and ten (`decode_literal`), and rounded to nearest once (`round_literal`).
 A literal beyond the range is replaced by a power of two in the same
 bracket before any power is built, so hostile exponents cost only their
 digits.
@@ -61,9 +62,19 @@ class FpKind(Enum):
     NAN = "nan"
 
 
+class RoundFlag(Enum):
+    """How rounding to nearest changed the magnitude: up, not up (down,
+    toward zero), or not at all."""
+
+    ROUNDED_UP = "rounded-up"
+    NOT_ROUNDED_UP = "not-rounded-up"
+    EXACT = "exact"
+
+
 # An Enum member read through its class costs about 0.1 us on CPython 3.11,
-# so the per-op paths read this module name instead.
-_FINITE = FpKind.FINITE
+# so the per-op paths read these module names instead.
+_FINITE, _ZERO, _INF, _NAN = FpKind.FINITE, FpKind.ZERO, FpKind.INF, FpKind.NAN
+_ROUNDED_UP, _NOT_ROUNDED_UP, _EXACT = RoundFlag.ROUNDED_UP, RoundFlag.NOT_ROUNDED_UP, RoundFlag.EXACT
 
 
 @dataclass(frozen=True)
@@ -101,28 +112,32 @@ class FloatFormat:
 
     # -- rounding ----------------------------------------------------------
 
-    def round(self, q: RationalLike, direction: RoundingDirection) -> "Fp":
-        """Round an exact rational to the format: one side of the bracket
-        of adjacent format values around q.
+    def round_flagged(self, q: RationalLike) -> tuple["Fp", RoundFlag]:
+        """(nearest, flag): q rounded to nearest with ties to the even
+        significand, and how its magnitude was rounded; `recover_bounds`
+        turns the pair into the bracket of adjacent format values around q."""
+        return _nearest(self, q.numerator, q.denominator)
 
-        Down takes the lower side, up the upper, toward zero the side nearer
-        zero, and nearest the closer side with ties to the even significand.
-        Total: overflow saturates to the greatest finite value or to an
-        infinity depending on direction, and an exact zero comes out as +0
-        (a negative value collapsing to zero yields -0)."""
-        lo, hi, near_hi = _bracket(self, q.numerator, q.denominator)
+    def round(self, q: RationalLike, direction: RoundingDirection) -> "Fp":
+        """Round an exact rational to the format: nearest, or one side of
+        the bracket around q.
+
+        Down takes the lower side, up the upper and toward zero the side
+        nearer zero.  Total: overflow saturates to the greatest finite value
+        or to an infinity depending on direction, and an exact zero comes
+        out as +0 (a negative value collapsing to zero yields -0)."""
+        if direction is RoundingDirection.NEAREST:
+            return self.round_flagged(q)[0]
+        lo, hi = recover_bounds(*self.round_flagged(q))
         if direction is RoundingDirection.TO_NEG_INF:
             return lo
         if direction is RoundingDirection.TO_POS_INF:
             return hi
-        if direction is RoundingDirection.TO_ZERO:
-            return hi if q.numerator < 0 else lo
-        return hi if near_hi else lo
+        return hi if q.numerator < 0 else lo
 
     def round_both(self, q: RationalLike) -> tuple["Fp", "Fp"]:
         """(round down, round up): both sides of the one bracket."""
-        lo, hi, _ = _bracket(self, q.numerator, q.denominator)
-        return lo, hi
+        return recover_bounds(*self.round_flagged(q))
 
     # -- enumeration ---------------------------------------------------------
 
@@ -212,15 +227,15 @@ class Fp:
 
     @staticmethod
     def from_exact(fmt: FloatFormat, q: RationalLike) -> "Fp":
-        """Encode a rational that is exactly representable (a bracket with
-        one side); raise otherwise."""
-        lo, hi, _ = _bracket(fmt, q.numerator, q.denominator)
-        if lo is not hi:
+        """Encode a rational that is exactly representable (nearest rounding
+        flags it exact); raise otherwise."""
+        nearest, flag = fmt.round_flagged(q)
+        if flag is not _EXACT:
             raise ValueError(
                 f"{short_decimal(q.numerator, q.denominator)} is not representable in "
                 f"{fmt.descriptor()}"
             )
-        return lo
+        return nearest
 
     @staticmethod
     def from_float(fmt: FloatFormat, x: float) -> "Fp":
@@ -305,17 +320,13 @@ class Fp:
         next_up(M) is +inf and next_up(-inf) is -M; NaN and +inf have no
         successor."""
         k = self.kind
-        if k is FpKind.NAN or (k is FpKind.INF and not self.negative):
+        if k is _NAN or (k is _INF and not self.negative):
             raise DomainError(f"next_up undefined for {self}")
-        if self.negative:
-            if k is FpKind.INF:
-                return -self.fmt.max_finite()
-            if k is FpKind.ZERO:
-                return Fp.zero(self.fmt)
-            return self.toward_zero()
-        if k is FpKind.ZERO:
-            return self.fmt.min_pos()
-        return self.away_from_zero()
+        if not self.negative:
+            return self.away_from_zero()
+        if k is _ZERO:
+            return Fp.zero(self.fmt)
+        return self.toward_zero()
 
     def next_down(self) -> "Fp":
         """Predecessor in the same order: the mirror -next_up(-x).  NaN and
@@ -325,9 +336,15 @@ class Fp:
         return -(-self).next_up()
 
     def away_from_zero(self) -> "Fp":
-        """The neighbour of a finite nonzero value one unit further from
-        zero, with its sign: past M comes the infinity."""
+        """The neighbour one unit further from zero, with the same sign:
+        past M comes the infinity and past a zero the least positive value.
+        Nothing lies past an infinity, so an infinity (or NaN) is returned
+        as it is."""
         fmt = self.fmt
+        if self.kind is not _FINITE:
+            if self.kind is _ZERO:
+                return -_min_pos(fmt) if self.negative else _min_pos(fmt)
+            return self
         c, e = self.c + 1, self.e
         if c == 1 << fmt.precision:
             c, e = 1 << (fmt.precision - 1), e + 1
@@ -336,9 +353,15 @@ class Fp:
         return Fp(fmt, _FINITE, self.negative, c, e)
 
     def toward_zero(self) -> "Fp":
-        """The neighbour of a finite nonzero value one unit nearer zero,
-        with its sign: below the least positive value comes the zero."""
+        """The neighbour one unit nearer zero, with the same sign: below the
+        least positive value comes the zero and below an infinity M.
+        Nothing lies nearer zero than a zero, so a zero (or NaN) is
+        returned as it is."""
         fmt = self.fmt
+        if self.kind is not _FINITE:
+            if self.kind is _INF:
+                return -_max_finite(fmt) if self.negative else _max_finite(fmt)
+            return self
         half = 1 << (fmt.precision - 1)
         c, e = self.c - 1, self.e
         if c >= half:
@@ -461,35 +484,21 @@ def _fp_from_bits64(fmt: FloatFormat, bits: int) -> Fp:
     return Fp(fmt, _FINITE, neg, trailing | (1 << 52), biased - 1023)
 
 
-# -- the rounding bracket ----------------------------------------------------------
+# -- rounding to nearest, and the bracket from the flag ---------------------------
 
 
-def _fp_from_mag(fmt: FloatFormat, negative: bool, c: int, scale: int) -> Fp:
-    """Nonzero Fp of magnitude c * 2**scale; c may carry one bit past the
-    precision (normalised here) and must already be format-aligned."""
-    if c == 1 << fmt.precision:
-        c >>= 1
-        scale += 1
-    e = scale + fmt.precision - 1
-    if e > fmt.e_max:
-        return Fp.inf(fmt, negative)
-    return Fp(fmt, FpKind.FINITE, negative, c, e)
+def _nearest(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, RoundFlag]:
+    """(nearest, flag) for the rational num/den (den > 0): the format value
+    nearest to it, and how its magnitude was rounded.
 
-
-def _bracket(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, Fp, bool]:
-    """The rounding bracket of the rational num/den (den > 0): adjacent
-    format values lo <= q <= hi, and whether round-to-nearest takes hi.
-
-    lo is hi exactly when q is representable (0 gives +0).  Beyond the
-    finite range one side is an infinity; a value that rounds to zero keeps
-    its sign.  Nearest compares the remainder of q against half a step of
-    the bracket, so the threshold for overflow is M plus half an ulp, and a
-    tie goes to the side with the even significand, where a zero or an
-    infinity counts as even (without subnormals the step from zero to the
-    least normal is one unit, so zero is the even side)."""
+    0 gives +0, and a value that rounds to zero keeps its sign.  Nearest
+    compares the remainder of |q| against half the step between the format
+    values around it, so the threshold for overflow is M plus half an ulp,
+    and a tie goes to the even significand, where a zero or an infinity
+    counts as even (without subnormals the step from zero to the least
+    normal is one unit, so zero is the even side)."""
     if num == 0:
-        zero = Fp.zero(fmt)
-        return zero, zero, False
+        return Fp.zero(fmt), _EXACT
     negative = num < 0
     if negative:
         num = -num
@@ -502,30 +511,49 @@ def _bracket(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, Fp, bool]:
     elif (num << -e) < den:
         e -= 1
     if e > fmt.e_max:
-        small = Fp(fmt, FpKind.FINITE, negative, (1 << p) - 1, fmt.e_max)
-        big, near_big = Fp.inf(fmt, negative), True
+        return Fp.inf(fmt, negative), _ROUNDED_UP
+    no_subnormal = e < fmt.e_min and not fmt.subnormals
+    # the step between the format values around q is 2**scale
+    scale = fmt.e_min if no_subnormal else max(e, fmt.e_min) - (p - 1)
+    if scale >= 0:
+        step = den << scale
+        c, rem = divmod(num, step)
     else:
-        no_subnormal = e < fmt.e_min and not fmt.subnormals
-        # the step between the bracket's sides is 2**scale
-        scale = fmt.e_min if no_subnormal else max(e, fmt.e_min) - (p - 1)
-        if scale >= 0:
-            step = den << scale
-            c, rem = divmod(num, step)
-        else:
-            step = den
-            c, rem = divmod(num << -scale, den)
-        small = _fp_from_mag(fmt, negative, c, scale) if c else Fp.zero(fmt, negative)
-        if rem == 0:
-            return small, small, False
-        if no_subnormal:
-            big = Fp(fmt, FpKind.FINITE, negative, 1 << (p - 1), fmt.e_min)
-        else:
-            big = _fp_from_mag(fmt, negative, c + 1, scale)
-        twice = 2 * rem
-        near_big = twice > step or (twice == step and c & 1 == 1)
-    if negative:
-        return big, small, not near_big
-    return small, big, near_big
+        step = den
+        c, rem = divmod(num << -scale, den)
+    if rem == 0:
+        flag = _EXACT
+    elif 2 * rem > step or (2 * rem == step and c & 1):
+        if no_subnormal:  # up from zero to the least normal
+            return (-_min_pos(fmt) if negative else _min_pos(fmt)), _ROUNDED_UP
+        c, flag = c + 1, _ROUNDED_UP
+    else:
+        flag = _NOT_ROUNDED_UP
+    if c == 0:
+        return Fp.zero(fmt, negative), flag
+    if c >> p:  # carried into the next binade, or past M into the infinity
+        c, scale = c >> 1, scale + 1
+        if scale + p - 1 > fmt.e_max:
+            return Fp.inf(fmt, negative), flag
+    return Fp(fmt, _FINITE, negative, c, scale + p - 1), flag
+
+
+def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
+    """(round down, round up) from a result rounded to nearest and its flag.
+
+    The exact value lies between the result and its neighbour toward zero
+    when the magnitude was rounded up, away from zero when it was not, and
+    the result's sign decides which of the two is the lower bound.  A side
+    with no neighbour (toward zero from a zero, past an infinity) keeps the
+    result alone, as a saturated bound."""
+    if nearest.kind is _NAN:
+        raise DomainError("cannot recover bounds around NaN")
+    if flag is _EXACT:
+        return nearest, nearest
+    up = flag is _ROUNDED_UP
+    other = nearest.toward_zero() if up else nearest.away_from_zero()
+    # the exact value lies below a positive result rounded up
+    return (other, nearest) if up != nearest.negative else (nearest, other)
 
 
 # -- literals -----------------------------------------------------------------------
@@ -663,13 +691,13 @@ def round_literal(
     """(nearest, exact): the literal ``(-1)**negative * sig * 2**exp2 *
     10**exp10`` rounded to nearest in the format, and whether it is
     representable.  A zero keeps its sign; a literal beyond the range gives
-    what nearest rounding gives, an infinity or a zero.  One `_bracket`
-    call, whatever the exponents."""
+    what nearest rounding gives, an infinity or a zero.  One rounding,
+    whatever the exponents."""
     if sig == 0:
         return Fp.zero(fmt, negative), True
     num, den, _ = _literal_ratio(fmt, sig, exp2, exp10)
-    lo, hi, near_hi = _bracket(fmt, -num if negative else num, den)
-    return (hi if near_hi else lo), lo is hi
+    nearest, flag = _nearest(fmt, -num if negative else num, den)
+    return nearest, flag is _EXACT
 
 
 def literal_text(negative: bool, sig: int, exp2: int, exp10: int) -> str:

@@ -312,9 +312,10 @@ def run_theorem_suite(
 ) -> SuiteResult:
     """Check that each directed IEEE result equals the matching interval
     bound: over every finite operand pair for enumerable formats, or a
-    seeded random sample for binary64.  Any other format too large to
-    enumerate raises ValueError, since the sampler draws binary64 values
-    only.  Division skips zero divisors, the one case the claim excludes."""
+    seeded random sample of at least one pair for binary64.  Any other
+    format too large to enumerate, or samples < 1, raises ValueError (the
+    sampler draws binary64 values only).  Division skips zero divisors, the
+    one case the claim excludes."""
     result = SuiteResult(fmt)
     try:
         finites = [v for v in fmt.enumerate() if v.is_finite]
@@ -326,6 +327,8 @@ def run_theorem_suite(
                 f"{fmt.descriptor()} is too large to enumerate, and only binary64 "
                 "can be sampled"
             ) from None
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, not {samples}")
         pairs = list(binary64_pairs(samples, seed, finite_only=True))
         result.notes.append(f"random sample of {len(pairs)} pairs, seed {seed}")
     for op in OpKind:

@@ -10,19 +10,19 @@ bounds of the relational solution set (for division: all z with y*z = x)
 on plain integers and then takes the format hull, rounding the lower bound
 down and the upper bound up.  An exact bound is a pair (num, den) of ints:
 the rational num/den, unreduced, when den > 0, and the infinity signed like
-num when den == 0 (the infinity flag).  The pair goes straight to the
-format's integer rounding bracket, so no operation builds a Fraction.
+num when den == 0 (the infinity flag).  The pair is rounded to nearest on
+integers with the paper's rounding flag, and `fpformat.recover_bounds`
+builds every bracket from the two, so no operation builds a Fraction.
 `hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
 for callers outside the operations.
 
 Point operands share one corner, and `point_op` rounds it.  For binary64
-it reads the bracket off the host FPU, as the paper's hardware would: the
-nearest result r is one side, and the exact sign of the error (a op b) - r,
-the rounding flag, names the other (TwoSum for + and -, an integer
-comparison with r for * and /).  It falls back to the exact core on
-overflow, on results that are zero or below 2**-1022, and for + and - on
-operands of magnitude 2**1022 or more; every other format uses the exact
-core alone.  The host must round to nearest: only
+it reads the nearest result r off the host FPU, as the paper's hardware
+would, and the flag from the exact sign of |a op b| - |r| (TwoSum for +
+and -, an integer comparison with r for * and /).  It falls back to the
+exact core on overflow, on results that are zero or below 2**-1022, and
+for + and - on operands of magnitude 2**1022 or more; every other format
+uses the exact core alone.  The host must round to nearest: only
 `harness._native_mode` changes the rounding mode, and only around its own
 float ops.
 """
@@ -35,7 +35,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fpformat import BINARY64, FloatFormat, Fp, FpKind, _bracket, value_cmp
+from .fpformat import (BINARY64, FloatFormat, Fp, FpKind, RoundFlag, _EXACT, _NOT_ROUNDED_UP,
+                       _ROUNDED_UP, _nearest, recover_bounds, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -279,16 +280,15 @@ def _highest(bounds: list[Bound]) -> Bound:
 def _round_point(p: Bound, fmt: FloatFormat) -> ExtInterval:
     """Least format interval containing the finite value p: both sides of
     its one rounding bracket."""
-    small, big, _ = _bracket(fmt, *p)
-    return ExtInterval.unchecked(small, big)
+    return ExtInterval.unchecked(*recover_bounds(*_nearest(fmt, *p)))
 
 
 def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
     """Least format interval containing [lo, hi]: the lower bound is rounded
     down and the upper bound up, so bounds beyond the finite range become
     infinite (unbounded) sides; an infinite bound stays infinite."""
-    lo_fp = Fp.inf(fmt, negative=True) if lo[1] == 0 else _bracket(fmt, *lo)[0]
-    hi_fp = Fp.inf(fmt) if hi[1] == 0 else _bracket(fmt, *hi)[1]
+    lo_fp = Fp.inf(fmt, negative=True) if lo[1] == 0 else recover_bounds(*_nearest(fmt, *lo))[0]
+    hi_fp = Fp.inf(fmt) if hi[1] == 0 else recover_bounds(*_nearest(fmt, *hi))[1]
     return ExtInterval.unchecked(lo_fp, hi_fp)
 
 
@@ -336,9 +336,11 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
     if fmt is BINARY64 or fmt == BINARY64:
-        result = _point_op64(op, a, b)
-        if result is not None:
-            return result
+        flagged = _point_op64(op, a, b)
+        if flagged is not None:
+            # r is normal, so neither bound is a zero to normalise
+            lo, hi = recover_bounds(*flagged)
+            return ExtInterval(fmt, lo, hi)
     pa, pb = _bound(a), _bound(b)
     if op is _ADD:
         p = _add_bound(pa, pb)
@@ -351,11 +353,10 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     return _round_point(p, fmt)
 
 
-def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[ExtInterval]:
-    """`point_op` on host floats, or None where the exact core must decide.
-
-    With r the nearest result, the exact value is r itself, or lies between
-    r and its neighbour on the side of its error's sign."""
+def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[tuple[Fp, RoundFlag]]:
+    """(nearest, flag) of a op b on host floats, or None where the exact
+    core must decide: r is the nearest result, and its magnitude was
+    rounded up when |a op b| < |r|."""
     fmt = a.fmt
     xa, xb = a.to_float(), b.to_float()
     if op is _ADD or op is _SUB:
@@ -370,10 +371,8 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[ExtInterval]:
         t = r - xa
         err = (xa - (r - t)) + (xb - t)
         near = Fp.from_float(fmt, r)
-        if err == 0:
-            return ExtInterval(fmt, near, near)
-        # the exact magnitude exceeds |r| when err has the sign of r
-        away = (err > 0) != near.negative
+        # |a + b| - |r| is the error with r's sign taken off
+        exact, rounded = (-err if near.negative else err), 0.0
     else:
         r = xa * xb if op is _MUL else xa / xb
         if not _LEAST_NORMAL <= abs(r) < math.inf:
@@ -388,17 +387,9 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[ExtInterval]:
             exact <<= shift
         else:
             rounded <<= -shift
-        if exact == rounded:
-            return ExtInterval(fmt, near, near)
-        away = exact > rounded
-    # the bracket's other side is r's neighbour on the exact value's side
-    if away:
-        far = near.away_from_zero()
-    else:
-        far = near.toward_zero()
-    if away != near.negative:
-        return ExtInterval(fmt, near, far)
-    return ExtInterval(fmt, far, near)
+    if exact == rounded:
+        return near, _EXACT
+    return near, (_NOT_ROUNDED_UP if exact > rounded else _ROUNDED_UP)
 
 
 # -- the four operations -----------------------------------------------------------

@@ -1,36 +1,32 @@
-"""Rounding-direction flag: recover directed bounds from a nearest result.
+"""The paper's rounding flag on a significand word.
 
 A pre-rounded significand word ``b0.b1 b2 ... bW`` is cut after bit r (the
 retained width).  Rounding it to r fraction bits while latching one flag --
 did the word round up, truncate, or come out exact -- is enough to rebuild
 both directed-rounding bounds from the single rounded result afterwards:
 the true value lies between the rounded value and its neighbour on the
-side the flag names.
+side the flag names.  The library rounds the same way: `RoundFlag` and
+`recover_bounds`, which builds every bracket in the package from a nearest
+result and its flag, live in `fpformat`, and this module is the word-level
+demonstration of them.
 
 The up/truncate rule is a pure table on (b_r, b_{r+1}): the word rounds up
 exactly when the first discarded bit is set, i.e. ties round up.  That tie
-rule intentionally differs from the to-nearest-even rule used elsewhere in
-this package; recover_bounds only needs the direction, not the tie rule.
-The exact state (all discarded bits zero, the usual sticky-bit OR) is an
-extension the table cannot express but bound recovery requires, since an
-exact result must not be widened.
+rule intentionally differs from the to-nearest-even rule of
+`FloatFormat.round_flagged`; recover_bounds only needs the direction, not
+the tie rule.  The exact state (all discarded bits zero, the usual
+sticky-bit OR) is an extension the table cannot express but bound recovery
+requires, since an exact result must not be widened.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .fpformat import DomainError, FloatFormat, Fp
-
-
-class RoundFlag(Enum):
-    ROUNDED_UP = "rounded-up"
-    NOT_ROUNDED_UP = "not-rounded-up"
-    EXACT = "exact"
-
+# recover_bounds is the word demo's last step, re-exported for its callers
+from .fpformat import FloatFormat, Fp, RoundFlag, recover_bounds
 
 _WORD_RE = re.compile(r"^(-)?([01])\.([01]+)\|([01]+)$")
 
@@ -129,29 +125,6 @@ def apply_flagged_round(word: PreRoundedWord) -> RoundedWord:
             n &= (1 << (word.r + 1)) - 1
     bits = tuple((n >> (word.r - i)) & 1 for i in range(word.r + 1))
     return RoundedWord(word.negative, bits, carry, flag)
-
-
-def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
-    """Directed-rounding bracket from a rounded result plus its flag.
-
-    The flag describes the magnitude, so the sign of the result decides
-    which neighbour is the lower versus the upper bound.  An infinite
-    result with an inexact flag keeps the saturated side at the infinity."""
-    if nearest.is_nan:
-        raise DomainError("cannot recover bounds around NaN")
-    if flag is RoundFlag.EXACT:
-        return nearest, nearest
-    magnitude_up = flag is RoundFlag.ROUNDED_UP
-    # magnitude rounded up on a positive result, or truncated on a negative
-    # one, puts the true value below the result
-    true_below = magnitude_up != nearest.negative
-    if true_below:
-        if nearest.is_inf and nearest.negative:
-            return nearest, nearest
-        return nearest.next_down(), nearest
-    if nearest.is_inf and not nearest.negative:
-        return nearest, nearest
-    return nearest, nearest.next_up()
 
 
 def attach_exponent(rounded: RoundedWord, exponent: int, fmt: FloatFormat) -> Fp:

@@ -185,6 +185,53 @@ def test_cmd_eval_syntax_error(capsys):
     assert "position 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["eval", "-inf"], "(-inf, -0x1.fffffffffffffp+1023]"),
+        (["eval", "-1+2"], "[1, 1]"),
+        (["eval", "-(1)"], "[-1, -1]"),
+        (["eval", "-1"], "[-1, -1]"),
+        (["eval", "-1/3", "--format", "p3e-2:3"], "[-0.375, -0.3125]"),
+        (["flagdemo", "-1.11|1", "--format", "p3e-2:3", "--exp", "3"],
+         "recovered bounds: [-inf, -14]"),
+    ],
+)
+def test_operand_may_start_with_minus(argv, line, capsys):
+    assert main(argv) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["eval", "--bogus"], ["eval", "-inf", "--bogus"],
+                                  ["flagdemo", "--bogus", "1.011|11"]])
+def test_unknown_long_option_is_still_a_usage_error(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "flagdemo"])
+def test_short_help_still_prints_help(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "-h"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: intervalfp {command}")
+
+
+def test_flagdemo_help_example_runs(capsys):
+    with pytest.raises(SystemExit):
+        main(["flagdemo", "-h"])
+    assert "e.g. 1.011|01 with --format p4e-3:3" in capsys.readouterr().out
+    assert main(["flagdemo", "1.011|01", "--format", "p4e-3:3"]) == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cmd_check_refuses_an_empty_sample(samples, capsys):
+    # a sample of no pairs would check nothing and report ok
+    assert main(["check", "--format", "b64", "--samples", samples]) == 1
+    assert capsys.readouterr().err == f"error: samples must be at least 1, not {samples}\n"
+
+
 def test_cmd_check_passes(capsys):
     assert main(["check", "--format", "p2e0:0ns", "--mode", "finite"]) == 0
     out = capsys.readouterr().out

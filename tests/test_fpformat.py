@@ -13,6 +13,7 @@ from intervalfp import (
     FloatFormat,
     Fp,
     FpKind,
+    RoundFlag,
     RoundingDirection,
     parse_format,
     value_cmp,
@@ -214,6 +215,13 @@ def test_round_against_brute_force(toy, tiny):
         for q in probes:
             for rd in RD:
                 assert fmt.round(q, rd) == brute_round(fmt, q, rd), (fmt, q, rd)
+            # one nearest rounding and its flag; an infinity counts as larger
+            nearest, flag = fmt.round_flagged(q)
+            assert nearest == brute_round(fmt, q, RD.NEAREST), (fmt, q)
+            exact = nearest.is_finite and nearest.to_rational() == q
+            larger = nearest.is_inf or abs(nearest.to_rational()) > abs(q)
+            assert (flag is RoundFlag.EXACT) == exact, (fmt, q, flag)
+            assert (flag is RoundFlag.ROUNDED_UP) == larger, (fmt, q, flag)
 
 
 def test_round_trip_every_value_every_direction(toy):

@@ -16,6 +16,7 @@ import pytest
 
 from intervalfp import BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, oracle_op
 from intervalfp.harness import adversarial_binary64, ieee_reference_native, native_rounding_available
+from intervalfp.fpformat import _nearest
 from intervalfp.interval import _point_op64, _round_point, point_op
 from intervalfp.semantics import interpret, same_value
 
@@ -178,6 +179,23 @@ def test_point_op_equals_exact_core_oracle_and_fpu(op):
     assert checked > 5000 and checked * 3 < seen["host"] * 4 < checked * 4, seen
     cases = [case for case in seen if not (op is OpKind.DIV and case == "tie")]
     assert min(seen[case] for case in cases) >= 20, seen
+
+
+@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
+def test_host_nearest_and_flag_equal_the_exact_core(op):
+    # wherever the host path decides, it rounds once to nearest and flags
+    # the rounding exactly as the integer core does
+    decided = 0
+    for a, b in hard_pairs(op):
+        if op is OpKind.DIV and b.is_zero:
+            continue
+        flagged = _point_op64(op, a, b)
+        if flagged is None:
+            continue
+        q = EXACT[op](a.to_rational(), b.to_rational())
+        assert flagged == _nearest(BINARY64, q.numerator, q.denominator), (a, op, b)
+        decided += 1
+    assert decided > 3000
 
 
 def test_point_op_rejects_mixed_formats(toy):

@@ -6,12 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from intervalfp import (
+    DomainError,
     Fp,
     PreRoundedWord,
     RoundFlag,
     RoundingDirection,
     apply_flagged_round,
     compute_flag,
+    parse_format,
     recover_bounds,
 )
 from intervalfp.roundflag import attach_exponent
@@ -114,6 +116,24 @@ def test_recover_bounds_saturated(toy):
         Fp.inf(toy, negative=True),
         -M,
     )
+
+
+@pytest.mark.parametrize("descriptor, least", [("p3e-2:3", F(1, 16)), ("p3e-2:3ns", F(1, 4))])
+def test_recover_bounds_around_zero(descriptor, least):
+    # a value that rounded down to a zero lies between it and the least
+    # value of its sign, subnormal or, without subnormals, normal
+    fmt = parse_format(descriptor)
+    zero, minus_zero = Fp.zero(fmt), Fp.zero(fmt, negative=True)
+    lo, hi = recover_bounds(zero, RoundFlag.NOT_ROUNDED_UP)
+    assert lo == zero and hi.to_rational() == least
+    lo, hi = recover_bounds(minus_zero, RoundFlag.NOT_ROUNDED_UP)
+    assert lo.to_rational() == -least and lo.negative and hi == minus_zero
+
+
+def test_recover_bounds_refuses_nan(toy):
+    for flag in RoundFlag:
+        with pytest.raises(DomainError):
+            recover_bounds(Fp.nan(toy), flag)
 
 
 def all_words(fmt, max_discarded):
