@@ -281,8 +281,12 @@ def _literal_fp(e: Lit, fmt: FloatFormat, warn) -> Fp:
 # -- configuration ---------------------------------------------------------------------
 
 
+_CONFIG_KEYS = ("format", "mode", "seed")
+_ROUND_CHOICES = ("up", "down", "both")
+
+
 def load_config(path: Optional[str]) -> dict[str, str]:
-    """Plain key=value file with # comments; keys: format, mode, seed."""
+    """Plain key=value file with # comments; keys: format, mode, seed, no other."""
     if path is None:
         return {}
     settings = {}
@@ -294,7 +298,11 @@ def load_config(path: Optional[str]) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            settings[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                known = ", ".join(_CONFIG_KEYS)
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known keys: {known})")
+            settings[key] = value.strip()
     return settings
 
 
@@ -310,15 +318,13 @@ def _resolve(args, config: dict[str, str]) -> tuple[FloatFormat, ZeroMode, int]:
             seed = int(seed_text)
         except ValueError:
             raise ValueError(f"bad seed {seed_text!r}") from None
-    fmt = parse_format(fmt_text)
-    try:
-        mode = ZeroMode(mode_text)
-    except ValueError:
-        raise ValueError(f"bad zero mode {mode_text!r} (finite or infinite)") from None
-    return fmt, mode, seed
+    return parse_format(fmt_text), ZeroMode(mode_text), seed
 
 
 # -- subcommands -------------------------------------------------------------------------
+
+# the error for an expression nested deeper than the interpreter's stack
+_TOO_DEEP = "expression is nested too deeply to evaluate"
 
 
 def _print_result(result: ExtInterval, round_sel: Optional[str]) -> None:
@@ -335,8 +341,8 @@ def _cmd_eval(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
     try:
         tree = parse(args.expr)
         result = eval_expr(tree, fmt, mode, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RecursionError, ValueError) as exc:
+        print(f"error: {_TOO_DEEP if isinstance(exc, RecursionError) else exc}", file=sys.stderr)
         return 1
     _print_result(result, args.round)
     return 0
@@ -422,26 +428,28 @@ def _cmd_repl(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
         if not line or line.startswith("#"):
             continue
         if line.startswith(":"):
-            parts = line[1:].split()
+            name, arg = (line[1:].split() + ["", ""])[:2]
+            if name in ("q", "quit", "exit"):
+                return 0
             try:
-                if parts[0] in ("q", "quit", "exit"):
-                    return 0
-                if parts[0] == "format":
-                    fmt = parse_format(parts[1])
-                elif parts[0] == "mode":
-                    mode = ZeroMode(parts[1])
-                elif parts[0] == "round":
-                    round_sel = None if parts[1] == "none" else parts[1]
+                if name not in ("format", "mode", "round") or not arg:
+                    raise ValueError(f"bad command {line!r} (:format F, :mode M, :round R, :quit)")
+                if name == "format":
+                    fmt = parse_format(arg)
+                elif name == "mode":
+                    mode = ZeroMode(arg)
+                elif arg in _ROUND_CHOICES + ("none",):
+                    round_sel = None if arg == "none" else arg
                 else:
-                    print(f"error: unknown command :{parts[0]}")
-            except (IndexError, ValueError) as exc:
+                    raise ValueError(f"bad rounding {arg!r} ({', '.join(_ROUND_CHOICES)} or none)")
+            except ValueError as exc:
                 print(f"error: {exc}")
             continue
         try:
             tree = parse(line)
             result = eval_expr(tree, fmt, mode, warn=lambda m: print(f"warning: {m}"))
-        except ValueError as exc:
-            print(f"error: {exc}")
+        except (RecursionError, ValueError) as exc:
+            print(f"error: {_TOO_DEEP if isinstance(exc, RecursionError) else exc}")
             continue
         _print_result(result, round_sel)
 
@@ -458,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("expr")
     p_eval.add_argument("--format", help="format descriptor, e.g. b64 or p3e-2:3")
     p_eval.add_argument("--mode", help="zero mode: finite or infinite")
-    p_eval.add_argument("--round", choices=("up", "down", "both"),
+    p_eval.add_argument("--round", choices=_ROUND_CHOICES,
                         help="print the directed bound(s) instead of the interval")
     p_eval.set_defaults(func=_cmd_eval)
 

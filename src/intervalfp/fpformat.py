@@ -126,14 +126,13 @@ class FloatFormat:
         nearer zero.  Total: overflow saturates to the greatest finite value
         or to an infinity depending on direction, and an exact zero comes
         out as +0 (a negative value collapsing to zero yields -0)."""
+        nearest, flag = _nearest(self, q.numerator, q.denominator)
         if direction is RoundingDirection.NEAREST:
-            return self.round_flagged(q)[0]
-        lo, hi = recover_bounds(*self.round_flagged(q))
-        if direction is RoundingDirection.TO_NEG_INF:
-            return lo
-        if direction is RoundingDirection.TO_POS_INF:
-            return hi
-        return hi if q.numerator < 0 else lo
+            return nearest
+        upper = direction is RoundingDirection.TO_POS_INF or (
+            direction is RoundingDirection.TO_ZERO and q.numerator < 0
+        )
+        return _bracket_side(nearest, flag, upper)
 
     def round_both(self, q: RationalLike) -> tuple["Fp", "Fp"]:
         """(round down, round up): both sides of the one bracket."""
@@ -554,6 +553,14 @@ def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
     other = nearest.toward_zero() if up else nearest.away_from_zero()
     # the exact value lies below a positive result rounded up
     return (other, nearest) if up != nearest.negative else (nearest, other)
+
+
+def _bracket_side(nearest: Fp, flag: RoundFlag, upper: bool) -> Fp:
+    """The upper (or lower) side of the bracket of `recover_bounds`: the
+    nearest result when it lies there, else the neighbour it builds."""
+    if flag is _EXACT or (flag is _ROUNDED_UP) == (upper != nearest.negative):
+        return nearest
+    return recover_bounds(nearest, flag)[upper]
 
 
 # -- literals -----------------------------------------------------------------------

@@ -26,7 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from typing import Iterator, Optional
 
 from .fpformat import (
@@ -319,7 +320,7 @@ def run_theorem_suite(
     result = SuiteResult(fmt)
     try:
         finites = [v for v in fmt.enumerate() if v.is_finite]
-        pairs = [(a, b) for a in finites for b in finites]
+        pairs = partial(product, finites, finites)
         result.notes.append(f"exhaustive over {len(finites)} finite values")
     except EnumerationLimitError:
         if fmt != BINARY64:
@@ -329,10 +330,11 @@ def run_theorem_suite(
             ) from None
         if samples < 1:
             raise ValueError(f"samples must be at least 1, not {samples}")
-        pairs = list(binary64_pairs(samples, seed, finite_only=True))
-        result.notes.append(f"random sample of {len(pairs)} pairs, seed {seed}")
+        # the same seeded stream again for each op, so no pair is held
+        pairs = partial(binary64_pairs, samples, seed, finite_only=True)
+        result.notes.append(f"random sample of {samples} pairs, seed {seed}")
     for op in OpKind:
-        for a, b in pairs:
+        for a, b in pairs():
             if op is OpKind.DIV and b.is_zero:
                 continue
             interval = fp_interval_op(a, b, op, ZeroMode.INFINITE)

@@ -11,20 +11,15 @@ on plain integers and then takes the format hull, rounding the lower bound
 down and the upper bound up.  An exact bound is a pair (num, den) of ints:
 the rational num/den, unreduced, when den > 0, and the infinity signed like
 num when den == 0 (the infinity flag).  The pair is rounded to nearest on
-integers with the paper's rounding flag, and `fpformat.recover_bounds`
-builds every bracket from the two, so no operation builds a Fraction.
+integers with the paper's rounding flag.  A bound is the nearest value
+when it lies on the bound's side, and otherwise its neighbour, which only
+`fpformat.recover_bounds` builds; no operation builds a Fraction.
 `hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
 for callers outside the operations.
 
-Point operands share one corner, and `point_op` rounds it.  For binary64
-it reads the nearest result r off the host FPU, as the paper's hardware
-would, and the flag from the exact sign of |a op b| - |r| (TwoSum for +
-and -, an integer comparison with r for * and /).  It falls back to the
-exact core on overflow, on results that are zero or below 2**-1022, and
-for + and - on operands of magnitude 2**1022 or more; every other format
-uses the exact core alone.  The host must round to nearest: only
-`harness._native_mode` changes the rounding mode, and only around its own
-float ops.
+Point operands share one corner, and `point_op` rounds it: for binary64
+on host floats, as the paper's hardware would, with the exact core behind
+it where the host result cannot decide alone (the list is in `point_op`).
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .fpformat import (BINARY64, FloatFormat, Fp, FpKind, RoundFlag, _EXACT, _NOT_ROUNDED_UP,
-                       _ROUNDED_UP, _nearest, recover_bounds, value_cmp)
+                       _ROUNDED_UP, _bracket_side, _nearest, recover_bounds, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -261,20 +256,15 @@ def _less(a: Bound, b: Bound) -> bool:
     return an < bn
 
 
-def _lowest(bounds: list[Bound]) -> Bound:
-    low = bounds[0]
-    for b in bounds[1:]:
+def _round_corners(corners: list[Bound], fmt: FloatFormat) -> ExtInterval:
+    """Least format interval containing every corner."""
+    low = high = corners[0]
+    for b in corners[1:]:
         if _less(b, low):
             low = b
-    return low
-
-
-def _highest(bounds: list[Bound]) -> Bound:
-    high = bounds[0]
-    for b in bounds[1:]:
-        if _less(high, b):
+        elif _less(high, b):
             high = b
-    return high
+    return _round_out(low, high, fmt)
 
 
 def _round_point(p: Bound, fmt: FloatFormat) -> ExtInterval:
@@ -287,16 +277,14 @@ def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
     """Least format interval containing [lo, hi]: the lower bound is rounded
     down and the upper bound up, so bounds beyond the finite range become
     infinite (unbounded) sides; an infinite bound stays infinite."""
-    lo_fp = Fp.inf(fmt, negative=True) if lo[1] == 0 else recover_bounds(*_nearest(fmt, *lo))[0]
-    hi_fp = Fp.inf(fmt) if hi[1] == 0 else recover_bounds(*_nearest(fmt, *hi))[1]
+    lo_fp = Fp.inf(fmt, negative=True) if lo[1] == 0 else _bracket_side(*_nearest(fmt, *lo), False)
+    hi_fp = Fp.inf(fmt) if hi[1] == 0 else _bracket_side(*_nearest(fmt, *hi), True)
     return ExtInterval.unchecked(lo_fp, hi_fp)
 
 
 def hull(lo: ExtReal, hi: ExtReal, fmt: FloatFormat) -> ExtInterval:
-    """Least format interval containing [lo, hi]: the lower bound is rounded
-    down and the upper bound up, so bounds beyond the finite range become
-    infinite (unbounded) sides.  An infinite lo means -inf and an infinite
-    hi +inf."""
+    """`_round_out` of rational bounds: an infinite lo means -inf and an
+    infinite hi +inf."""
     lo_inf, hi_inf = _is_infinite(lo), _is_infinite(hi)
     if not lo_inf and not hi_inf and lo > hi:
         raise ValueError(f"hull of reversed bounds {lo} > {hi}")
@@ -325,22 +313,24 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     division): the exact result as a point (lo is hi), or both sides of its
     rounding bracket.
 
-    binary64 takes the host-float path.  It falls back to the exact core
-    where that path cannot decide alone: r infinite (overflow, whose
-    bracket ends at an infinity), r zero or below 2**-1022 (cancellation
-    and underflow, where r or its neighbour toward zero can be a zero,
-    which the exact core signs and normalises), and for + and - an
-    operand of magnitude 2**1022 or more, where a TwoSum step could
-    overflow.  Every other format goes through the exact core."""
+    binary64 takes the host-float path: the FPU's nearest result r (the
+    host must round to nearest; only `harness._native_mode` changes the
+    mode, around its own float ops) and the flag from the exact sign of
+    |a op b| - |r| (TwoSum for + and -, an integer comparison with r for *
+    and /).  An infinite r is an overflow of a finite result, so rounded
+    up.  The path falls back to the exact core for r zero or below
+    2**-1022, where r or its neighbour toward zero can be a zero that the
+    exact core signs and normalises (an exact zero is one object), and
+    for + and - on an operand of magnitude 2**1022 or more, where a TwoSum
+    step could overflow.  Every other format uses the exact core alone."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
     if fmt is BINARY64 or fmt == BINARY64:
         flagged = _point_op64(op, a, b)
         if flagged is not None:
-            # r is normal, so neither bound is a zero to normalise
-            lo, hi = recover_bounds(*flagged)
-            return ExtInterval(fmt, lo, hi)
+            # r is normal or infinite, so neither bound is a zero to normalise
+            return ExtInterval(fmt, *recover_bounds(*flagged))
     pa, pb = _bound(a), _bound(b)
     if op is _ADD:
         p = _add_bound(pa, pb)
@@ -375,8 +365,10 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[tuple[Fp, RoundFlag]]:
         exact, rounded = (-err if near.negative else err), 0.0
     else:
         r = xa * xb if op is _MUL else xa / xb
-        if not _LEAST_NORMAL <= abs(r) < math.inf:
+        if abs(r) < _LEAST_NORMAL:
             return None
+        if abs(r) == math.inf:
+            return Fp.inf(fmt, r < 0), _ROUNDED_UP
         near = Fp.from_float(fmt, r)
         # |a op b| against |r| = near.c * 2**(near.e - 52), on integers
         if op is _MUL:
@@ -431,8 +423,7 @@ def mul(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     if x.lo is x.hi and y.lo is y.hi:
         return point_op(OpKind.MUL, x.lo, y.lo)
     xl, yl, xh, yh = _bound(x.lo), _bound(y.lo), _bound(x.hi), _bound(y.hi)
-    corners = [_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)]
-    return _round_out(_lowest(corners), _highest(corners), x.fmt)
+    return _round_corners([_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)], x.fmt)
 
 
 def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
@@ -441,8 +432,8 @@ def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     With zero outside the divisor this is ordinary corner division.  When
     both operands contain zero, z is arbitrary (witness x = y = 0).  A
     nonzero dividend with divisor exactly [0,0] has no solutions at all.
-    Otherwise the solutions form one or two half-lines whose hull may be
-    the full line."""
+    Otherwise a divisor on both sides of zero gives the full line, and a
+    divisor with zero as one end gives one half-line."""
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
@@ -451,30 +442,20 @@ def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     xl, yl, xh, yh = _bound(x.lo), _bound(y.lo), _bound(x.hi), _bound(y.hi)
     # a bound's sign is the sign of its numerator
     if not yl[0] <= 0 <= yh[0]:
-        corners = [_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)]
-        return _round_out(_lowest(corners), _highest(corners), x.fmt)
-    if xl[0] <= 0 <= xh[0]:
+        return _round_corners([_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)], x.fmt)
+    if xl[0] <= 0 <= xh[0] or yl[0] < 0 < yh[0]:
         return ExtInterval.full_line(x.fmt)
     if yl[0] == 0 == yh[0]:
         return ExtInterval.empty(x.fmt)
-    los, his = [], []
+    # one half-line: the dividend's end nearest zero over the divisor's
+    # nonzero end, opening upward when the operands share a sign (taken from
+    # the operands, as that quotient is 0 for an infinite divisor end)
     x_positive = xl[0] > 0
-    if yh[0] > 0:
-        # divisors arbitrarily close to zero from above
-        if x_positive:
-            los.append(_div_bound(xl, yh))
-            his.append(_PLUS_INF)
-        else:
-            los.append(_MINUS_INF)
-            his.append(_div_bound(xh, yh))
-    if yl[0] < 0:
-        if x_positive:
-            los.append(_MINUS_INF)
-            his.append(_div_bound(xl, yl))
-        else:
-            los.append(_div_bound(xh, yl))
-            his.append(_PLUS_INF)
-    return _round_out(_lowest(los), _highest(his), x.fmt)
+    y_end = yh if yh[0] else yl
+    end = _div_bound(xl if x_positive else xh, y_end)
+    if x_positive == (y_end[0] > 0):
+        return _round_out(end, _PLUS_INF, x.fmt)
+    return _round_out(_MINUS_INF, end, x.fmt)
 
 
 _OPS = {OpKind.ADD: add, OpKind.SUB: sub, OpKind.MUL: mul, OpKind.DIV: div}

@@ -48,6 +48,11 @@ class ZeroMode(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
 
+    @classmethod
+    def _missing_(cls, value):
+        # ZeroMode(text) is the one parser of a zero-mode setting
+        raise ValueError(f"bad zero mode {value!r} (finite or infinite)")
+
 
 # -- interpretation ----------------------------------------------------------
 
@@ -108,17 +113,10 @@ def fp_interval_op(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> ExtInterval:
     and total outright in INFINITE mode (NaN reads as the empty set).
 
     Two finite nonzero operands are points in either zero mode, so they go
-    straight to `interval.point_op` without building their intervals.  For
-    binary64 that is the host-float path: the FPU's nearest result, which
-    assumes the host rounds to nearest (only `harness._native_mode` changes
-    the mode, around its own float ops), plus the exact sign of its error.
-    It falls back to the exact core where the host result cannot decide
-    alone: overflow (the bracket ends at an infinity), results that are
-    zero or below 2**-1022 (a zero side needs its sign normalised), and for
-    + and - operands of magnitude 2**1022 or more (a TwoSum step could
-    overflow).  Other formats use the exact core.  Zeros, infinities and
-    NaN take their mode's meaning through `interpret` and go through
-    `apply_op`."""
+    straight to `interval.point_op` without building their intervals; for
+    binary64 that is the host-float path, whose fallbacks to the exact core
+    `point_op` lists.  Zeros, infinities and NaN take their mode's meaning
+    through `interpret` and go through `apply_op`."""
     if a.kind is _FINITE and b.kind is _FINITE:
         return point_op(op, a, b)
     return apply_op(op, interpret(a, mode), interpret(b, mode))

@@ -334,6 +334,40 @@ def test_cmd_repl(capsys, monkeypatch):
     assert "up: nan" in out  # 2/0 with exact zeros is empty
 
 
+DEEP = ["(" * 5000 + "1" + ")" * 5000, "+".join(["1"] * 5000)]
+TOO_DEEP = "error: expression is nested too deeply to evaluate"
+
+
+@pytest.mark.parametrize("text", DEEP, ids=["nesting", "sum"])
+def test_eval_of_a_too_deep_expression_is_one_error_line(text, capsys):
+    assert main(["eval", text]) == 1
+    assert capsys.readouterr() == ("", TOO_DEEP + "\n")
+
+
+def test_repl_reports_a_too_deep_expression_and_reads_on(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(DEEP + ["1+1"]) + "\n"))
+    assert main(["repl", "--format", "p3e-2:3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [TOO_DEEP, TOO_DEEP, "[2, 2]"]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (":round sideways", "bad rounding 'sideways' (up, down, both or none)"),
+        (":round", "bad command ':round' (:format F, :mode M, :round R, :quit)"),
+        (":format", "bad command ':format' (:format F, :mode M, :round R, :quit)"),
+        (":mode", "bad command ':mode' (:format F, :mode M, :round R, :quit)"),
+        (":", "bad command ':' (:format F, :mode M, :round R, :quit)"),
+        (":frob 1", "bad command ':frob 1' (:format F, :mode M, :round R, :quit)"),
+        (":mode bogus", "bad zero mode 'bogus' (finite or infinite)"),
+    ],
+)
+def test_repl_refuses_a_bad_setting_and_keeps_the_old_one(command, message, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{command}\n2/0\n"))
+    assert main(["repl", "--format", "p3e-2:3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"error: {message}", "[14, +inf)"]
+
+
 def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -358,6 +392,15 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("format p3e-2:3\n")
     assert main(["--config", str(bad), "eval", "1"]) == 1
     assert "key=value" in capsys.readouterr().err
+
+
+def test_config_file_refuses_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("fromat = p3e-2:3\n")
+    assert main(["--config", str(cfg), "eval", "1/3"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {cfg}:1: unknown key 'fromat' (known keys: format, mode, seed)\n"
+    )
 
 
 def test_config_bad_seed_exits_cleanly(tmp_path, capsys):

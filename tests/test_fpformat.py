@@ -297,6 +297,77 @@ def test_round_both_matches_directed(toy):
         )
 
 
+def _exact_results(fmt):
+    """The exact result of every op on every pair of finite values of a toy
+    format, or on a seeded stream of binary64 pairs."""
+    if fmt is BINARY64:
+        from intervalfp.harness import binary64_pairs
+
+        pairs = [(a.to_rational(), b.to_rational())
+                 for a, b in binary64_pairs(1500, 10, finite_only=True)]
+    else:
+        finite = [v.to_rational() for v in fmt.enumerate() if v.is_finite]
+        pairs = [(a, b) for a in finite for b in finite]
+    for a, b in pairs:
+        yield from (a + b, a - b, a * b)
+        if b:
+            yield a / b
+
+
+@pytest.mark.parametrize("descriptor", ["p3e-2:3", "b64"])
+def test_round_is_nearest_or_one_side_of_round_both(descriptor):
+    fmt = parse_format(descriptor)
+    for q in _exact_results(fmt):
+        lo, hi = fmt.round_both(q)
+        nearest = fmt.round(q, RD.NEAREST)
+        assert nearest == fmt.round_flagged(q)[0] and nearest in (lo, hi), q
+        assert fmt.round(q, RD.TO_NEG_INF) == lo, q
+        assert fmt.round(q, RD.TO_POS_INF) == hi, q
+        assert fmt.round(q, RD.TO_ZERO) == (hi if q < 0 else lo), q
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every Fp constructed while the test runs, in order."""
+    objects = []
+    init = Fp.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        objects.append(self)
+
+    monkeypatch.setattr(Fp, "__init__", recording_init)
+    return objects
+
+
+@pytest.mark.parametrize("descriptor", ["p3e-2:3", "b64"])
+def test_directed_rounding_builds_no_neighbour_it_drops(descriptor, built):
+    # the nearest value is built first; its neighbour only when the nearest
+    # lies on the other side of q, and then the nearest is all that is dropped
+    from intervalfp.interval import _MINUS_INF, _PLUS_INF, _round_out
+
+    fmt = parse_format(descriptor)
+    for q in _exact_results(fmt):
+        nearest = fmt.round_flagged(q)[0]
+        for rd in (RD.TO_NEG_INF, RD.TO_POS_INF, RD.TO_ZERO):
+            built.clear()
+            got = fmt.round(q, rd)
+            dropped = [x for x in built if x is not got]
+            assert dropped == ([] if got == nearest else dropped[:1]), (q, rd)
+            assert all(x == nearest for x in dropped), (q, rd)
+        bound = (q.numerator, q.denominator)
+        for upper in (False, True):
+            built.clear()
+            out = _round_out(*((_MINUS_INF, bound) if upper else (bound, _PLUS_INF)), fmt)
+            side = out.hi if upper else out.lo
+            # a -0 side is stored as +0, the one other object dropped
+            dropped = [x for x in built if x is not out.lo and x is not out.hi
+                       and not (x.is_zero and x.negative and side.is_zero)]
+            on_side = value_cmp(side, nearest) == 0
+            assert dropped == ([] if on_side else dropped[:1]), (q, upper)
+            assert all(x == nearest for x in dropped), (q, upper)
+
+
 # -- conversions and text -----------------------------------------------------------
 
 

@@ -114,6 +114,17 @@ def test_div_zero_cases(toy):
     assert str(iv("[-1, -1]", toy) / iv("[0, 2]", toy)) == "(-inf, -0.5]"
 
 
+def test_div_by_a_divisor_with_zero_as_one_end(toy):
+    assert str(iv("[-2, -1]", toy) / iv("[-2, 0]", toy)) == "[0.5, +inf)"
+    # an infinite divisor end gives the quotient 0; the operands' signs
+    # still decide which way the half-line opens
+    assert str(iv("[1, 2]", toy) / iv("[0, inf)", toy)) == "[0, +inf)"
+    assert str(iv("[-2, -1]", toy) / iv("[0, inf)", toy)) == "(-inf, 0]"
+    assert str(iv("[1, 2]", toy) / iv("(-inf, 0]", toy)) == "(-inf, 0]"
+    assert str(iv("[-2, -1]", toy) / iv("(-inf, 0]", toy)) == "[0, +inf)"
+    assert str(iv("[1, 2]", toy) / iv("(-inf, inf)", toy)) == "(-inf, +inf)"
+
+
 def test_empty_propagation(toy):
     e = ExtInterval.empty(toy)
     x = iv("[1, 2]", toy)

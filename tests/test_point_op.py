@@ -16,7 +16,7 @@ import pytest
 
 from intervalfp import BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, oracle_op
 from intervalfp.harness import adversarial_binary64, ieee_reference_native, native_rounding_available
-from intervalfp.fpformat import _nearest
+from intervalfp.fpformat import RoundFlag, _nearest
 from intervalfp.interval import _point_op64, _round_point, point_op
 from intervalfp.semantics import interpret, same_value
 
@@ -166,8 +166,8 @@ def test_point_op_equals_exact_core_oracle_and_fpu(op):
             assert same_value(got.lo, down) and same_value(got.hi, up), (a, op, b, got)
         checked += 1
         seen["subnormal"] += any(v.kind is FpKind.FINITE and v.c >> 52 == 0 for v in (a, b))
+        seen["overflow"] += abs(q) > F(M)
         if _point_op64(op, a, b) is None:
-            seen["overflow"] += abs(q) > F(M)
             seen["underflow"] += 0 < abs(q) < F(TINY)
             continue
         seen["host"] += 1
@@ -196,6 +196,24 @@ def test_host_nearest_and_flag_equal_the_exact_core(op):
         assert flagged == _nearest(BINARY64, q.numerator, q.denominator), (a, op, b)
         decided += 1
     assert decided > 3000
+
+
+@pytest.mark.parametrize("op", [OpKind.MUL, OpKind.DIV], ids=["mul", "div"])
+def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
+    # an overflow is decided on the host: the exact result is finite, so
+    # the infinity nearest rounding gives was rounded up
+    overflowed = 0
+    for a, b in hard_pairs(op):
+        if b.is_zero:
+            continue
+        q = EXACT[op](a.to_rational(), b.to_rational())
+        flagged = _point_op64(op, a, b)
+        if flagged is None:
+            assert abs(q) < F(TINY), (a, op, b)
+        elif flagged[0].is_inf:
+            assert flagged == (Fp.inf(BINARY64, q < 0), RoundFlag.ROUNDED_UP), (a, op, b)
+            overflowed += 1
+    assert overflowed >= 20
 
 
 def test_point_op_rejects_mixed_formats(toy):

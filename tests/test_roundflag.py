@@ -1,6 +1,5 @@
 """Rounding-flag scheme: the up/truncate table and bound recovery."""
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -143,11 +142,11 @@ def all_words(fmt, max_discarded):
     r = fmt.precision - 1
     for negative in (False, True):
         for b0 in (1, 0):
-            for kept in itertools.product((0, 1), repeat=r):
+            for kept in range(1 << r):
                 for k in range(1, max_discarded + 1):
-                    for dropped in itertools.product((0, 1), repeat=k):
-                        bits = (b0,) + kept + dropped
-                        w = PreRoundedWord(negative, bits, r)
+                    for dropped in range(1 << k):
+                        sig = (((b0 << r) | kept) << k) | dropped
+                        w = PreRoundedWord(negative, sig, r + k, r)
                         exponents = (
                             range(fmt.e_min, fmt.e_max + 1) if b0 else (fmt.e_min,)
                         )
@@ -199,3 +198,32 @@ def test_attach_exponent_enforces_its_placement(toy):
             attach_exponent(one, e, toy)
     with pytest.raises(ValueError, match="only at"):
         attach_exponent(zero_lead, toy.e_min + 1, toy)
+
+
+@pytest.mark.parametrize("descriptor", ["p3e-2:3", "p3e-2:3ns", "p4e-3:3"])
+def test_attach_exponent_places_every_word_as_its_value(descriptor):
+    # placing the significand agrees with rounding the word's exact value:
+    # a zero keeps the word's sign, a carry past e_max saturates, and a 0.
+    # word that is not zero has no place in a format without subnormals
+    fmt = parse_format(descriptor)
+    M = fmt.max_finite().to_rational()
+    placed = refused = 0
+    for w, e in all_words(fmt, 4):
+        rounded = apply_flagged_round(w)
+        mag = rounded.magnitude() * F(2) ** e
+        try:
+            if mag == 0:
+                want = Fp.zero(fmt, rounded.negative)
+            elif mag > M:
+                want = Fp.inf(fmt, rounded.negative)
+            else:
+                want = Fp.from_exact(fmt, -mag if rounded.negative else mag)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                attach_exponent(rounded, e, fmt)
+            assert str(info.value) == str(exc), (w, e)
+            refused += 1
+            continue
+        assert attach_exponent(rounded, e, fmt) == want, (w, e)
+        placed += 1
+    assert refused == (0 if fmt.subnormals else 180) and placed > 1000
