@@ -27,8 +27,9 @@ than its digits.
 
 Subcommands: ``eval`` an expression, ``check`` a format against the
 independent oracle and the directed-rounding conformance suite, ``report``
-the special-operand identity table, ``flagdemo`` the rounding-flag scheme,
-and a line-oriented ``repl``.
+the special-operand identity table (exit 1 if a record's interval is not the
+one its text states), ``flagdemo`` the rounding-flag scheme, and a
+line-oriented ``repl``.
 """
 
 from __future__ import annotations
@@ -374,21 +375,25 @@ def _cmd_check(args, fmt: FloatFormat, mode: ZeroMode, seed: int) -> int:
 def _cmd_report(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
     rows = deviation_report(fmt)  # catalog identities of both zero modes
     header = ("name", "pattern", "group", "mode", "expected", "operands", "ieee",
-              "interval", "classification")
+              "interval", "classification", "holds")
     table = [
         (r.name, r.pattern, r.group, r.mode.value, r.expr, r.operands, r.ieee,
-         r.interval, r.classification.value)
+         r.interval, r.classification.value, "yes" if r.holds else "no")
         for r in rows
     ]
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(table)
-        return 0
-    widths = [max(len(row[i]) for row in [header] + table) for i in range(len(header))]
-    for row in [header] + table:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return 0
+    else:
+        widths = [max(len(row[i]) for row in [header] + table) for i in range(len(header))]
+        for row in [header] + table:
+            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    failed = [r.name for r in rows if not r.holds]
+    if failed:
+        print(f"error: the interval is not the expected one for {', '.join(failed)}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_flagdemo(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
@@ -480,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="pair count for non-enumerable formats")
     p_check.set_defaults(func=_cmd_check)
 
-    p_report = sub.add_parser("report", help="emit the special-operand identity table")
+    p_report = sub.add_parser("report", help="emit and check the special-operand identity table")
     p_report.add_argument("--format", help="format descriptor")
     p_report.add_argument("--csv", action="store_true", help="machine-readable output")
     p_report.set_defaults(func=_cmd_report)

@@ -397,11 +397,13 @@ class ReportRow:
     ieee: str
     interval: str
     classification: Classification
+    holds: bool  # the interval equals the record's expected text
 
 
 def deviation_report(fmt: FloatFormat) -> list[ReportRow]:
     """One row per catalog identity: representative operands, the IEEE
-    result, the interval result, and how the two relate.  An identity whose
+    result, the interval result, how the two relate, and whether the
+    interval is the one the record's text states.  An identity whose
     operand class has no member in the format has no row."""
     rows = []
     for rec in identity_catalog():
@@ -423,6 +425,7 @@ def deviation_report(fmt: FloatFormat) -> list[ReportRow]:
                 str(ieee),
                 str(interval_result),
                 cls,
+                interval_result == rec.expected(fmt, a),
             )
         )
     return rows

@@ -30,8 +30,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fpformat import (BINARY64, FloatFormat, Fp, FpKind, RoundFlag, _EXACT, _NOT_ROUNDED_UP,
-                       _ROUNDED_UP, _bracket_side, _nearest, recover_bounds, value_cmp)
+from .fpformat import (BINARY64, FloatFormat, Fp, RoundFlag, _EXACT, _FINITE, _NOT_ROUNDED_UP,
+                       _ROUNDED_UP, _ZERO, _bracket_side, _nearest, recover_bounds,
+                       value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -87,9 +88,9 @@ class ExtInterval:
         """Build a non-empty interval from bounds known to be valid (one
         format, no NaN, lo <= hi, no +inf below or -inf above) without
         checking them; zero bounds are normalised to +0."""
-        if lo.kind is FpKind.ZERO and lo.negative:
+        if lo.kind is _ZERO and lo.negative:
             lo = Fp.zero(lo.fmt)
-        if hi.kind is FpKind.ZERO and hi.negative:
+        if hi.kind is _ZERO and hi.negative:
             hi = Fp.zero(hi.fmt)
         return ExtInterval(lo.fmt, lo, hi)
 
@@ -130,7 +131,7 @@ class ExtInterval:
         # zero bounds are stored as +0, so the sign bits decide
         return (
             not self.is_empty
-            and (self.lo.negative or self.lo.kind is FpKind.ZERO)
+            and (self.lo.negative or self.lo.kind is _ZERO)
             and not self.hi.negative
         )
 
@@ -183,7 +184,7 @@ def _bound_str(x: Fp) -> str:
 
 Bound = tuple[int, int]
 
-_ZERO: Bound = (0, 1)
+_ZERO_BOUND: Bound = (0, 1)
 _MINUS_INF: Bound = (-1, 0)
 _PLUS_INF: Bound = (1, 0)
 
@@ -191,12 +192,12 @@ _PLUS_INF: Bound = (1, 0)
 def _bound(x: Fp) -> Bound:
     """Exact value of an interval bound, read from its significand and
     exponent; a format value's denominator is a power of two."""
-    if x.kind is FpKind.FINITE:
+    if x.kind is _FINITE:
         s = x.e - x.fmt.precision + 1
         c = -x.c if x.negative else x.c
         return (c << s, 1) if s >= 0 else (c, 1 << -s)
-    if x.kind is FpKind.ZERO:
-        return _ZERO
+    if x.kind is _ZERO:
+        return _ZERO_BOUND
     return _MINUS_INF if x.negative else _PLUS_INF
 
 
@@ -224,7 +225,7 @@ def _mul_bound(a: Bound, b: Bound) -> Bound:
     an, ad = a
     bn, bd = b
     if an == 0 or bn == 0:
-        return _ZERO
+        return _ZERO_BOUND
     if ad == 0 or bd == 0:
         return _signed_inf(an, bn)
     return an * bn, ad * bd
@@ -235,7 +236,7 @@ def _div_bound(a: Bound, b: Bound) -> Bound:
     an, ad = a
     bn, bd = b
     if bd == 0:
-        return _ZERO
+        return _ZERO_BOUND
     if ad == 0:
         return _signed_inf(an, bn)
     if bn < 0:
@@ -437,7 +438,7 @@ def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
     _check_pair(x, y)
     if x.is_empty or y.is_empty:
         return ExtInterval.empty(x.fmt)
-    if x.lo is x.hi and y.lo is y.hi and y.lo.kind is not FpKind.ZERO:
+    if x.lo is x.hi and y.lo is y.hi and y.lo.kind is not _ZERO:
         return point_op(OpKind.DIV, x.lo, y.lo)
     xl, yl, xh, yh = _bound(x.lo), _bound(y.lo), _bound(x.hi), _bound(y.hi)
     # a bound's sign is the sign of its numerator

@@ -12,24 +12,31 @@ The identity catalog records the special-operand formulas this semantics
 produces, parametric in the format constants m (least positive value) and
 M (greatest finite value), so they can be instantiated and checked on any
 format.  Each record's operation and operands are read from its pattern
-(``+inf / -inf``, ``a * +inf (0 < a < 1)``): ``a`` is the free operand and
-every other operand is the text of a float (`Fp.from_text`).
+(``+inf / -inf``, ``a * +inf (0 < a < 1)``): ``a`` is the free operand,
+ranging over the class the parenthesised condition names, and every other
+operand is the text of a float (`Fp.from_text`).  The expected interval is
+read from the record's text alone: ``empty``, or ``[lo, hi]`` with a side at
+an infinity written open, each finite side an expression over m, M and a in
+integers, ``+ - * /``, unary minus, ``min``, ``rd`` and ``ru`` (round down /
+up), evaluated in exact rationals and rounded outward once.
 """
 
 from __future__ import annotations
 
+import ast
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .fpformat import (
     DomainError,
     EnumerationLimitError,
     FloatFormat,
     Fp,
-    FpKind,
     RoundingDirection,
     _FINITE,
     value_cmp,
@@ -59,7 +66,7 @@ class ZeroMode(Enum):
 
 def interpret(x: Fp, mode: ZeroMode) -> ExtInterval:
     """The set of reals a float stands for."""
-    if x.kind is FpKind.FINITE:
+    if x.kind is _FINITE:
         return ExtInterval.unchecked(x, x)
     return _special_meaning(x, mode)
 
@@ -92,7 +99,7 @@ def represent(x: ExtInterval, mode: ZeroMode) -> Optional[Fp]:
     fmt = x.fmt
     if x.is_empty:
         return Fp.nan(fmt) if mode is ZeroMode.INFINITE else None
-    if x.is_point() and x.lo.kind is FpKind.FINITE:
+    if x.is_point() and x.lo.kind is _FINITE:
         return x.lo
     for candidate in (
         Fp.zero(fmt),
@@ -158,34 +165,74 @@ def same_value(a: Fp, b: Fp) -> bool:
 
 # -- identity catalog ----------------------------------------------------------------
 
-# Operand classes a record may quantify over: each class's predicate and
-# its representative value, which lies in the class.
+# Operand classes, keyed by the condition a pattern gives in parentheses:
+# the class's name, its predicate and its representative value, which lies
+# in the class.
 _CLASSES = {
-    "pos": (lambda q: q > 0, Fraction(2)),
-    "pos<1": (lambda q: 0 < q < 1, Fraction(1, 2)),
-    "pos>=1": (lambda q: q >= 1, Fraction(2)),
-    "nonzero": (lambda q: q != 0, Fraction(2)),
+    "finite positive a": ("pos", lambda q: q > 0, Fraction(2)),
+    "0 < a < 1": ("pos<1", lambda q: 0 < q < 1, Fraction(1, 2)),
+    "a >= 1": ("pos>=1", lambda q: q >= 1, Fraction(2)),
+    "finite nonzero a": ("nonzero", lambda q: q != 0, Fraction(2)),
 }
+
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+          ast.Div: operator.truediv}
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
     """One special-operand identity: an operand pattern, the zero mode it
-    lives in, and the expected interval as a format-parametric expression
-    (rd/ru denote rounding down/up in the active format)."""
+    lives in, and the expected interval as a format-parametric text.
+
+    The text is ``empty`` or ``[lo, hi]``, with a side at an infinity
+    written open: ``(-inf`` or ``+inf)``.  A finite side is an expression
+    over m (least positive value), M (greatest finite value) and the free
+    operand a, using integers, ``+ - * /``, unary minus, ``min``, and
+    ``rd`` / ``ru`` (round down / up in the format)."""
 
     name: str
     pattern: str
     mode: ZeroMode
     group: str  # "redefined" | "formerly-nan" | "exact-zeros"
-    operand_class: Optional[str]
     expr_text: str
-    expected: Callable[[FloatFormat, Optional[Fp]], ExtInterval]
 
     @property
     def op(self) -> OpKind:
         """The operation: the pattern's second token."""
         return OpKind(self.pattern.split()[1])
+
+    @property
+    def operand_class(self) -> Optional[str]:
+        """Name of the class the free operand ranges over, read from the
+        pattern's condition; None for fixed patterns."""
+        cls = self._class()
+        return None if cls is None else cls[0]
+
+    def _class(self):
+        condition = self.pattern.partition("(")[2].rstrip(")")
+        return _CLASSES[condition] if condition else None
+
+    def expected(self, fmt: FloatFormat, a: Optional[Fp] = None) -> ExtInterval:
+        """The text's interval in fmt with a as the free operand: each side
+        is evaluated in exact rationals and rounded outward once.  Only the
+        format constants and `FloatFormat.round` are used, never an
+        interval operation, so the record is evidence independent of the
+        bound recipes."""
+        if self.expr_text == "empty":
+            return ExtInterval.empty(fmt)
+        names = {
+            "m": fmt.min_pos().to_rational(),
+            "M": fmt.max_finite().to_rational(),
+            "a": None if a is None else a.to_rational(),
+            "inf": math.inf,
+            "min": min,
+            "rd": lambda q: _ext_value(fmt.round(q, _DOWN)),
+            "ru": lambda q: _ext_value(fmt.round(q, _UP)),
+        }
+        lo, hi = ast.parse(self.expr_text[1:-1], mode="eval").body.elts
+        return ExtInterval.make(
+            _outward(fmt, _exact(lo, names), _DOWN), _outward(fmt, _exact(hi, names), _UP)
+        )
 
     def make_operands(self, fmt: FloatFormat, a: Optional[Fp]) -> tuple[Fp, Fp]:
         """The pattern's two operands in fmt, with a as the free operand."""
@@ -198,13 +245,12 @@ class IdentityRecord:
         Enumerable formats yield every matching finite value; larger ones a
         fixed representative spread, including the values where division
         formulas change character (a near m*M)."""
-        if self.operand_class is None:
+        cls = self._class()
+        if cls is None:
             return [None]
-        pred = _CLASSES[self.operand_class][0]
+        pred = cls[1]
         try:
-            values = [
-                v for v in fmt.enumerate() if v.kind is FpKind.FINITE and pred(v.to_rational())
-            ]
+            values = [v for v in fmt.enumerate() if v.kind is _FINITE and pred(v.to_rational())]
         except EnumerationLimitError:
             m = fmt.min_pos().to_rational()
             big = fmt.max_finite().to_rational()
@@ -230,192 +276,74 @@ class IdentityRecord:
         return values
 
 
-def _rd(fmt: FloatFormat, q: Fraction) -> Fp:
-    return fmt.round(q, RoundingDirection.TO_NEG_INF)
+_DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
 
 
-def _ru(fmt: FloatFormat, q: Fraction) -> Fp:
-    return fmt.round(q, RoundingDirection.TO_POS_INF)
+def _ext_value(x: Fp) -> Fraction | float:
+    """A rounded value: an exact rational, or a float infinity used as a
+    symbol where the rounding overflowed."""
+    return (-math.inf if x.negative else math.inf) if x.is_inf else x.to_rational()
 
 
-def _m(fmt: FloatFormat) -> Fraction:
-    return fmt.min_pos().to_rational()
+def _outward(fmt: FloatFormat, v: Fraction | float, direction: RoundingDirection) -> Fp:
+    return Fp.inf(fmt, negative=v < 0) if isinstance(v, float) else fmt.round(v, direction)
 
 
-def _M(fmt: FloatFormat) -> Fraction:
-    return fmt.max_finite().to_rational()
-
-
-def _up_from(fmt, lo: Fp) -> ExtInterval:
-    return ExtInterval.make(lo, Fp.inf(fmt))
-
-
-def _min_fp(a: Fp, b: Fp) -> Fp:
-    return a if value_cmp(a, b) <= 0 else b
-
-
-def _pos_inf_meaning(fmt: FloatFormat, _a=None) -> ExtInterval:
-    return ExtInterval.make(fmt.max_finite(), Fp.inf(fmt))
-
-
-def _neg_inf_meaning(fmt: FloatFormat, _a=None) -> ExtInterval:
-    return ExtInterval.make(Fp.inf(fmt, negative=True), -fmt.max_finite())
-
-
-def _nonneg_halfline(fmt: FloatFormat, _a=None) -> ExtInterval:
-    return ExtInterval.make(Fp.zero(fmt), Fp.inf(fmt))
-
-
-def _nonpos_halfline(fmt: FloatFormat, _a=None) -> ExtInterval:
-    return ExtInterval.make(Fp.inf(fmt, negative=True), Fp.zero(fmt))
-
-
-def _zero_point(fmt: FloatFormat, _a=None) -> ExtInterval:
-    return ExtInterval.point(Fp.zero(fmt))
-
-
-def _empty(fmt: FloatFormat, _a=None) -> ExtInterval:
-    return ExtInterval.empty(fmt)
-
-
-def _full(fmt: FloatFormat, _a=None) -> ExtInterval:
-    return ExtInterval.full_line(fmt)
+def _exact(node: ast.AST, names: dict) -> Fraction | float:
+    """Value of one side of a record's text, walked node by node."""
+    match node:
+        case ast.Constant(value=int(n)):
+            return Fraction(n)
+        case ast.Name(id=name):
+            return names[name]
+        case ast.UnaryOp(op=ast.USub(), operand=x):
+            return -_exact(x, names)
+        case ast.UnaryOp(op=ast.UAdd(), operand=x):
+            return _exact(x, names)
+        case ast.BinOp(left=x, op=op, right=y) if type(op) in _ARITH:
+            return _ARITH[type(op)](_exact(x, names), _exact(y, names))
+        case ast.Call(func=ast.Name(id=name), args=args, keywords=[]):
+            return names[name](*(_exact(x, names) for x in args))
+    raise ValueError(f"unsupported catalog syntax: {ast.unparse(node)}")
 
 
 def _build_catalog() -> tuple[IdentityRecord, ...]:
     F, I = ZeroMode.FINITE, ZeroMode.INFINITE
     records = [
         # --- operations IEEE defines whose meaning is re-derived ---
-        IdentityRecord(
-            "inf-mul-inf", "+inf * +inf", F, "redefined", None,
-            "[M, +inf)",
-            _pos_inf_meaning,
-        ),
-        IdentityRecord(
-            "inf-mul-neginf", "+inf * -inf", F, "redefined", None,
-            "(-inf, -M]",
-            _neg_inf_meaning,
-        ),
-        IdentityRecord(
-            "a-mul-inf-ge1", "a * +inf (a >= 1)", F, "redefined", "pos>=1",
-            "[M, +inf)",
-            _pos_inf_meaning,
-        ),
-        IdentityRecord(
-            "a-mul-inf-lt1", "a * +inf (0 < a < 1)", F, "redefined", "pos<1",
-            "[rd(a*M), +inf)",
-            lambda fmt, a: _up_from(fmt, _rd(fmt, a.to_rational() * _M(fmt))),
-        ),
-        IdentityRecord(
-            "inf-add-inf", "+inf + +inf", F, "redefined", None,
-            "[M, +inf)",
-            _pos_inf_meaning,
-        ),
-        IdentityRecord(
-            "a-add-inf", "a + +inf (finite nonzero a)", F, "redefined", "nonzero",
-            "[min(rd(a+M), M), +inf)",
-            lambda fmt, a: _up_from(
-                fmt, _min_fp(_rd(fmt, a.to_rational() + _M(fmt)), fmt.max_finite())
-            ),
-        ),
-        IdentityRecord(
-            "poszero-add-poszero", "+0 + +0", F, "redefined", None,
-            "[0, ru(2m)]",
-            lambda fmt, _a: ExtInterval.make(Fp.zero(fmt), _ru(fmt, 2 * _m(fmt))),
-        ),
-        IdentityRecord(
-            "poszero-add-negzero", "+0 + -0", F, "redefined", None,
-            "[-m, m]",
-            lambda fmt, _a: ExtInterval.make(-fmt.min_pos(), fmt.min_pos()),
-        ),
-        IdentityRecord(
-            "a-div-inf", "a / +inf (finite positive a)", F, "redefined", "pos",
-            "[0, ru(a/M)]",
-            lambda fmt, a: ExtInterval.make(
-                Fp.zero(fmt), _ru(fmt, a.to_rational() / _M(fmt))
-            ),
-        ),
-        IdentityRecord(
-            "inf-div-a", "+inf / a (finite positive a)", F, "redefined", "pos",
-            "[min(M, rd(M/a)), +inf)",
-            lambda fmt, a: _up_from(
-                fmt, _min_fp(fmt.max_finite(), _rd(fmt, _M(fmt) / a.to_rational()))
-            ),
-        ),
-        IdentityRecord(
-            "inf-div-poszero", "+inf / +0", F, "redefined", None,
-            "[rd(M/m), +inf) = [M, +inf)",
-            lambda fmt, _a: _up_from(fmt, _rd(fmt, _M(fmt) / _m(fmt))),
-        ),
-        IdentityRecord(
-            "a-div-poszero", "a / +0 (finite positive a)", F, "redefined", "pos",
-            "[rd(a/m), +inf)",
-            lambda fmt, a: _up_from(fmt, _rd(fmt, a.to_rational() / _m(fmt))),
-        ),
+        ("inf-mul-inf", "+inf * +inf", F, "redefined", "[rd(M*M), +inf)"),
+        ("inf-mul-neginf", "+inf * -inf", F, "redefined", "(-inf, -rd(M*M)]"),
+        ("a-mul-inf-ge1", "a * +inf (a >= 1)", F, "redefined", "[M, +inf)"),
+        ("a-mul-inf-lt1", "a * +inf (0 < a < 1)", F, "redefined", "[rd(a*M), +inf)"),
+        ("inf-add-inf", "+inf + +inf", F, "redefined", "[M, +inf)"),
+        ("a-add-inf", "a + +inf (finite nonzero a)", F, "redefined",
+         "[min(rd(a+M), M), +inf)"),
+        ("poszero-add-poszero", "+0 + +0", F, "redefined", "[0, ru(2*m)]"),
+        ("poszero-add-negzero", "+0 + -0", F, "redefined", "[-m, m]"),
+        ("a-div-inf", "a / +inf (finite positive a)", F, "redefined", "[0, ru(a/M)]"),
+        ("inf-div-a", "+inf / a (finite positive a)", F, "redefined",
+         "[min(M, rd(M/a)), +inf)"),
+        ("inf-div-poszero", "+inf / +0", F, "redefined", "[rd(M/m), +inf)"),
+        ("a-div-poszero", "a / +0 (finite positive a)", F, "redefined", "[rd(a/m), +inf)"),
         # --- operations IEEE leaves undefined (NaN) ---
-        IdentityRecord(
-            "zero-mul-inf", "+0 * +inf", F, "formerly-nan", None,
-            "[0, +inf)",
-            _nonneg_halfline,
-        ),
-        IdentityRecord(
-            "inf-div-inf", "+inf / +inf", F, "formerly-nan", None,
-            "[0, +inf)",
-            _nonneg_halfline,
-        ),
-        IdentityRecord(
-            "inf-div-neginf", "+inf / -inf", F, "formerly-nan", None,
-            "(-inf, 0]",
-            _nonpos_halfline,
-        ),
-        IdentityRecord(
-            "neginf-div-neginf", "-inf / -inf", F, "formerly-nan", None,
-            "[0, +inf)",
-            _nonneg_halfline,
-        ),
+        ("zero-mul-inf", "+0 * +inf", F, "formerly-nan", "[0, +inf)"),
+        ("inf-div-inf", "+inf / +inf", F, "formerly-nan", "[0, +inf)"),
+        ("inf-div-neginf", "+inf / -inf", F, "formerly-nan", "(-inf, 0]"),
+        ("neginf-div-neginf", "-inf / -inf", F, "formerly-nan", "[0, +inf)"),
         # Note: the divisor set [0, m] admits the witness y = 0 with x = 0,
         # so the relational solution set is the whole line (the same witness
         # that makes [0,0]/[0,0] the whole line in exact-zero mode); the
         # quotients alone would only cover [0, +inf).
-        IdentityRecord(
-            "poszero-div-poszero", "+0 / +0", F, "formerly-nan", None,
-            "(-inf, +inf)",
-            _full,
-        ),
-        IdentityRecord(
-            "inf-sub-inf", "+inf - +inf", F, "formerly-nan", None,
-            "(-inf, +inf)",
-            _full,
-        ),
+        ("poszero-div-poszero", "+0 / +0", F, "formerly-nan", "(-inf, +inf)"),
+        ("inf-sub-inf", "+inf - +inf", F, "formerly-nan", "(-inf, +inf)"),
         # --- the zero-involving formulas under exact (point) zeros ---
-        IdentityRecord(
-            "poszero-add-poszero-exact", "+0 + +0", I, "exact-zeros", None,
-            "[0, 0]",
-            _zero_point,
-        ),
-        IdentityRecord(
-            "poszero-add-negzero-exact", "+0 + -0", I, "exact-zeros", None,
-            "[0, 0]",
-            _zero_point,
-        ),
-        IdentityRecord(
-            "inf-div-poszero-exact", "+inf / +0", I, "exact-zeros", None,
-            "empty",
-            _empty,
-        ),
-        IdentityRecord(
-            "a-div-poszero-exact", "a / +0 (finite positive a)", I,
-            "exact-zeros", "pos",
-            "empty",
-            _empty,
-        ),
-        IdentityRecord(
-            "zero-mul-inf-exact", "+0 * +inf", I, "exact-zeros", None,
-            "[0, 0]",
-            _zero_point,
-        ),
+        ("poszero-add-poszero-exact", "+0 + +0", I, "exact-zeros", "[0, 0]"),
+        ("poszero-add-negzero-exact", "+0 + -0", I, "exact-zeros", "[0, 0]"),
+        ("inf-div-poszero-exact", "+inf / +0", I, "exact-zeros", "empty"),
+        ("a-div-poszero-exact", "a / +0 (finite positive a)", I, "exact-zeros", "empty"),
+        ("zero-mul-inf-exact", "+0 * +inf", I, "exact-zeros", "[0, 0]"),
     ]
-    return tuple(records)
+    return tuple(IdentityRecord(*record) for record in records)
 
 
 _CATALOG = _build_catalog()
@@ -432,10 +360,11 @@ def representative_operand(rec: IdentityRecord, fmt: FloatFormat) -> Optional[Fp
     below-one branch, 2 otherwise, falling back to the first value of the
     class the format offers.  None for fixed patterns, and for a class with
     no member in the format."""
-    if rec.operand_class is None:
+    cls = rec._class()
+    if cls is None:
         return None
     try:
-        return Fp.from_exact(fmt, _CLASSES[rec.operand_class][1])
+        return Fp.from_exact(fmt, cls[2])
     except ValueError:
         candidates = rec.operand_candidates(fmt)
         return candidates[0] if candidates else None

@@ -1,5 +1,6 @@
 """Expression language and the command-line surface."""
 
+import csv
 import io
 import time
 from fractions import Fraction as F
@@ -273,6 +274,29 @@ def test_cmd_report_leaves_out_empty_operand_classes(capsys):
     from intervalfp import identity_catalog
 
     assert {rec.name for rec in identity_catalog()} - names == {"a-mul-inf-lt1"}
+
+
+def test_cmd_report_checks_each_record(capsys, monkeypatch):
+    # a record restored to the old text [M, +inf) for +inf * +inf is wrong
+    # where M < 1: on p2e-6:-6 the product of the tails reaches down to 0
+    from dataclasses import replace
+
+    from intervalfp import semantics
+
+    assert main(["report", "--format", "p2e-6:-6", "--csv"]) == 0
+    capsys.readouterr()
+    wrong = tuple(
+        replace(rec, expr_text="[M, +inf)") if rec.name == "inf-mul-inf" else rec
+        for rec in semantics.identity_catalog()
+    )
+    monkeypatch.setattr(semantics, "_CATALOG", wrong)
+    assert main(["report", "--format", "p2e-6:-6", "--csv"]) == 1
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [row["name"] for row in rows if row["holds"] != "yes"] == ["inf-mul-inf"]
+    assert "inf-mul-inf" in captured.err
+    assert main(["report", "--format", "p2e-6:-6"]) == 1
+    assert " no\n" in capsys.readouterr().out
 
 
 def test_cmd_flagdemo(capsys):

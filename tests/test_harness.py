@@ -135,6 +135,7 @@ def test_report_covers_catalog(toy):
         for rec, row in zip(identity_catalog(), deviation_report(fmt), strict=True):
             assert row.name == rec.name
             assert row.interval == str(rec.expected(fmt, representative_operand(rec, fmt)))
+            assert row.holds
     assert by_name["inf-sub-inf"].ieee == "nan"
     assert by_name["inf-sub-inf"].interval == "(-inf, +inf)"
     assert by_name["inf-sub-inf"].classification is Classification.NEWLY_DEFINED

@@ -18,6 +18,7 @@ from intervalfp import (
     fp_scalar_op,
     identity_catalog,
     interpret,
+    parse_format,
     parse_interval,
     represent,
 )
@@ -158,12 +159,30 @@ def test_catalog_shape():
     assert groups == {"redefined": 12, "formerly-nan": 6, "exact-zeros": 5}
     assert len({rec.name for rec in cat}) == 23
     assert all(rec.mode is INF for rec in cat if rec.group == "exact-zeros")
+    assert {rec.operand_class for rec in cat} == {None, "pos", "pos<1", "pos>=1", "nonzero"}
 
 
-@pytest.mark.parametrize("fmt_name", ["p3e-2:3", "p4e-3:3", "p2e0:0ns"])
+# Formats on which the catalog's formulas change character: the greatest
+# finite value M below one, the least positive value m above one, m*M on
+# either side of one (m*M = (2**p - 1) * 2**k is never 1), precision 2, and
+# formats with and without subnormals.
+CATALOG_FORMATS = ["p3e-2:3", "p4e-3:3", "p2e0:0ns", "p2e-6:-6", "p3e-4:-1",
+                   "p2e-1:-1ns", "p2e2:4ns", "p3e0:2", "p3e-2:3ns"]
+
+
+def _shapes(fmt):
+    m, M = fmt.min_pos().to_rational(), fmt.max_finite().to_rational()
+    cases = {"M < 1": M < 1, "m > 1": m > 1, "m*M < 1": m * M < 1, "m*M > 1": m * M > 1,
+             "p = 2": fmt.precision == 2, "subnormals": fmt.subnormals,
+             "no subnormals": not fmt.subnormals}
+    return {case for case, holds in cases.items() if holds}
+
+
+@pytest.mark.parametrize("fmt_name", CATALOG_FORMATS)
 def test_catalog_identities_exhaustive_on_toys(fmt_name):
-    from intervalfp import parse_format
-
+    covered = set().union(*(_shapes(parse_format(name)) for name in CATALOG_FORMATS))
+    assert covered == {"M < 1", "m > 1", "m*M < 1", "m*M > 1", "p = 2", "subnormals",
+                       "no subnormals"}
     fmt = parse_format(fmt_name)
     for rec in identity_catalog():
         for a in rec.operand_candidates(fmt):
@@ -181,6 +200,15 @@ def test_catalog_named_examples(toy):
     assert str(rec.expected(toy, a)) == "[0, 0.1875]"
     rec = by_name["neginf-div-neginf"]
     assert str(rec.expected(toy, None)) == "[0, +inf)"
+    # m > 1: M/m rounds down to 6 while M is 24
+    assert str(by_name["inf-div-poszero"].expected(parse_format("p2e2:4ns"))) == (
+        "[6, +inf)"
+    )
+    # M < 1: the product of two tails [M, +inf) reaches down to M*M, which
+    # rounds down to 0
+    tiny_range = parse_format("p2e-6:-6")
+    assert str(by_name["inf-mul-inf"].expected(tiny_range)) == "[0, +inf)"
+    assert str(by_name["inf-mul-neginf"].expected(tiny_range)) == "(-inf, 0]"
 
 
 def test_catalog_on_binary64_expressible_operands():
