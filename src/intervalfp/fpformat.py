@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import re
-import struct
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -72,7 +71,7 @@ class RoundFlag(Enum):
 
 
 # An Enum member read through its class costs about 0.1 us on CPython 3.11,
-# so the per-op paths read these module names instead.
+# so the code reads these module names instead.
 _FINITE, _ZERO, _INF, _NAN = FpKind.FINITE, FpKind.ZERO, FpKind.INF, FpKind.NAN
 _ROUNDED_UP, _NOT_ROUNDED_UP, _EXACT = RoundFlag.ROUNDED_UP, RoundFlag.NOT_ROUNDED_UP, RoundFlag.EXACT
 
@@ -152,17 +151,12 @@ class FloatFormat:
         half = 1 << (self.precision - 1)
         pos = []
         if self.subnormals:
-            pos.extend(Fp(self, FpKind.FINITE, False, c, self.e_min) for c in range(1, half))
+            pos.extend(Fp(self, _FINITE, False, c, self.e_min) for c in range(1, half))
         for e in range(self.e_min, self.e_max + 1):
-            pos.extend(Fp(self, FpKind.FINITE, False, c, e) for c in range(half, 2 * half))
+            pos.extend(Fp(self, _FINITE, False, c, e) for c in range(half, 2 * half))
         neg = [-x for x in reversed(pos)]
-        return (
-            [Fp.inf(self, negative=True)]
-            + neg
-            + [Fp.zero(self, negative=True), Fp.zero(self)]
-            + pos
-            + [Fp.inf(self)]
-        )
+        return [Fp(self, _INF, True), *neg, Fp(self, _ZERO, True), Fp(self, _ZERO), *pos,
+                Fp(self, _INF)]
 
     # -- text form -----------------------------------------------------------
 
@@ -190,8 +184,20 @@ def parse_format(text: str) -> FloatFormat:
     return FloatFormat(int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4) is None)
 
 
-@dataclass(frozen=True, slots=True)
-class Fp:
+class _FpFields(NamedTuple):
+    fmt: FloatFormat
+    kind: FpKind
+    negative: bool = False
+    c: int = 0
+    e: int = 0
+
+
+def _unsupported(self, other):
+    """An operator the tuple underneath would otherwise apply (<, +, *)."""
+    return NotImplemented
+
+
+class Fp(_FpFields):
     """One datum of a format: a finite nonzero value, a zero, an infinity,
     or NaN.
 
@@ -200,29 +206,32 @@ class Fp:
     satisfy ``value = (-1)**negative * c * 2**(e - p + 1)`` with the
     canonical constraint that c has exactly p bits (normal) or e is the
     minimum exponent and c has fewer (subnormal).  Each representable real
-    has exactly one encoding, so dataclass equality is value identity, with
-    +0 and -0 distinct.
+    has exactly one encoding, so equality of the five fields, which the
+    tuple underneath compares and hashes, is value identity, with +0 and -0
+    distinct.  A value is immutable and unordered, and the tuple's
+    concatenation and repetition do not apply to it.
     """
 
-    fmt: FloatFormat
-    kind: FpKind
-    negative: bool = False
-    c: int = 0
-    e: int = 0
+    __slots__ = ()
+
+    def __init__(self, fmt, kind, negative=False, c=0, e=0):
+        """Every Fp is built through here; the benchmark's object counter and `built` wrap it."""
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(fmt: FloatFormat, negative: bool = False) -> "Fp":
-        return Fp(fmt, FpKind.ZERO, negative)
+        return Fp(fmt, _ZERO, negative)
 
     @staticmethod
     def inf(fmt: FloatFormat, negative: bool = False) -> "Fp":
-        return Fp(fmt, FpKind.INF, negative)
+        return Fp(fmt, _INF, negative)
 
     @staticmethod
     def nan(fmt: FloatFormat) -> "Fp":
-        return Fp(fmt, FpKind.NAN)
+        return Fp(fmt, _NAN)
 
     @staticmethod
     def from_exact(fmt: FloatFormat, q: RationalLike) -> "Fp":
@@ -238,16 +247,19 @@ class Fp:
 
     @staticmethod
     def from_float(fmt: FloatFormat, x: float) -> "Fp":
-        """Encode a host float (exact for binary64)."""
-        if fmt is BINARY64 or fmt == BINARY64:
-            return _fp_from_bits64(fmt, _f64_bits(x))
-        if math.isnan(x):
-            return Fp.nan(fmt)
-        if math.isinf(x):
-            return Fp.inf(fmt, negative=x < 0)
-        if x == 0.0:
-            return Fp.zero(fmt, negative=math.copysign(1.0, x) < 0)
-        return Fp.from_exact(fmt, Fraction(*x.as_integer_ratio()))
+        """Encode a host float (exact for binary64, read through frexp)."""
+        mag = abs(x)
+        if not 0.0 < mag < math.inf:
+            if mag == 0.0:
+                return Fp(fmt, _ZERO, math.copysign(1.0, x) < 0)
+            return Fp(fmt, _INF, x < 0) if mag == math.inf else Fp(fmt, _NAN)
+        if fmt is not BINARY64 and fmt != BINARY64:
+            return Fp.from_exact(fmt, Fraction(*x.as_integer_ratio()))
+        m, e = math.frexp(mag)  # mag = m * 2**e with 1/2 <= m < 1
+        c, e = int(m * 9007199254740992.0), e - 1  # m * 2**53 is exact
+        if e < -1022:  # subnormal: the same value at the least exponent
+            c, e = c >> (-1022 - e), -1022
+        return Fp(fmt, _FINITE, x < 0, c, e)
 
     @staticmethod
     def from_text(fmt: FloatFormat, text: str) -> "Fp":
@@ -272,25 +284,25 @@ class Fp:
 
     @property
     def is_nan(self) -> bool:
-        return self.kind is FpKind.NAN
+        return self.kind is _NAN
 
     @property
     def is_inf(self) -> bool:
-        return self.kind is FpKind.INF
+        return self.kind is _INF
 
     @property
     def is_zero(self) -> bool:
-        return self.kind is FpKind.ZERO
+        return self.kind is _ZERO
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is FpKind.FINITE or self.kind is FpKind.ZERO
+        return self.kind is _FINITE or self.kind is _ZERO
 
     # -- conversions -------------------------------------------------------------
 
     def to_rational(self) -> Fraction:
         """Exact value of a finite datum (both zeros give 0)."""
-        if self.kind is not FpKind.FINITE:
+        if self.kind is not _FINITE:
             if self.is_zero:
                 return Fraction(0)
             raise DomainError(f"{self} has no rational value")
@@ -300,16 +312,12 @@ class Fp:
 
     def to_float(self) -> float:
         """Host-float value (exact when the format fits in binary64)."""
-        k = self.kind
-        if k is _FINITE:
-            mag = math.ldexp(self.c, self.e - self.fmt.precision + 1)
-        elif k is FpKind.ZERO:
-            mag = 0.0
-        elif k is FpKind.INF:
-            mag = math.inf
-        else:
+        fmt, kind, negative, c, e = self
+        if kind is _NAN:
             return math.nan
-        return -mag if self.negative else mag
+        # a zero has c = 0
+        mag = math.inf if kind is _INF else math.ldexp(c, e - fmt.precision + 1)
+        return -mag if negative else mag
 
     # -- neighbours ----------------------------------------------------------------
 
@@ -339,45 +347,46 @@ class Fp:
         past M comes the infinity and past a zero the least positive value.
         Nothing lies past an infinity, so an infinity (or NaN) is returned
         as it is."""
-        fmt = self.fmt
-        if self.kind is not _FINITE:
-            if self.kind is _ZERO:
-                return -_min_pos(fmt) if self.negative else _min_pos(fmt)
+        fmt, kind, negative, c, e = self
+        if kind is not _FINITE:
+            if kind is _ZERO:
+                return -_min_pos(fmt) if negative else _min_pos(fmt)
             return self
-        c, e = self.c + 1, self.e
+        c += 1
         if c == 1 << fmt.precision:
             c, e = 1 << (fmt.precision - 1), e + 1
             if e > fmt.e_max:
-                return Fp.inf(fmt, self.negative)
-        return Fp(fmt, _FINITE, self.negative, c, e)
+                return Fp(fmt, _INF, negative)
+        return Fp(fmt, _FINITE, negative, c, e)
 
     def toward_zero(self) -> "Fp":
         """The neighbour one unit nearer zero, with the same sign: below the
         least positive value comes the zero and below an infinity M.
         Nothing lies nearer zero than a zero, so a zero (or NaN) is
         returned as it is."""
-        fmt = self.fmt
-        if self.kind is not _FINITE:
-            if self.kind is _INF:
-                return -_max_finite(fmt) if self.negative else _max_finite(fmt)
+        fmt, kind, negative, c, e = self
+        if kind is not _FINITE:
+            if kind is _INF:
+                return -_max_finite(fmt) if negative else _max_finite(fmt)
             return self
         half = 1 << (fmt.precision - 1)
-        c, e = self.c - 1, self.e
+        c -= 1
         if c >= half:
-            return Fp(fmt, _FINITE, self.negative, c, e)
+            return Fp(fmt, _FINITE, negative, c, e)
         if e > fmt.e_min:
-            return Fp(fmt, _FINITE, self.negative, 2 * half - 1, e - 1)
+            return Fp(fmt, _FINITE, negative, 2 * half - 1, e - 1)
         if fmt.subnormals and c >= 1:
-            return Fp(fmt, _FINITE, self.negative, c, e)
-        return Fp.zero(fmt, self.negative)
+            return Fp(fmt, _FINITE, negative, c, e)
+        return Fp(fmt, _ZERO, negative)
 
     # -- arithmetic-free helpers ------------------------------------------------------
 
     def __neg__(self) -> "Fp":
         """Flip the sign bit; NaN is unsigned and negates to itself."""
-        if self.kind is FpKind.NAN:
+        fmt, kind, negative, c, e = self
+        if kind is _NAN:
             return self
-        return Fp(self.fmt, self.kind, not self.negative, self.c, self.e)
+        return Fp(fmt, kind, not negative, c, e)
 
     # -- text form ----------------------------------------------------------------------
 
@@ -387,7 +396,7 @@ class Fp:
 
     def hex_str(self) -> str:
         """C-style hex float; subnormals print with a leading 0 digit."""
-        if self.kind is not FpKind.FINITE:
+        if self.kind is not _FINITE:
             raise DomainError(f"{self} has no hex form")
         fmt = self.fmt
         half = 1 << (fmt.precision - 1)
@@ -403,11 +412,11 @@ class Fp:
 
     def __str__(self):
         k = self.kind
-        if k is FpKind.NAN:
+        if k is _NAN:
             return "nan"
-        if k is FpKind.INF:
+        if k is _INF:
             return "-inf" if self.negative else "+inf"
-        if k is FpKind.ZERO:
+        if k is _ZERO:
             return "-0" if self.negative else "+0"
         # the exact decimal when it has at most 20 characters, else hex
         s = self.e - self.fmt.precision + 1
@@ -426,14 +435,14 @@ BINARY64 = FloatFormat(precision=53, e_min=-1022, e_max=1023, subnormals=True)
 
 @lru_cache(maxsize=None)
 def _max_finite(fmt: FloatFormat) -> Fp:
-    return Fp(fmt, FpKind.FINITE, False, (1 << fmt.precision) - 1, fmt.e_max)
+    return Fp(fmt, _FINITE, False, (1 << fmt.precision) - 1, fmt.e_max)
 
 
 @lru_cache(maxsize=None)
 def _min_pos(fmt: FloatFormat) -> Fp:
     if fmt.subnormals:
-        return Fp(fmt, FpKind.FINITE, False, 1, fmt.e_min)
-    return Fp(fmt, FpKind.FINITE, False, 1 << (fmt.precision - 1), fmt.e_min)
+        return Fp(fmt, _FINITE, False, 1, fmt.e_min)
+    return Fp(fmt, _FINITE, False, 1 << (fmt.precision - 1), fmt.e_min)
 
 
 # -- value-order comparison ------------------------------------------------------
@@ -443,12 +452,12 @@ def _value_key(x: Fp) -> tuple[int, int, int]:
     """Integer sort key ordering values of one format (zeros tie): the
     canonical encoding is value-monotone in (e, c), mirrored by the sign."""
     k = x.kind
-    if k is FpKind.ZERO:
+    if k is _ZERO:
         return (0, 0, 0)
-    if k is FpKind.NAN:
+    if k is _NAN:
         raise DomainError("NaN is unordered")
     s = -1 if x.negative else 1
-    if k is FpKind.INF:
+    if k is _INF:
         return (2 * s, 0, 0)
     return (s, s * x.e, s * x.c)
 
@@ -457,30 +466,6 @@ def value_cmp(a: Fp, b: Fp) -> int:
     """Three-way compare by real value; zeros compare equal, NaN is an error."""
     ka, kb = _value_key(a), _value_key(b)
     return (ka > kb) - (ka < kb)
-
-
-# -- binary64 bit bridge -----------------------------------------------------------
-
-
-def _f64_bits(x: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
-
-
-def _fp_from_bits64(fmt: FloatFormat, bits: int) -> Fp:
-    """Decode an IEEE binary64 bit pattern straight into the canonical
-    encoding (no rational bracketing)."""
-    neg = bool(bits >> 63)
-    biased = (bits >> 52) & 0x7FF
-    trailing = bits & ((1 << 52) - 1)
-    if biased == 0x7FF:
-        if trailing:
-            return Fp.nan(fmt)
-        return Fp.inf(fmt, negative=neg)
-    if biased == 0:
-        if trailing == 0:
-            return Fp.zero(fmt, negative=neg)
-        return Fp(fmt, FpKind.FINITE, neg, trailing, fmt.e_min)
-    return Fp(fmt, _FINITE, neg, trailing | (1 << 52), biased - 1023)
 
 
 # -- rounding to nearest, and the bracket from the flag ---------------------------

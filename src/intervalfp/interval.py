@@ -25,14 +25,13 @@ it where the host result cannot decide alone (the list is in `point_op`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .fpformat import (BINARY64, FloatFormat, Fp, RoundFlag, _EXACT, _FINITE, _NOT_ROUNDED_UP,
-                       _ROUNDED_UP, _ZERO, _bracket_side, _nearest, recover_bounds,
-                       value_cmp)
+                       _ROUNDED_UP, _ZERO, _bracket_side, _nearest, _unsupported,
+                       recover_bounds, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -53,17 +52,21 @@ class OpKind(Enum):
 _ADD, _SUB, _MUL = OpKind.ADD, OpKind.SUB, OpKind.MUL
 
 
-def _is_infinite(v: ExtReal) -> bool:
-    return isinstance(v, float)
-
-
-@dataclass(frozen=True)
-class ExtInterval:
-    """Empty, or the reals between two format bounds (closed where finite)."""
-
+class _ExtIntervalFields(NamedTuple):
     fmt: FloatFormat
     lo: Optional[Fp] = None
     hi: Optional[Fp] = None
+
+
+class ExtInterval(_ExtIntervalFields):
+    """Empty, or the reals between two format bounds (closed where finite).
+
+    An immutable, unordered value like `Fp`: the tuple underneath compares
+    and hashes the three fields, and the operators below are interval
+    arithmetic, not the tuple's."""
+
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = __rmul__ = _unsupported
 
     @staticmethod
     def empty(fmt: FloatFormat) -> "ExtInterval":
@@ -92,7 +95,7 @@ class ExtInterval:
             lo = Fp.zero(lo.fmt)
         if hi.kind is _ZERO and hi.negative:
             hi = Fp.zero(hi.fmt)
-        return ExtInterval(lo.fmt, lo, hi)
+        return tuple.__new__(ExtInterval, (lo.fmt, lo, hi))
 
     @staticmethod
     def point(x: Fp) -> "ExtInterval":
@@ -157,14 +160,8 @@ class ExtInterval:
     def __str__(self):
         if self.is_empty:
             return "empty"
-        if self.lo.is_inf:
-            left = "(-inf"
-        else:
-            left = "[" + _bound_str(self.lo)
-        if self.hi.is_inf:
-            right = "+inf)"
-        else:
-            right = _bound_str(self.hi) + "]"
+        left = "(-inf" if self.lo.is_inf else "[" + _bound_str(self.lo)
+        right = "+inf)" if self.hi.is_inf else _bound_str(self.hi) + "]"
         return f"{left}, {right}"
 
     def __repr__(self):
@@ -192,13 +189,14 @@ _PLUS_INF: Bound = (1, 0)
 def _bound(x: Fp) -> Bound:
     """Exact value of an interval bound, read from its significand and
     exponent; a format value's denominator is a power of two."""
-    if x.kind is _FINITE:
-        s = x.e - x.fmt.precision + 1
-        c = -x.c if x.negative else x.c
+    fmt, kind, negative, c, e = x
+    if kind is _FINITE:
+        s = e - fmt.precision + 1
+        c = -c if negative else c
         return (c << s, 1) if s >= 0 else (c, 1 << -s)
-    if x.kind is _ZERO:
+    if kind is _ZERO:
         return _ZERO_BOUND
-    return _MINUS_INF if x.negative else _PLUS_INF
+    return _MINUS_INF if negative else _PLUS_INF
 
 
 def _add_bound(a: Bound, b: Bound) -> Bound:
@@ -279,14 +277,25 @@ def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
     down and the upper bound up, so bounds beyond the finite range become
     infinite (unbounded) sides; an infinite bound stays infinite."""
     lo_fp = Fp.inf(fmt, negative=True) if lo[1] == 0 else _bracket_side(*_nearest(fmt, *lo), False)
-    hi_fp = Fp.inf(fmt) if hi[1] == 0 else _bracket_side(*_nearest(fmt, *hi), True)
+    if hi[1] == 0:
+        hi_fp = Fp.inf(fmt)
+    elif hi[0] < 0 and _below_min_pos(-hi[0], hi[1], fmt):
+        hi_fp = Fp(fmt, _ZERO)  # nothing lies in (-min_pos, 0): a zero, stored as +0
+    else:
+        hi_fp = _bracket_side(*_nearest(fmt, *hi), True)
     return ExtInterval.unchecked(lo_fp, hi_fp)
+
+
+def _below_min_pos(num: int, den: int, fmt: FloatFormat) -> bool:
+    """num/den (both > 0) lies below the least positive format value 2**k."""
+    k = fmt.e_min - fmt.precision + 1 if fmt.subnormals else fmt.e_min
+    return (num << -k) < den if k < 0 else num < (den << k)
 
 
 def hull(lo: ExtReal, hi: ExtReal, fmt: FloatFormat) -> ExtInterval:
     """`_round_out` of rational bounds: an infinite lo means -inf and an
     infinite hi +inf."""
-    lo_inf, hi_inf = _is_infinite(lo), _is_infinite(hi)
+    lo_inf, hi_inf = isinstance(lo, float), isinstance(hi, float)
     if not lo_inf and not hi_inf and lo > hi:
         raise ValueError(f"hull of reversed bounds {lo} > {hi}")
     return _round_out(
@@ -331,7 +340,8 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
         flagged = _point_op64(op, a, b)
         if flagged is not None:
             # r is normal or infinite, so neither bound is a zero to normalise
-            return ExtInterval(fmt, *recover_bounds(*flagged))
+            lo, hi = recover_bounds(*flagged)
+            return tuple.__new__(ExtInterval, (fmt, lo, hi))
     pa, pb = _bound(a), _bound(b)
     if op is _ADD:
         p = _add_bound(pa, pb)
@@ -348,8 +358,11 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[tuple[Fp, RoundFlag]]:
     """(nearest, flag) of a op b on host floats, or None where the exact
     core must decide: r is the nearest result, and its magnitude was
     rounded up when |a op b| < |r|."""
-    fmt = a.fmt
-    xa, xb = a.to_float(), b.to_float()
+    # one unpacking costs less than five field reads; an operand on the host
+    # is c * 2**(e - 52), and a zero has c = 0
+    fmt, _, na, ca, ea = a
+    _, _, nb, cb, eb = b
+    xa, xb = math.ldexp(-ca if na else ca, ea - 52), math.ldexp(-cb if nb else cb, eb - 52)
     if op is _ADD or op is _SUB:
         if op is _SUB:
             xb = -xb
@@ -363,7 +376,7 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[tuple[Fp, RoundFlag]]:
         err = (xa - (r - t)) + (xb - t)
         near = Fp.from_float(fmt, r)
         # |a + b| - |r| is the error with r's sign taken off
-        exact, rounded = (-err if near.negative else err), 0.0
+        exact, rounded = (-err if r < 0 else err), 0.0
     else:
         r = xa * xb if op is _MUL else xa / xb
         if abs(r) < _LEAST_NORMAL:
@@ -371,11 +384,12 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[tuple[Fp, RoundFlag]]:
         if abs(r) == math.inf:
             return Fp.inf(fmt, r < 0), _ROUNDED_UP
         near = Fp.from_float(fmt, r)
-        # |a op b| against |r| = near.c * 2**(near.e - 52), on integers
+        _, _, _, cr, er = near
+        # |a op b| against |r| = cr * 2**(er - 52), on integers
         if op is _MUL:
-            exact, rounded, shift = a.c * b.c, near.c, a.e + b.e - 52 - near.e
+            exact, rounded, shift = ca * cb, cr, ea + eb - 52 - er
         else:
-            exact, rounded, shift = a.c, near.c * b.c, a.e - b.e - near.e + 52
+            exact, rounded, shift = ca, cr * cb, ea - eb - er + 52
         if shift >= 0:
             exact <<= shift
         else:
@@ -473,9 +487,7 @@ def member(q: Fraction, x: ExtInterval) -> bool:
     """Does the rational q lie in the set x denotes?"""
     if x.is_empty:
         return False
-    lo_ok = _is_infinite(x.lo_ext) or x.lo_ext <= q
-    hi_ok = _is_infinite(x.hi_ext) or q <= x.hi_ext
-    return lo_ok and hi_ok
+    return (x.lo.is_inf or x.lo_ext <= q) and (x.hi.is_inf or q <= x.hi_ext)
 
 
 def subset(x: ExtInterval, y: ExtInterval) -> bool:

@@ -1,11 +1,12 @@
 """Interval layer: hull, the four total operations, predicates, syntax."""
 
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from intervalfp import Fp, OpKind, parse_interval
+from intervalfp import BINARY64, Fp, OpKind, parse_interval
 from intervalfp.interval import (
     ExtInterval,
     NEG_INF,
@@ -71,6 +72,34 @@ def test_make_rejects_malformed(toy):
         ExtInterval.make(Fp.inf(toy), Fp.inf(toy))
     with pytest.raises(ValueError):
         ExtInterval.make(Fp.nan(toy), Fp.from_exact(toy, 1))
+
+
+def test_ext_interval_is_an_immutable_unordered_value(toy):
+    x = iv("[1, 2]", BINARY64)
+    for field in ("fmt", "lo", "hi", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(x, x)
+    with pytest.raises(TypeError):
+        2 * x
+    # + and * are interval arithmetic, not the tuple's
+    assert x + x == iv("[2, 4]", BINARY64) and x * x == iv("[1, 4]", BINARY64)
+    assert repr(x) == "ExtInterval('[1, 2]', 'b64')"
+    assert repr(ExtInterval.empty(toy)) == "ExtInterval('empty', 'p3e-2:3')"
+
+
+def test_equal_intervals_from_every_path_are_equal_and_hash_alike(toy):
+    one, two = Fp.from_exact(toy, 1), Fp.from_exact(toy, 2)
+    half = iv("[0.5, 1]", toy)
+    paths = [iv("[1, 2]", toy), ExtInterval.make(one, two), ExtInterval.unchecked(one, two),
+             add(half, half), hull(F(1), F(2), toy)]
+    assert all(x == paths[0] for x in paths), paths
+    assert len({hash(x) for x in paths}) == 1, paths
+    zero_lo = [iv("[0, 1]", toy), ExtInterval.make(Fp.zero(toy, negative=True), one)]
+    assert zero_lo[0] == zero_lo[1] and hash(zero_lo[0]) == hash(zero_lo[1])
+    assert ExtInterval.empty(toy) == ExtInterval.empty(toy) != zero_lo[0]
 
 
 # -- the paper-derived operation examples -------------------------------------------
