@@ -8,11 +8,13 @@ Grammar of the expression language (EBNF):
     atom    = NUMBER | "inf" | "nan" | "(" , expr , ")" ;
     NUMBER  = decimal or hex-float literal ;
 
-A unary sign folds into a literal, so ``-0`` is the negative-zero literal
-while a bare ``0`` means +0; ``1-0`` stays a subtraction.  Leaves map
-through the set interpretation of the active format and zero mode, inner
-nodes combine intervals directly (intermediate results are never collapsed
-back to single floats, which would silently drop width).
+`parse` returns a program in postfix order, and parsing, evaluation and
+printing are each one loop, so an expression has no depth limit.  A unary
+sign folds into a literal: ``-0`` is the negative-zero literal, a bare ``0``
+means +0, and ``1-0`` stays a subtraction.  Literals map through the set
+interpretation of the active format and zero mode, operators combine
+intervals directly (intermediate results are never collapsed back to single
+floats, which would silently drop width).
 
 A literal stands for one float of the active format.  A literal the format
 holds exactly is that float: hex-float literals spell binary values, so
@@ -38,6 +40,7 @@ import argparse
 import csv
 import re
 import sys
+from collections import deque
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -52,20 +55,20 @@ from .fpformat import (
     decode_literal,
     literal_text,
     parse_format,
+    recover_bounds,
     round_literal,
     short_literal,
 )
 from .interval import ExtInterval, OpKind, apply_op, negate
 from .oracle import exhaustive_compare
-from .roundflag import PreRoundedWord, apply_flagged_round, attach_exponent, recover_bounds
+from .roundflag import PreRoundedWord, apply_flagged_round, attach_exponent
 from .semantics import ZeroMode, extract_bound, interpret
 from .harness import DEFAULT_SEED, deviation_report, run_theorem_suite
 
-# -- abstract syntax ------------------------------------------------------------
+# -- programs -------------------------------------------------------------------
 
-# Nodes are NamedTuples: immutable and compared by value like frozen
-# dataclasses, and about twice as cheap to build, which parsing does for
-# every literal and operator.
+# A program lists literals, NEG and operators in postfix order.  Literals are
+# NamedTuples: immutable, compared by value, and cheap to build.
 
 
 class Lit(NamedTuple):
@@ -81,17 +84,9 @@ class Lit(NamedTuple):
     exp10: int = 0
 
 
-class Neg(NamedTuple):
-    operand: "Expr"
+NEG = "neg"  # a unary minus that does not fold into a literal
 
-
-class BinOp(NamedTuple):
-    op: OpKind
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-Expr = Union[Lit, Neg, BinOp]
+Program = tuple[Union[Lit, OpKind, str], ...]
 
 
 class ExprSyntaxError(ValueError):
@@ -139,131 +134,134 @@ def _token_position(text: str, index: int) -> int:
 
 
 _BINARY_OPS = {"+": OpKind.ADD, "-": OpKind.SUB, "*": OpKind.MUL, "/": OpKind.DIV}
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-class _Parser:
-    """Recursive descent over the token list; self.i is the next token."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def error(self, index: int, expected: tuple[str, ...]) -> ExprSyntaxError:
-        return ExprSyntaxError(_token_position(self.text, index), expected)
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.tokens[self.i] is not _END:
-            raise self.error(self.i, ("+", "-", "*", "/", "end of input"))
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        tokens = self.tokens
-        while tokens[self.i] in ("+", "-"):
-            self.i += 1
-            e = BinOp(_BINARY_OPS[tokens[self.i - 1]], e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        tokens = self.tokens
-        while tokens[self.i] in ("*", "/"):
-            self.i += 1
-            e = BinOp(_BINARY_OPS[tokens[self.i - 1]], e, self.unary())
-        return e
-
-    def unary(self) -> Expr:
-        """The grammar's unary and atom."""
-        tok = self.tokens[self.i]
-        self.i += 1
-        if tok == "(":
-            e = self.expr()
-            if self.tokens[self.i] != ")":
-                raise self.error(self.i, (")",))
-            self.i += 1
-            return e
-        if tok in ("+", "-"):
-            inner = self.unary()
-            return inner if tok == "+" else _negated(inner)
-        if tok is _END or tok in ("*", "/", ")"):
-            raise self.error(self.i - 1, ("number", "inf", "nan", "(", "-"))
-        if tok[0].isdigit() or tok[0] == ".":
-            negative, sig, exp2, exp10 = decode_literal(tok)
-            return Lit(FpKind.FINITE if sig else FpKind.ZERO, negative, sig, exp2, exp10)
-        if tok == "inf":
-            return Lit(FpKind.INF)
-        if tok == "nan":
-            return Lit(FpKind.NAN)
-        raise self.error(self.i - 1, ("inf", "nan", "number"))
-
-
-def _negated(e: Expr) -> Expr:
-    """Fold a unary minus into a literal; wrap anything else."""
-    if isinstance(e, Lit):
-        if e.kind is FpKind.NAN:  # NaN is unsigned, as in Fp
-            return e
-        return Lit(e.kind, not e.negative, e.sig, e.exp2, e.exp10)
-    if isinstance(e, Neg):
-        return e.operand
-    return Neg(e)
-
-
-def parse(text: str) -> Expr:
-    """Parse an expression; raises ExprSyntaxError with position and the
-    expected-token set."""
-    return _Parser(text).parse()
+def parse(text: str) -> Program:
+    """Parse an expression into a postfix program by operator precedence
+    (Dijkstra's shunting yard), in one loop over the tokens; raises
+    ExprSyntaxError with position and the expected-token set.  "(", unary
+    minus and binary operators (as tokens) wait on `pending`; a unary minus
+    applies once its operand is complete."""
+    tokens = _tokenize(text)
+    out: list = []
+    pending: list = []
+    depth = 0  # open parentheses on pending
+    want_operand = True
+    for i, tok in enumerate(tokens):
+        if want_operand:
+            if tok == "(":
+                pending.append(tok)
+                depth += 1
+            elif tok == "-":
+                pending.append(NEG)
+            if tok in ("(", "+", "-"):
+                continue
+            if tok is _END or tok in ("*", "/", ")"):
+                raise ExprSyntaxError(_token_position(text, i), ("number", "inf", "nan", "(", "-"))
+            if tok[0].isdigit() or tok[0] == ".":
+                negative, sig, exp2, exp10 = decode_literal(tok)
+                out.append(Lit(FpKind.FINITE if sig else FpKind.ZERO, negative, sig, exp2, exp10))
+            elif tok in ("inf", "nan"):
+                out.append(Lit(FpKind(tok)))
+            else:
+                raise ExprSyntaxError(_token_position(text, i), ("inf", "nan", "number"))
+            want_operand = False
+        elif tok in _PREC:
+            # pending operators of equal or higher precedence go first (left association)
+            while pending and _PREC.get(pending[-1], 0) >= _PREC[tok]:
+                out.append(_BINARY_OPS[pending.pop()])
+            pending.append(tok)
+            want_operand = True
+            continue
+        elif tok == ")" and depth:
+            while (top := pending.pop()) != "(":
+                out.append(_BINARY_OPS[top])
+            depth -= 1
+        elif tok is _END and not depth:
+            break
+        else:
+            raise ExprSyntaxError(_token_position(text, i),
+                                  (")",) if depth else ("+", "-", "*", "/", "end of input"))
+        # an operand is complete: each unary minus in front of it flips the
+        # sign of a literal, cancels a NEG, or else becomes one
+        while pending and pending[-1] is NEG:
+            pending.pop()
+            top = out[-1]
+            if top is NEG:
+                out.pop()
+            elif not isinstance(top, Lit):
+                out.append(NEG)
+            elif top.kind is not FpKind.NAN:  # NaN is unsigned, as in Fp
+                out[-1] = Lit(top.kind, not top.negative, top.sig, top.exp2, top.exp10)
+    out.extend(_BINARY_OPS[tok] for tok in reversed(pending))
+    return tuple(out)
 
 
 # -- printing -----------------------------------------------------------------------
 
 
-_PREC = {OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 2, OpKind.DIV: 2}
+_NEG_PREC, _ATOM_PREC = 3, 4  # a unary minus binds tighter than * and /
 
 
-def unparse(e: Expr) -> str:
-    """Render an expression; reparsing yields an identical tree."""
-    return _unparse(e, 0, False)
-
-
-def _unparse(e: Expr, parent_prec: int, is_right: bool) -> str:
-    if isinstance(e, Lit):
-        if e.kind is FpKind.FINITE:
-            return literal_text(e.negative, e.sig, e.exp2, e.exp10)
-        return str(Fp(BINARY64, e.kind, e.negative))  # a special's text has no format
-    if isinstance(e, Neg):
-        inner = _unparse(e.operand, 3, False)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec >= 3 else text
-    prec = _PREC[e.op]
-    text = (
-        f"{_unparse(e.lhs, prec, False)} {e.op.value} {_unparse(e.rhs, prec, True)}"
-    )
-    if prec < parent_prec or (prec == parent_prec and is_right):
-        return f"({text})"
-    return text
+def unparse(program: Program) -> str:
+    """Render a program as infix text that parses back to it, in one loop
+    over a stack of (pieces, precedence) pairs.  An operand is wrapped in
+    parentheses when its precedence is below its operator's, or equal on
+    the right or under a unary minus.  Joining two operands moves the
+    shorter deque of pieces into the longer, so any depth prints fast."""
+    stack: list = []
+    for item in program:
+        if isinstance(item, Lit):
+            if item.kind is FpKind.FINITE:
+                text = literal_text(item.negative, item.sig, item.exp2, item.exp10)
+            else:
+                text = str(Fp(BINARY64, item.kind, item.negative))  # a special's text has no format
+            stack.append((deque((text,)), _ATOM_PREC))
+            continue
+        rhs, rhs_prec = stack.pop()
+        if item is NEG:  # an operator with no left operand
+            (lhs, lhs_prec), prec, sep = (deque(), _ATOM_PREC), _NEG_PREC, "-"
+        else:
+            (lhs, lhs_prec), prec, sep = stack.pop(), _PREC[item.value], f" {item.value} "
+        for pieces, wrap in ((lhs, lhs_prec < prec), (rhs, rhs_prec <= prec)):
+            if wrap:
+                pieces.appendleft("(")
+                pieces.append(")")
+        if len(lhs) < len(rhs):
+            rhs.appendleft(sep)
+            rhs.extendleft(reversed(lhs))
+            lhs = rhs
+        else:
+            lhs.append(sep)
+            lhs.extend(rhs)
+        stack.append((lhs, prec))
+    return "".join(stack[-1][0])
 
 
 # -- evaluation ----------------------------------------------------------------------
 
 
 def eval_expr(
-    e: Expr,
+    program: Program,
     fmt: FloatFormat,
     mode: ZeroMode,
     warn: Optional[Callable[[str], None]] = None,
 ) -> ExtInterval:
-    """Evaluate under the set semantics: leaves become their meaning as
-    sets, inner nodes apply the interval operations.  Literals that the
-    format cannot hold exactly are rounded to nearest with a warning."""
-    if isinstance(e, Lit):
-        return interpret(_literal_fp(e, fmt, warn), mode)
-    if isinstance(e, Neg):
-        return negate(eval_expr(e.operand, fmt, mode, warn))
-    lhs = eval_expr(e.lhs, fmt, mode, warn)
-    rhs = eval_expr(e.rhs, fmt, mode, warn)
-    return apply_op(e.op, lhs, rhs)
+    """Evaluate under the set semantics in one loop over a stack of
+    intervals: a literal pushes its meaning, NEG negates the top, and an
+    operator replaces the top two with its result.  Literals that the format
+    cannot hold exactly are rounded to nearest with a warning."""
+    stack: list = []
+    for item in program:
+        if isinstance(item, Lit):
+            stack.append(interpret(_literal_fp(item, fmt, warn), mode))
+        elif item is NEG:
+            stack[-1] = negate(stack[-1])
+        else:
+            rhs = stack.pop()
+            stack[-1] = apply_op(item, stack[-1], rhs)
+    return stack[-1]
 
 
 def _literal_fp(e: Lit, fmt: FloatFormat, warn) -> Fp:
@@ -324,9 +322,6 @@ def _resolve(args, config: dict[str, str]) -> tuple[FloatFormat, ZeroMode, int]:
 
 # -- subcommands -------------------------------------------------------------------------
 
-# the error for an expression nested deeper than the interpreter's stack
-_TOO_DEEP = "expression is nested too deeply to evaluate"
-
 
 def _print_result(result: ExtInterval, round_sel: Optional[str]) -> None:
     """The interval, or the directed bound(s) that round_sel selects."""
@@ -340,10 +335,10 @@ def _print_result(result: ExtInterval, round_sel: Optional[str]) -> None:
 
 def _cmd_eval(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
     try:
-        tree = parse(args.expr)
-        result = eval_expr(tree, fmt, mode, warn=lambda m: print(f"warning: {m}", file=sys.stderr))
-    except (RecursionError, ValueError) as exc:
-        print(f"error: {_TOO_DEEP if isinstance(exc, RecursionError) else exc}", file=sys.stderr)
+        result = eval_expr(parse(args.expr), fmt, mode,
+                           warn=lambda m: print(f"warning: {m}", file=sys.stderr))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_result(result, args.round)
     return 0
@@ -451,10 +446,9 @@ def _cmd_repl(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
                 print(f"error: {exc}")
             continue
         try:
-            tree = parse(line)
-            result = eval_expr(tree, fmt, mode, warn=lambda m: print(f"warning: {m}"))
-        except (RecursionError, ValueError) as exc:
-            print(f"error: {_TOO_DEEP if isinstance(exc, RecursionError) else exc}")
+            result = eval_expr(parse(line), fmt, mode, warn=lambda m: print(f"warning: {m}"))
+        except ValueError as exc:
+            print(f"error: {exc}")
             continue
         _print_result(result, round_sel)
 

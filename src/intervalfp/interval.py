@@ -506,7 +506,8 @@ def subset(x: ExtInterval, y: ExtInterval) -> bool:
 def parse_interval(text: str, fmt: FloatFormat) -> ExtInterval:
     """Parse interval syntax: ``[a, b]``, ``[a, inf)``, ``(-inf, b]``,
     ``(-inf, inf)`` or ``empty``; endpoints are read by `Fp.from_text`, so
-    they must be representable in the format."""
+    they must be representable in the format.  ``(`` and ``)`` go only
+    beside an infinity, ``[`` and ``]`` only beside a finite bound."""
     t = text.strip()
     if t == "empty":
         return ExtInterval.empty(fmt)
@@ -515,5 +516,9 @@ def parse_interval(text: str, fmt: FloatFormat) -> ExtInterval:
     body = t[1:-1]
     if body.count(",") != 1:
         raise ValueError(f"bad interval syntax {text!r}")
-    lo_txt, hi_txt = body.split(",")
-    return ExtInterval.make(Fp.from_text(fmt, lo_txt), Fp.from_text(fmt, hi_txt))
+    lo, hi = (Fp.from_text(fmt, part) for part in body.split(","))
+    want = ("(" if lo.is_inf else "[", ")" if hi.is_inf else "]")
+    for side, got, need in zip(("lower", "upper"), (t[0], t[-1]), want):
+        if got != need:
+            raise ValueError(f"bad interval syntax {text!r}: the {side} bound takes {need!r}")
+    return ExtInterval.make(lo, hi)

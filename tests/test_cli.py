@@ -8,17 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 from intervalfp import FpKind, OpKind
-from intervalfp.cli import (
-    BinOp,
-    ExprSyntaxError,
-    Lit,
-    Neg,
-    eval_expr,
-    main,
-    parse,
-    unparse,
-)
-from intervalfp import ZeroMode, member, oracle_op, parse_format, parse_interval
+from intervalfp.cli import NEG, ExprSyntaxError, Lit, eval_expr, main, parse, unparse
+from intervalfp import BINARY64, ZeroMode, member, oracle_op, parse_format, parse_interval
+
+ADD, SUB, MUL, DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
 
 
 def lit(v):
@@ -38,21 +31,14 @@ def lit(v):
 
 
 def test_parse_example_tree():
-    got = parse("1/3 + 2*inf")
-    want = BinOp(
-        OpKind.ADD,
-        BinOp(OpKind.DIV, lit(1), lit(3)),
-        BinOp(OpKind.MUL, lit(2), Lit(FpKind.INF)),
-    )
-    assert got == want
+    assert parse("1/3 + 2*inf") == (lit(1), lit(3), DIV, lit(2), Lit(FpKind.INF), MUL, ADD)
 
 
 def test_parse_signed_zero_literals():
-    got = parse("(-0)/( +0)")
-    assert got == BinOp(OpKind.DIV, Lit(FpKind.ZERO, True), Lit(FpKind.ZERO))
+    assert parse("(-0)/( +0)") == (Lit(FpKind.ZERO, True), Lit(FpKind.ZERO), DIV)
     # a bare 0 means +0, and 1-0 stays a subtraction
-    assert parse("0") == Lit(FpKind.ZERO)
-    assert parse("1-0") == BinOp(OpKind.SUB, lit(1), Lit(FpKind.ZERO))
+    assert parse("0") == (Lit(FpKind.ZERO),)
+    assert parse("1-0") == (lit(1), Lit(FpKind.ZERO), SUB)
 
 
 def test_parse_error_position_and_expectations():
@@ -71,22 +57,66 @@ def test_parse_error_position_and_expectations():
 
 
 def test_precedence_and_associativity():
-    assert parse("1-2-3") == BinOp(OpKind.SUB, BinOp(OpKind.SUB, lit(1), lit(2)), lit(3))
-    assert parse("2*3+4") == BinOp(OpKind.ADD, BinOp(OpKind.MUL, lit(2), lit(3)), lit(4))
-    assert parse("2+3*4") == BinOp(OpKind.ADD, lit(2), BinOp(OpKind.MUL, lit(3), lit(4)))
-    assert parse("2*(3+4)") == BinOp(OpKind.MUL, lit(2), BinOp(OpKind.ADD, lit(3), lit(4)))
+    assert parse("1-2-3") == (lit(1), lit(2), SUB, lit(3), SUB)
+    assert parse("2*3+4") == (lit(2), lit(3), MUL, lit(4), ADD)
+    assert parse("2+3*4") == (lit(2), lit(3), lit(4), MUL, ADD)
+    assert parse("2*(3+4)") == (lit(2), lit(3), lit(4), ADD, MUL)
 
 
 def test_unary_minus_folds_into_literals():
-    assert parse("-3") == Lit(FpKind.FINITE, True, 3)
-    assert parse("-inf") == Lit(FpKind.INF, True)
-    assert parse("--3") == lit(3)
-    assert parse("-(1+2)") == Neg(BinOp(OpKind.ADD, lit(1), lit(2)))
-    assert parse("-2*3") == BinOp(OpKind.MUL, Lit(FpKind.FINITE, True, 1, 1), lit(3))
+    assert parse("-3") == (Lit(FpKind.FINITE, True, 3),)
+    assert parse("-inf") == (Lit(FpKind.INF, True),)
+    assert parse("--3") == (lit(3),)
+    assert parse("-(1+2)") == (lit(1), lit(2), ADD, NEG)
+    assert parse("-2*3") == (Lit(FpKind.FINITE, True, 1, 1), lit(3), MUL)
 
 
 def test_hex_literals():
-    assert parse("0x1.8p+1") == Lit(FpKind.FINITE, False, 3)
+    assert parse("0x1.8p+1") == (Lit(FpKind.FINITE, False, 3),)
+
+
+# (text, position, expected tokens) of malformed expressions
+SYNTAX_ERRORS = [
+    ("", 0, ("number", "inf", "nan", "(", "-")),
+    (" ", 1, ("number", "inf", "nan", "(", "-")),
+    (")", 0, ("number", "inf", "nan", "(", "-")),
+    ("()", 1, ("number", "inf", "nan", "(", "-")),
+    ("(1))", 3, ("+", "-", "*", "/", "end of input")),
+    ("1 2", 2, ("+", "-", "*", "/", "end of input")),
+    ("*1", 0, ("number", "inf", "nan", "(", "-")),
+    ("1*", 2, ("number", "inf", "nan", "(", "-")),
+    ("-", 1, ("number", "inf", "nan", "(", "-")),
+    ("+", 1, ("number", "inf", "nan", "(", "-")),
+    ("(", 1, ("number", "inf", "nan", "(", "-")),
+    ("((1)", 4, (")",)),
+    ("1 +", 3, ("number", "inf", "nan", "(", "-")),
+    ("(1 + 2", 6, (")",)),
+    ("foo + 1", 0, ("inf", "nan", "number")),
+    ("1e", 1, ("+", "-", "*", "/", "end of input")),
+    ("0x.p1", 2, ("number", "inf", "nan", "operator", "(")),
+    (".e5", 0, ("number", "inf", "nan", "operator", "(")),
+    ("-(1+)", 4, ("number", "inf", "nan", "(", "-")),
+    ("1 $ 2", 2, ("number", "inf", "nan", "operator", "(")),
+    ("1 + * 2", 4, ("number", "inf", "nan", "(", "-")),
+    ("inf inf", 4, ("+", "-", "*", "/", "end of input")),
+    ("nan(", 3, ("+", "-", "*", "/", "end of input")),
+    ("(-)", 2, ("number", "inf", "nan", "(", "-")),
+    ("1 - - ", 6, ("number", "inf", "nan", "(", "-")),
+    ("2 / )", 4, ("number", "inf", "nan", "(", "-")),
+    ("1 + foo", 4, ("inf", "nan", "number")),
+    ("(1)(2)", 3, ("+", "-", "*", "/", "end of input")),
+    ("(1 2", 3, (")",)),
+    ("-(-(", 4, ("number", "inf", "nan", "(", "-")),
+    ("1 ) 2", 2, ("+", "-", "*", "/", "end of input")),
+    ("0x1p", 3, ("+", "-", "*", "/", "end of input")),
+]
+
+
+@pytest.mark.parametrize("text, pos, expected", SYNTAX_ERRORS)
+def test_syntax_error_position_and_expected_tokens(text, pos, expected):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (err.value.pos, err.value.expected) == (pos, expected)
 
 
 @pytest.mark.parametrize(
@@ -359,19 +389,35 @@ def test_cmd_repl(capsys, monkeypatch):
 
 
 DEEP = ["(" * 5000 + "1" + ")" * 5000, "+".join(["1"] * 5000)]
-TOO_DEEP = "error: expression is nested too deeply to evaluate"
 
 
-@pytest.mark.parametrize("text", DEEP, ids=["nesting", "sum"])
-def test_eval_of_a_too_deep_expression_is_one_error_line(text, capsys):
-    assert main(["eval", text]) == 1
-    assert capsys.readouterr() == ("", TOO_DEEP + "\n")
+@pytest.mark.parametrize("text, want", zip(DEEP, ["[1, 1]", "[5000, 5000]"]), ids=["nesting", "sum"])
+def test_eval_of_a_deep_expression(text, want, capsys):
+    assert main(["eval", text]) == 0
+    assert capsys.readouterr() == (want + "\n", "")
 
 
-def test_repl_reports_a_too_deep_expression_and_reads_on(capsys, monkeypatch):
+def test_repl_evaluates_deep_expressions_and_reads_on(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(DEEP + ["1+1"]) + "\n"))
     assert main(["repl", "--format", "p3e-2:3"]) == 0
-    assert capsys.readouterr().out.splitlines() == [TOO_DEEP, TOO_DEEP, "[2, 2]"]
+    # in p3e-2:3 the running sum stops at 8 from below and overflows above
+    assert capsys.readouterr().out.splitlines() == ["[1, 1]", "[8, +inf)", "[2, 2]"]
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("*".join(["-1"] * 20000), "[1, 1]"),
+        ("-(" * 4999 + "1+2" + ")" * 4999, "[-3, -3]"),
+        ("-(" * 5000 + "1+2" + ")" * 5000, "[3, 3]"),
+        ("1-(" * 5000 + "1" + ")" * 5000, "[1, 1]"),
+    ],
+    ids=["product", "odd-negations", "even-negations", "right-nested"],
+)
+def test_long_programs_evaluate_and_print(text, want):
+    program = parse(text)
+    assert str(eval_expr(program, BINARY64, ZeroMode.FINITE)) == want
+    assert parse(unparse(program)) == program
 
 
 @pytest.mark.parametrize(

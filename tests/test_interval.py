@@ -362,3 +362,15 @@ def test_parse_variants(toy):
         parse_interval("[2, 1]", toy)
     with pytest.raises(ValueError):
         parse_interval("[1; 2]", toy)
+
+
+@pytest.mark.parametrize(
+    "text, side",
+    [("(1, 2)", "lower"), ("(1, 2]", "lower"), ("[1, 2)", "upper"), ("(0, inf]", "lower"),
+     ("[0, inf]", "upper"), ("[-inf, 2]", "lower"), ("(-inf, +inf]", "upper")],
+)
+def test_parse_refuses_a_bracket_that_disagrees_with_its_bound(toy, text, side):
+    """An open bracket only beside an infinity, a closed one only beside a
+    finite bound: (1, 2) is an open set, which no format interval is."""
+    with pytest.raises(ValueError, match=f"the {side} bound takes"):
+        parse_interval(text, toy)

@@ -1,6 +1,7 @@
 """Literals from text to a float: the integer decoder, the one rounding
 entry, the warning text, and bounded time on hostile exponents."""
 
+import ast
 import math
 import random
 import time
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from intervalfp import (
     BINARY64,
     Fp,
+    OpKind,
     RoundingDirection,
     ZeroMode,
     interpret,
     parse_format,
     parse_interval,
 )
+from intervalfp.interval import apply_op, negate
 from intervalfp.cli import _TOKEN_RE, ExprSyntaxError, eval_expr, main, parse, unparse
 from intervalfp.fpformat import NUMBER_PATTERN, decode_literal, exact_decimal, round_literal
 
@@ -324,3 +327,57 @@ def test_every_lexed_number_evaluates(text, negative):
         for mode in ZeroMode:
             eval_expr(tree, fmt, mode, warn=lambda message: None)
 
+
+
+# An expression as a template with one "{}" per number leaf, and the leaves;
+# inf and nan stay in the template, where Python reads them as names.
+templates = st.recursive(
+    st.one_of(numbers.map(lambda text: ("{}", (text,))), st.just(("{}", ("0",))),
+              st.sampled_from(["inf", "nan"]).map(lambda name: (name, ()))),
+    lambda sub: st.one_of(
+        st.builds(lambda a, op, b: (f"{a[0]} {op} {b[0]}", a[1] + b[1]),
+                  sub, st.sampled_from("+-*/"), sub),
+        st.builds(lambda a: (f"({a[0]})", a[1]), sub),
+        st.builds(lambda sign, a: (sign + a[0], a[1]), st.sampled_from(["-", "+", "--"]), sub),
+    ),
+    max_leaves=10,
+)
+
+_PYTHON_OPS = {ast.Add: OpKind.ADD, ast.Sub: OpKind.SUB, ast.Mult: OpKind.MUL, ast.Div: OpKind.DIV}
+
+
+def python_grammar_eval(node, leaves, fmt, mode):
+    """Evaluate the tree that Python's own parser builds, with the interval
+    operations; each leaf is the one-literal expression it names.  Python
+    agrees with the expression grammar on precedence, left associativity
+    and unary minus binding tighter than * and /."""
+    if isinstance(node, ast.Name):
+        return eval_expr(parse(leaves.get(node.id, node.id)), fmt, mode)
+    if isinstance(node, ast.UnaryOp):
+        inner = python_grammar_eval(node.operand, leaves, fmt, mode)
+        return negate(inner) if isinstance(node.op, ast.USub) else inner
+    lhs = python_grammar_eval(node.left, leaves, fmt, mode)
+    rhs = python_grammar_eval(node.right, leaves, fmt, mode)
+    return apply_op(_PYTHON_OPS[type(node.op)], lhs, rhs)
+
+
+def outcome(evaluate):
+    """The result, or the type of the exception raised instead."""
+    try:
+        return evaluate()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(templates)
+def test_parse_agrees_with_pythons_grammar(template):
+    form, numbers_ = template
+    text = form.format(*numbers_)
+    names = [f"v{i}" for i in range(len(numbers_))]
+    tree = ast.parse(form.format(*names), mode="eval").body
+    leaves = dict(zip(names, numbers_))
+    for fmt in (TOY, BINARY64):
+        for mode in ZeroMode:
+            want = outcome(lambda: python_grammar_eval(tree, leaves, fmt, mode))
+            assert outcome(lambda: eval_expr(parse(text), fmt, mode)) == want, (text, fmt, mode)
