@@ -44,6 +44,7 @@ from .oracle import RealSet, exact_relational_set, exhaustive_compare, oracle_op
 from .harness import (
     DEFAULT_SEED,
     Classification,
+    SuiteResult,
     backend_agreement,
     classify_vs_ieee,
     deviation_report,
@@ -71,6 +72,7 @@ __all__ = [
     "RoundFlag",
     "RoundedWord",
     "RoundingDirection",
+    "SuiteResult",
     "ZeroMode",
     "apply_flagged_round",
     "backend_agreement",

@@ -171,17 +171,29 @@ class FloatFormat:
 
 
 _FORMAT_RE = re.compile(r"^p(\d+)e(-?\d+):(-?\d+)(ns)?$")
+# An exact bound near the least positive value is an integer of about
+# |e_min| + precision bits, so a descriptor is held to these limits to keep
+# every operation fast; binary256 (p237e-262142:262143) is inside them.
+MAX_PRECISION = 4096
+MAX_EXPONENT = 1 << 18
 
 
 def parse_format(text: str) -> FloatFormat:
-    """Parse a format descriptor: ``b64`` or ``p<P>e<EMIN>:<EMAX>[ns]``."""
+    """Parse a format descriptor: ``b64`` or ``p<P>e<EMIN>:<EMAX>[ns]``,
+    with P at most MAX_PRECISION and |EMIN|, |EMAX| at most MAX_EXPONENT."""
     text = text.strip()
     if text == "b64":
         return BINARY64
     m = _FORMAT_RE.match(text)
     if not m:
         raise ValueError(f"bad format descriptor {text!r}")
-    return FloatFormat(int(m.group(1)), int(m.group(2)), int(m.group(3)), m.group(4) is None)
+    precision, e_min, e_max = (int(g) for g in m.group(1, 2, 3))
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision {precision} is above the limit of {MAX_PRECISION}")
+    for e in (e_min, e_max):
+        if abs(e) > MAX_EXPONENT:
+            raise ValueError(f"exponent {e} is outside the limit of -{MAX_EXPONENT}:{MAX_EXPONENT}")
+    return FloatFormat(precision, e_min, e_max, m.group(4) is None)
 
 
 class _FpFields(NamedTuple):

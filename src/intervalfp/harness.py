@@ -10,10 +10,14 @@ Classification against IEEE 754 lives here too, next to the reference it
 needs: an interval result conforms, deviates, or is newly defined where
 IEEE yields NaN.
 
-The conformance suite checks the headline property: for finite operands,
-the directed-rounding IEEE result equals the matching bound of the
-operation's interval.  Zeros take part as exact points and results are
-compared by numeric value, since an interval bound carries no zero sign.
+Three suites report through one `SuiteResult` (name, comparisons checked,
+mismatches, notes).  The conformance suite checks the headline property:
+for finite operands, the directed-rounding IEEE result equals the matching
+bound of the operation's interval.  Zeros take part as exact points and
+results are compared by numeric value, since an interval bound carries no
+zero sign.  Backend agreement diffs the softfloat reference against the
+host FPU, and the totality fuzz checks that every operation returns a
+well-formed, non-empty interval.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .fpformat import (
     FloatFormat,
     Fp,
     RoundingDirection,
-    value_cmp,
 )
 from .interval import ExtInterval, OpKind
 from .semantics import (
@@ -263,12 +266,6 @@ def binary64_pairs(n: int, seed: int, finite_only: bool = False) -> Iterator[tup
 # -- conformance suite ------------------------------------------------------------------
 
 
-class Verdict(Enum):
-    MATCH = "match"
-    MISMATCH = "mismatch"
-    IEEE_NAN = "ieee-nan"
-
-
 @dataclass(frozen=True)
 class DiffCase:
     a: Fp
@@ -277,20 +274,22 @@ class DiffCase:
     direction: RoundingDirection
     ieee_result: Fp
     interval_bound: Fp
-    verdict: Verdict
 
     def __str__(self):
         return (
             f"{self.a} {self.op.value} {self.b} [{self.direction.value}] "
-            f"ieee={self.ieee_result} interval={self.interval_bound} {self.verdict.value}"
+            f"ieee={self.ieee_result} interval={self.interval_bound} mismatch"
         )
 
 
 @dataclass
 class SuiteResult:
-    fmt: FloatFormat
+    """What one suite found: comparisons made, the failing cases (printed
+    with `str`), and notes on what was covered or why nothing was."""
+
+    name: str
     checked: int = 0
-    mismatches: list[DiffCase] = field(default_factory=list)
+    mismatches: list = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -299,7 +298,7 @@ class SuiteResult:
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.mismatches)} mismatches"
-        lines = [f"conformance {self.fmt.descriptor()}: {self.checked} comparisons, {status}"]
+        lines = [f"{self.name}: {self.checked} comparisons, {status}"]
         lines += [f"  {c}" for c in self.mismatches[:20]]
         lines += [f"  note: {n}" for n in self.notes]
         return "\n".join(lines)
@@ -317,7 +316,7 @@ def run_theorem_suite(
     format too large to enumerate, or samples < 1, raises ValueError (the
     sampler draws binary64 values only).  Division skips zero divisors, the
     one case the claim excludes."""
-    result = SuiteResult(fmt)
+    result = SuiteResult(f"conformance {fmt.descriptor()}")
     try:
         finites = [v for v in fmt.enumerate() if v.is_finite]
         pairs = partial(product, finites, finites)
@@ -342,16 +341,8 @@ def run_theorem_suite(
                 ieee = ieee_reference(a, b, op, direction)
                 bound = extract_bound(interval, direction)
                 result.checked += 1
-                if ieee.is_nan:
-                    verdict = Verdict.IEEE_NAN
-                elif same_value(ieee, bound):
-                    verdict = Verdict.MATCH
-                else:
-                    verdict = Verdict.MISMATCH
-                if verdict is not Verdict.MATCH:
-                    result.mismatches.append(
-                        DiffCase(a, b, op, direction, ieee, bound, verdict)
-                    )
+                if not same_value(ieee, bound):
+                    result.mismatches.append(DiffCase(a, b, op, direction, ieee, bound))
     return result
 
 
@@ -434,26 +425,16 @@ def deviation_report(fmt: FloatFormat) -> list[ReportRow]:
 # -- backend agreement and totality fuzzing ----------------------------------------------
 
 
-@dataclass
-class AgreementResult:
-    checked: int = 0
-    disagreements: list[str] = field(default_factory=list)
-    skipped: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-
 def backend_agreement(
     pairs_per_combo: int = 1_000_000, seed: int = DEFAULT_SEED
-) -> AgreementResult:
+) -> SuiteResult:
     """Diff the softfloat IEEE reference against the host FPU over seeded
-    random binary64 pairs for every op and every rounding direction.  Skips
-    (with a reason) where no verified rounding-mode access exists."""
-    result = AgreementResult()
+    random binary64 pairs for every op and every rounding direction; each
+    disagreement is a mismatch.  Where no verified rounding-mode access
+    exists, nothing is checked and a note says why."""
+    result = SuiteResult("backend agreement b64")
     if not native_rounding_available():
-        result.skipped = "no verified native rounding-mode access on this platform"
+        result.notes.append("no verified native rounding-mode access on this platform")
         return result
     for direction in RoundingDirection:
         for op in OpKind:
@@ -462,49 +443,34 @@ def backend_agreement(
                 native = ieee_reference_native(a, b, op, direction)
                 result.checked += 1
                 if soft != native:
-                    result.disagreements.append(
+                    result.mismatches.append(
                         f"{a} {op.value} {b} [{direction.value}] soft={soft} native={native}"
                     )
     return result
 
 
-@dataclass
-class FuzzResult:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _interval_well_formed(x: ExtInterval) -> bool:
-    if x.is_empty:
-        return x.lo is None and x.hi is None
-    if x.lo.is_nan or x.hi.is_nan:
-        return False
-    if (x.lo.is_inf and not x.lo.negative) or (x.hi.is_inf and x.hi.negative):
-        return False
-    if (x.lo.is_zero and x.lo.negative) or (x.hi.is_zero and x.hi.negative):
-        return False
-    return value_cmp(x.lo, x.hi) <= 0
-
-
-def totality_fuzz(pairs_per_op: int = 1_000_000, seed: int = DEFAULT_SEED) -> FuzzResult:
+def totality_fuzz(pairs_per_op: int = 1_000_000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Throw random non-NaN binary64 pairs at every operation in finite-zero
     mode and verify the result is always a well-formed interval: no
-    exception, no NaN output, and never empty."""
-    result = FuzzResult()
+    exception, never empty, and bounds that `ExtInterval.make` accepts as
+    they are (so no NaN, no misplaced infinity, no -0, lo <= hi).  Each
+    failure is a mismatch."""
+    result = SuiteResult("totality fuzz b64")
     for op in OpKind:
         for a, b in binary64_pairs(pairs_per_op, seed + ord(op.value)):
             result.checked += 1
             try:
                 out = fp_interval_op(a, b, op, ZeroMode.FINITE)
             except Exception as exc:  # totality means this must not happen
-                result.failures.append(f"{a} {op.value} {b}: raised {exc!r}")
+                result.mismatches.append(f"{a} {op.value} {b}: raised {exc!r}")
                 continue
-            if not _interval_well_formed(out):
-                result.failures.append(f"{a} {op.value} {b}: malformed {out}")
-            elif out.is_empty:
-                result.failures.append(f"{a} {op.value} {b}: empty result")
+            if out.is_empty:
+                result.mismatches.append(f"{a} {op.value} {b}: empty result")
+                continue
+            try:
+                well_formed = ExtInterval.make(out.lo, out.hi) == out
+            except ValueError:
+                well_formed = False
+            if not well_formed:
+                result.mismatches.append(f"{a} {op.value} {b}: malformed {out}")
     return result

@@ -430,6 +430,8 @@ def test_long_programs_evaluate_and_print(text, want):
         (":", "bad command ':' (:format F, :mode M, :round R, :quit)"),
         (":frob 1", "bad command ':frob 1' (:format F, :mode M, :round R, :quit)"),
         (":mode bogus", "bad zero mode 'bogus' (finite or infinite)"),
+        (":format p3e-1000000000:3",
+         "exponent -1000000000 is outside the limit of -262144:262144"),
     ],
 )
 def test_repl_refuses_a_bad_setting_and_keeps_the_old_one(command, message, capsys, monkeypatch):
@@ -489,6 +491,21 @@ def test_bad_format_and_mode_exit_cleanly(tmp_path, capsys):
     cfg.write_text("mode = sideways\n")
     assert main(["--config", str(cfg), "report"]) == 1
     assert capsys.readouterr().err == "error: bad zero mode 'sideways' (finite or infinite)\n"
+
+
+def test_format_beyond_the_limits_exits_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["eval", "0 - 0", "--format", "p3e-1000000000:3"]) == 1
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: exponent -1000000000 is outside the limit of -262144:262144\n"
+    assert main(["eval", "1/3", "--format", "p1000000e0:0"]) == 1
+    assert capsys.readouterr().err == "error: precision 1000000 is above the limit of 4096\n"
+    assert main(["report", "--format", "p4097e0:1"]) == 1
+    assert capsys.readouterr().err == "error: precision 4097 is above the limit of 4096\n"
+    assert main(["eval", "1/3", "--format", "p237e-262142:262143"]) == 0
+    assert capsys.readouterr().out.startswith("[0x1.5555555555555555")
 
 
 @pytest.mark.parametrize(

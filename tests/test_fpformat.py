@@ -484,6 +484,27 @@ def test_descriptor_round_trip(toy, toy4, tiny):
         parse_format("q5")
 
 
+@pytest.mark.parametrize("descriptor, limit", [
+    ("p4096e0:1", None),
+    ("p4097e0:1", "precision 4097 is above the limit of 4096"),
+    ("p3e-262144:3", None),
+    ("p3e-262145:3", "exponent -262145 is outside the limit of -262144:262144"),
+    ("p3e0:262144", None),
+    ("p3e0:262145", "exponent 262145 is outside the limit of -262144:262144"),
+    ("p3e-262144:262144ns", None),
+    ("p3e262145:262146", "exponent 262145 is outside the limit of -262144:262144"),
+    ("p237e-262142:262143", None),  # binary256
+])
+def test_parse_format_limits(descriptor, limit):
+    """Exact bounds near min_pos are integers of about |e_min| + p bits, so
+    a descriptor outside these limits is refused before any work."""
+    if limit is None:
+        assert parse_format(descriptor).descriptor() == descriptor
+    else:
+        with pytest.raises(ValueError, match=f"^{limit}$"):
+            parse_format(descriptor)
+
+
 def test_value_strings(toy):
     assert str(toy.max_finite()) == "14"
     assert str(Fp.from_exact(toy, F(1, 16))) == "0.0625"

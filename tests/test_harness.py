@@ -7,10 +7,12 @@ import pytest
 from intervalfp import (
     BINARY64,
     Classification,
+    ExtInterval,
     FloatFormat,
     Fp,
     OpKind,
     RoundingDirection,
+    SuiteResult,
     ZeroMode,
     backend_agreement,
     classify_vs_ieee,
@@ -101,6 +103,37 @@ def test_theorem_suite_exhaustive_toy(toy, monkeypatch):
     assert result.ok and result.checked == 3 * 56 * 56 * 2 + 56 * 54 * 2 == 24_864
     # one interval per pair and op serves both directed bounds
     assert len(calls) == result.checked // 2
+
+
+def test_theorem_suite_reports_a_widened_bound(toy, monkeypatch):
+    """An upper bound one ulp too high on every finite product is a
+    mismatch against the upward IEEE result, reported case by case."""
+    interval_op = harness.fp_interval_op
+
+    def widened(a, b, op, mode):
+        out = interval_op(a, b, op, mode)
+        if op is OpKind.MUL and out.hi.is_finite:
+            return ExtInterval.unchecked(out.lo, out.hi.next_up())
+        return out
+
+    monkeypatch.setattr(harness, "fp_interval_op", widened)
+    result = run_theorem_suite(toy)
+    assert isinstance(result, SuiteResult) and not result.ok
+    finites = [v for v in toy.enumerate() if v.is_finite]
+    widened_products = [
+        (a, b) for a in finites for b in finites
+        if interval_op(a, b, OpKind.MUL, ZeroMode.INFINITE).hi.is_finite
+    ]
+    assert [(c.a, c.b) for c in result.mismatches] == widened_products
+    for case in result.mismatches:
+        assert case.op is OpKind.MUL and case.direction is UP
+        exact_hi = interval_op(case.a, case.b, OpKind.MUL, ZeroMode.INFINITE).hi
+        assert case.interval_bound == exact_hi.next_up()
+    lines = result.summary().splitlines()
+    assert lines[0] == (
+        f"conformance p3e-2:3: 24864 comparisons, {len(widened_products)} mismatches"
+    )
+    assert lines[1] == f"  {result.mismatches[0]}" and lines[1].endswith(" mismatch")
 
 
 def test_theorem_suite_refuses_unsampled_format():
@@ -265,12 +298,36 @@ def test_formerly_nan_patterns_all_newly_defined(toy):
 # -- native backend and fuzzing -------------------------------------------------------
 
 
+@pytest.mark.skipif(not native_rounding_available(), reason="no rounding-mode access")
 def test_backend_agreement_sample():
     result = backend_agreement(pairs_per_combo=500, seed=7)
-    if result.skipped:
-        pytest.skip(result.skipped)
     assert result.ok
     assert result.checked == 500 * 16  # 4 ops x 4 directions
+
+
+@pytest.mark.skipif(not native_rounding_available(), reason="no rounding-mode access")
+def test_backend_agreement_reports_a_disagreement(monkeypatch):
+    native = harness.ieee_reference_native
+
+    def off_by_one_ulp(a, b, op, direction):
+        r = native(a, b, op, direction)
+        return r.next_up() if op is OpKind.DIV and direction is UP and r.is_finite else r
+
+    monkeypatch.setattr(harness, "ieee_reference_native", off_by_one_ulp)
+    result = backend_agreement(pairs_per_combo=50, seed=7)
+    assert not result.ok and result.checked == 50 * 16
+    assert all(" / " in m and "[up]" in m for m in result.mismatches)
+    assert result.summary().splitlines()[1] == f"  {result.mismatches[0]}"
+
+
+def test_backend_agreement_without_native_rounding(monkeypatch):
+    monkeypatch.setattr(harness, "native_rounding_available", lambda: False)
+    result = backend_agreement(pairs_per_combo=50, seed=7)
+    assert result.ok and result.checked == 0
+    assert result.summary() == (
+        "backend agreement b64: 0 comparisons, ok\n"
+        "  note: no verified native rounding-mode access on this platform"
+    )
 
 
 @pytest.mark.skipif(not native_rounding_available(), reason="no rounding-mode access")
@@ -288,3 +345,25 @@ def test_totality_fuzz_sample():
     result = totality_fuzz(pairs_per_op=800, seed=3)
     assert result.ok
     assert result.checked == 4 * 800
+
+
+@pytest.mark.parametrize("fault, problem", [
+    (lambda fmt: ExtInterval(fmt, Fp.zero(fmt, negative=True), Fp.inf(fmt)), "malformed"),
+    (lambda fmt: ExtInterval(fmt, Fp.inf(fmt, negative=True), Fp.zero(fmt, negative=True)),
+     "malformed"),
+    (ExtInterval.empty, "empty result"),
+])
+def test_totality_fuzz_reports_a_bad_result(fault, problem, monkeypatch):
+    """A -0 bound (which `ExtInterval.make` would turn into +0) and an empty
+    result are each reported for every product, and nothing else is."""
+    interval_op = harness.fp_interval_op
+
+    def faulty(a, b, op, mode):
+        return fault(a.fmt) if op is OpKind.MUL else interval_op(a, b, op, mode)
+
+    monkeypatch.setattr(harness, "fp_interval_op", faulty)
+    result = totality_fuzz(pairs_per_op=30, seed=3)
+    assert not result.ok and result.checked == 4 * 30
+    assert len(result.mismatches) == 30
+    assert all(" * " in m and f": {problem}" in m for m in result.mismatches)
+    assert result.summary().startswith("totality fuzz b64: 120 comparisons, 30 mismatches\n")
