@@ -428,11 +428,11 @@ def _cmd_repl(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
         if not line or line.startswith("#"):
             continue
         if line.startswith(":"):
-            name, arg = (line[1:].split() + ["", ""])[:2]
-            if name in ("q", "quit", "exit"):
+            name, arg = (line[1:].split(maxsplit=1) + ["", ""])[:2]
+            if name in ("q", "quit", "exit") and not arg:
                 return 0
             try:
-                if name not in ("format", "mode", "round") or not arg:
+                if name not in ("format", "mode", "round") or len(arg.split()) != 1:
                     raise ValueError(f"bad command {line!r} (:format F, :mode M, :round R, :quit)")
                 if name == "format":
                     fmt = parse_format(arg)

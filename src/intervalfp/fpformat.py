@@ -187,6 +187,12 @@ def parse_format(text: str) -> FloatFormat:
     m = _FORMAT_RE.match(text)
     if not m:
         raise ValueError(f"bad format descriptor {text!r}")
+    for name, g in zip(("precision", "exponent", "exponent"), m.group(1, 2, 3)):
+        # a field with more digits than any limit has is refused unread, as int()
+        # of a digit string stops at 4,300 digits
+        if len(g.lstrip("-")) > len(str(MAX_EXPONENT)):
+            raise ValueError(f"{name} of {len(g.lstrip('-'))} digits is beyond the limits of precision "
+                             f"{MAX_PRECISION} and exponents -{MAX_EXPONENT}:{MAX_EXPONENT}")
     precision, e_min, e_max = (int(g) for g in m.group(1, 2, 3))
     if precision > MAX_PRECISION:
         raise ValueError(f"precision {precision} is above the limit of {MAX_PRECISION}")

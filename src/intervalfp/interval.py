@@ -17,9 +17,9 @@ when it lies on the bound's side, and otherwise its neighbour, which only
 `hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
 for callers outside the operations.
 
-Point operands share one corner, and `point_op` rounds it: for binary64
-on host floats, as the paper's hardware would, with the exact core behind
-it where the host result cannot decide alone (the list is in `point_op`).
+Point operands share one corner, and `point_op` rounds it: binary64 on
+host floats, as the paper's hardware would, and every other format on the
+exact core.
 """
 
 from __future__ import annotations
@@ -90,10 +90,13 @@ class ExtInterval(_ExtIntervalFields):
     def unchecked(lo: Fp, hi: Fp) -> "ExtInterval":
         """Build a non-empty interval from bounds known to be valid (one
         format, no NaN, lo <= hi, no +inf below or -inf above) without
-        checking them; zero bounds are normalised to +0."""
-        if lo.kind is _ZERO and lo.negative:
+        checking them; zero bounds are normalised to +0, one object when
+        both are zeros, as a point is."""
+        if lo.kind is _ZERO and hi.kind is _ZERO:
+            lo = hi = hi if not hi.negative else lo if not lo.negative else Fp.zero(lo.fmt)
+        elif lo.kind is _ZERO and lo.negative:
             lo = Fp.zero(lo.fmt)
-        if hi.kind is _ZERO and hi.negative:
+        elif hi.kind is _ZERO and hi.negative:
             hi = Fp.zero(hi.fmt)
         return tuple.__new__(ExtInterval, (lo.fmt, lo, hi))
 
@@ -312,36 +315,18 @@ def _check_pair(x: ExtInterval, y: ExtInterval):
 
 # -- point operands ------------------------------------------------------------------
 
-# Below 2**1022 in magnitude no TwoSum step can overflow (Boldo, Graillat and
-# Muller, ACM TOMS 44(1), 2017); from 2**-1022 up, r is normal
-_TWOSUM_LIMIT = 2.0**1022
-_LEAST_NORMAL = 2.0**-1022
-
 
 def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     """Hull of a op b for finite a and b of one format (b nonzero for
     division): the exact result as a point (lo is hi), or both sides of its
-    rounding bracket.
-
-    binary64 takes the host-float path: the FPU's nearest result r (the
-    host must round to nearest; only `harness._native_mode` changes the
-    mode, around its own float ops) and the flag from the exact sign of
-    |a op b| - |r| (TwoSum for + and -, an integer comparison with r for *
-    and /).  An infinite r is an overflow of a finite result, so rounded
-    up.  The path falls back to the exact core for r zero or below
-    2**-1022, where r or its neighbour toward zero can be a zero that the
-    exact core signs and normalises (an exact zero is one object), and
-    for + and - on an operand of magnitude 2**1022 or more, where a TwoSum
-    step could overflow.  Every other format uses the exact core alone."""
+    rounding bracket.  Both bounds come from the nearest result and the
+    paper's flag: for binary64 from `_point_op64` on the host, for every
+    other format from `_round_point` of the exact result."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
     if fmt is BINARY64 or fmt == BINARY64:
-        flagged = _point_op64(op, a, b)
-        if flagged is not None:
-            # r is normal or infinite, so neither bound is a zero to normalise
-            lo, hi = recover_bounds(*flagged)
-            return tuple.__new__(ExtInterval, (fmt, lo, hi))
+        return ExtInterval.unchecked(*recover_bounds(*_point_op64(op, a, b)))
     pa, pb = _bound(a), _bound(b)
     if op is _ADD:
         p = _add_bound(pa, pb)
@@ -354,46 +339,41 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     return _round_point(p, fmt)
 
 
-def _point_op64(op: OpKind, a: Fp, b: Fp) -> Optional[tuple[Fp, RoundFlag]]:
-    """(nearest, flag) of a op b on host floats, or None where the exact
-    core must decide: r is the nearest result, and its magnitude was
-    rounded up when |a op b| < |r|."""
+def _point_op64(op: OpKind, a: Fp, b: Fp) -> tuple[Fp, RoundFlag]:
+    """`_nearest` of a op b for every pair, on host floats: r is the FPU's
+    nearest result (only `harness._native_mode` leaves round-to-nearest,
+    around its own float ops), rounded up when |a op b| < |r|, which an
+    integer comparison decides."""
     # one unpacking costs less than five field reads; an operand on the host
     # is c * 2**(e - 52), and a zero has c = 0
     fmt, _, na, ca, ea = a
     _, _, nb, cb, eb = b
+    if op is _SUB:
+        nb = not nb
     xa, xb = math.ldexp(-ca if na else ca, ea - 52), math.ldexp(-cb if nb else cb, eb - 52)
-    if op is _ADD or op is _SUB:
-        if op is _SUB:
-            xb = -xb
-        if abs(xa) >= _TWOSUM_LIMIT or abs(xb) >= _TWOSUM_LIMIT:
-            return None
-        r = xa + xb
-        if abs(r) < _LEAST_NORMAL:
-            return None
-        # TwoSum (Knuth, TAOCP vol. 2, 4.2.2): err = (xa + xb) - r exactly
-        t = r - xa
-        err = (xa - (r - t)) + (xb - t)
-        near = Fp.from_float(fmt, r)
-        # |a + b| - |r| is the error with r's sign taken off
-        exact, rounded = (-err if r < 0 else err), 0.0
+    is_sum = op is _ADD or op is _SUB
+    r = xa + xb if is_sum else xa * xb if op is _MUL else xa / xb
+    if not r:  # exact for a sum (subnormals) or a zero operand, else underflow
+        if is_sum or not (ca and cb):
+            return Fp(fmt, _ZERO), _EXACT
+        return Fp(fmt, _ZERO, na != nb), _NOT_ROUNDED_UP
+    if abs(r) == math.inf:  # the overflow of a finite result
+        return Fp.inf(fmt, r < 0), _ROUNDED_UP
+    near = Fp.from_float(fmt, r)
+    # |a op b| against |r| = cr * 2**(er - 52), on integers
+    _, _, _, cr, er = near
+    if is_sum:  # at the least of the three exponents
+        low = min(ea, eb, er)
+        exact = abs(((-ca if na else ca) << (ea - low)) + ((-cb if nb else cb) << (eb - low)))
+        rounded, shift = cr, low - er
+    elif op is _MUL:
+        exact, rounded, shift = ca * cb, cr, ea + eb - 52 - er
     else:
-        r = xa * xb if op is _MUL else xa / xb
-        if abs(r) < _LEAST_NORMAL:
-            return None
-        if abs(r) == math.inf:
-            return Fp.inf(fmt, r < 0), _ROUNDED_UP
-        near = Fp.from_float(fmt, r)
-        _, _, _, cr, er = near
-        # |a op b| against |r| = cr * 2**(er - 52), on integers
-        if op is _MUL:
-            exact, rounded, shift = ca * cb, cr, ea + eb - 52 - er
-        else:
-            exact, rounded, shift = ca, cr * cb, ea - eb - er + 52
-        if shift >= 0:
-            exact <<= shift
-        else:
-            rounded <<= -shift
+        exact, rounded, shift = ca, cr * cb, ea - eb - er + 52
+    if shift >= 0:
+        exact <<= shift
+    else:
+        rounded <<= -shift
     if exact == rounded:
         return near, _EXACT
     return near, (_NOT_ROUNDED_UP if exact > rounded else _ROUNDED_UP)

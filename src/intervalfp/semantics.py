@@ -120,10 +120,10 @@ def fp_interval_op(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> ExtInterval:
     and total outright in INFINITE mode (NaN reads as the empty set).
 
     Two finite nonzero operands are points in either zero mode, so they go
-    straight to `interval.point_op` without building their intervals; for
-    binary64 that is the host-float path, whose fallbacks to the exact core
-    `point_op` lists.  Zeros, infinities and NaN take their mode's meaning
-    through `interpret` and go through `apply_op`."""
+    straight to `interval.point_op` (binary64 on the host, every other
+    format on the exact core) without building their intervals.  Zeros,
+    infinities and NaN take their mode's meaning through `interpret` and go
+    through `apply_op`."""
     if a.kind is _FINITE and b.kind is _FINITE:
         return point_op(op, a, b)
     return apply_op(op, interpret(a, mode), interpret(b, mode))

@@ -12,6 +12,8 @@ from intervalfp.cli import NEG, ExprSyntaxError, Lit, eval_expr, main, parse, un
 from intervalfp import BINARY64, ZeroMode, member, oracle_op, parse_format, parse_interval
 
 ADD, SUB, MUL, DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
+# a descriptor field of more than six digits is refused by its length
+_BEYOND = "beyond the limits of precision 4096 and exponents -262144:262144"
 
 
 def lit(v):
@@ -431,7 +433,13 @@ def test_long_programs_evaluate_and_print(text, want):
         (":frob 1", "bad command ':frob 1' (:format F, :mode M, :round R, :quit)"),
         (":mode bogus", "bad zero mode 'bogus' (finite or infinite)"),
         (":format p3e-1000000000:3",
-         "exponent -1000000000 is outside the limit of -262144:262144"),
+         "exponent of 10 digits is " + _BEYOND),
+        (":round up down", "bad command ':round up down' (:format F, :mode M, :round R, :quit)"),
+        (":format b64 p3e-2:3",
+         "bad command ':format b64 p3e-2:3' (:format F, :mode M, :round R, :quit)"),
+        (":mode infinite finite",
+         "bad command ':mode infinite finite' (:format F, :mode M, :round R, :quit)"),
+        (":quit now", "bad command ':quit now' (:format F, :mode M, :round R, :quit)"),
     ],
 )
 def test_repl_refuses_a_bad_setting_and_keeps_the_old_one(command, message, capsys, monkeypatch):
@@ -499,11 +507,15 @@ def test_format_beyond_the_limits_exits_at_once(capsys):
     assert time.perf_counter() - start < 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: exponent -1000000000 is outside the limit of -262144:262144\n"
+    assert out.err == f"error: exponent of 10 digits is {_BEYOND}\n"
     assert main(["eval", "1/3", "--format", "p1000000e0:0"]) == 1
-    assert capsys.readouterr().err == "error: precision 1000000 is above the limit of 4096\n"
+    assert capsys.readouterr().err == f"error: precision of 7 digits is {_BEYOND}\n"
+    assert main(["eval", "1/3", "--format", "p3e-262145:3"]) == 1
+    assert capsys.readouterr().err == "error: exponent -262145 is outside the limit of -262144:262144\n"
     assert main(["report", "--format", "p4097e0:1"]) == 1
     assert capsys.readouterr().err == "error: precision 4097 is above the limit of 4096\n"
+    assert main(["eval", "1/3", "--format", "p3e-" + "9" * 5000 + ":3"]) == 1
+    assert capsys.readouterr().err == f"error: exponent of 5000 digits is {_BEYOND}\n"
     assert main(["eval", "1/3", "--format", "p237e-262142:262143"]) == 0
     assert capsys.readouterr().out.startswith("[0x1.5555555555555555")
 

@@ -484,6 +484,9 @@ def test_descriptor_round_trip(toy, toy4, tiny):
         parse_format("q5")
 
 
+_BEYOND = "beyond the limits of precision 4096 and exponents -262144:262144"
+
+
 @pytest.mark.parametrize("descriptor, limit", [
     ("p4096e0:1", None),
     ("p4097e0:1", "precision 4097 is above the limit of 4096"),
@@ -494,6 +497,12 @@ def test_descriptor_round_trip(toy, toy4, tiny):
     ("p3e-262144:262144ns", None),
     ("p3e262145:262146", "exponent 262145 is outside the limit of -262144:262144"),
     ("p237e-262142:262143", None),  # binary256
+    # a field beyond int()'s 4,300 digits is refused by its length
+    pytest.param("p3e-" + "9" * 5000 + ":3", "exponent of 5000 digits is " + _BEYOND,
+                 id="e_min-5000-digits"),
+    pytest.param("p" + "9" * 5000 + "e0:1", "precision of 5000 digits is " + _BEYOND,
+                 id="precision-5000-digits"),
+    pytest.param("p3e0:" + "9" * 30, "exponent of 30 digits is " + _BEYOND, id="e_max-30-digits"),
 ])
 def test_parse_format_limits(descriptor, limit):
     """Exact bounds near min_pos are integers of about |e_min| + p bits, so

@@ -102,6 +102,22 @@ def test_equal_intervals_from_every_path_are_equal_and_hash_alike(toy):
     assert ExtInterval.empty(toy) == ExtInterval.empty(toy) != zero_lo[0]
 
 
+def test_zero_bounds_given_as_two_objects_make_one_zero_point(toy):
+    # a point interval has one bound object (lo is hi), which is what sends
+    # two points to point_op; the point 0 is a +0 whatever the signs given
+    for lo_negative in (False, True):
+        for hi_negative in (False, True):
+            x = ExtInterval.unchecked(Fp.zero(toy, lo_negative), Fp.zero(toy, hi_negative))
+            assert x.lo is x.hi and not x.lo.negative and x == iv("[0, 0]", toy), x
+            for y in (x + x, x - x, x * x):
+                assert y.lo is y.hi and y == x, y
+    one = Fp.from_exact(toy, 1)
+    x = ExtInterval.unchecked(Fp.zero(toy, True), one)
+    assert x.lo is not x.hi and not x.lo.negative and x == iv("[0, 1]", toy)
+    x = ExtInterval.unchecked(-one, Fp.zero(toy, True))
+    assert x.lo is not x.hi and not x.hi.negative and x == iv("[-1, 0]", toy)
+
+
 # -- the paper-derived operation examples -------------------------------------------
 
 

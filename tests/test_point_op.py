@@ -9,15 +9,19 @@ at 2**1022 +- one ulp, subnormal operands, and the adversarial block.
 
 import math
 import random
+import struct
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intervalfp import BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, oracle_op
+from intervalfp import (BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, interval,
+                        oracle_op)
 from intervalfp.harness import adversarial_binary64, ieee_reference_native, native_rounding_available
 from intervalfp.fpformat import RoundFlag, _nearest
-from intervalfp.interval import _point_op64, _round_point, point_op
+from intervalfp.interval import _point_op64, _round_point, apply_op, point_op
 from intervalfp.semantics import interpret, same_value
 
 M = sys.float_info.max
@@ -146,14 +150,20 @@ def hard_pairs(op, seed=8):
 
 
 @pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
-def test_point_op_equals_exact_core_oracle_and_fpu(op):
+def test_point_op_equals_exact_core_oracle_and_fpu(op, monkeypatch):
     native = native_rounding_available()
     seen = dict.fromkeys(("host", "exact", "tie", "subnormal", "overflow", "underflow"), 0)
     checked = 0
+    # a pair that point_op rounds without the exact core's `_nearest` is
+    # decided on the host
+    calls = []
+    monkeypatch.setattr(interval, "_nearest", lambda *args: calls.append(args) or _nearest(*args))
     for a, b in hard_pairs(op):
         if op is OpKind.DIV and b.is_zero:
             continue
+        before = len(calls)
         got = point_op(op, a, b)
+        seen["host"] += len(calls) == before
         q = EXACT[op](a.to_rational(), b.to_rational())
         assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
         x, y = interpret(a, ZeroMode.INFINITE), interpret(b, ZeroMode.INFINITE)
@@ -167,53 +177,91 @@ def test_point_op_equals_exact_core_oracle_and_fpu(op):
         checked += 1
         seen["subnormal"] += any(v.kind is FpKind.FINITE and v.c >> 52 == 0 for v in (a, b))
         seen["overflow"] += abs(q) > F(M)
-        if _point_op64(op, a, b) is None:
-            seen["underflow"] += 0 < abs(q) < F(TINY)
-            continue
-        seen["host"] += 1
+        seen["underflow"] += 0 < abs(q) < F(TINY)
         seen["exact"] += got.lo is got.hi
         if got.lo.is_finite and got.hi.is_finite:
             seen["tie"] += 2 * q == got.lo.to_rational() + got.hi.to_rational()
-    # the host path decides most pairs, and the generators reach the cases
+    # the host kernel decides every pair, and the generators reach the cases
     # they are built for; a quotient of normal range is never a tie
-    assert checked > 5000 and checked * 3 < seen["host"] * 4 < checked * 4, seen
+    assert checked > 5000 and seen["host"] == checked, seen
     cases = [case for case in seen if not (op is OpKind.DIV and case == "tie")]
     assert min(seen[case] for case in cases) >= 20, seen
 
 
 @pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
 def test_host_nearest_and_flag_equal_the_exact_core(op):
-    # wherever the host path decides, it rounds once to nearest and flags
-    # the rounding exactly as the integer core does
-    decided = 0
+    # the host kernel decides every pair: it rounds once to nearest and
+    # flags the rounding exactly as the integer core does
+    pairs = decided = 0
     for a, b in hard_pairs(op):
         if op is OpKind.DIV and b.is_zero:
             continue
-        flagged = _point_op64(op, a, b)
-        if flagged is None:
-            continue
+        pairs += 1
         q = EXACT[op](a.to_rational(), b.to_rational())
-        assert flagged == _nearest(BINARY64, q.numerator, q.denominator), (a, op, b)
-        decided += 1
-    assert decided > 3000
+        decided += _point_op64(op, a, b) == _nearest(BINARY64, q.numerator, q.denominator)
+    assert pairs > 5000 and decided == pairs
 
 
 @pytest.mark.parametrize("op", [OpKind.MUL, OpKind.DIV], ids=["mul", "div"])
 def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
     # an overflow is decided on the host: the exact result is finite, so
-    # the infinity nearest rounding gives was rounded up
-    overflowed = 0
+    # the infinity nearest rounding gives was rounded up; below the normal
+    # range the host's subnormal or zero is the exact core's
+    overflowed = underflowed = 0
     for a, b in hard_pairs(op):
         if b.is_zero:
             continue
         q = EXACT[op](a.to_rational(), b.to_rational())
         flagged = _point_op64(op, a, b)
-        if flagged is None:
-            assert abs(q) < F(TINY), (a, op, b)
+        if 0 < abs(q) < F(TINY):
+            assert flagged == _nearest(BINARY64, q.numerator, q.denominator), (a, op, b)
+            underflowed += 1
         elif flagged[0].is_inf:
             assert flagged == (Fp.inf(BINARY64, q < 0), RoundFlag.ROUNDED_UP), (a, op, b)
             overflowed += 1
-    assert overflowed >= 20
+    assert overflowed >= 20 and underflowed >= 20
+
+
+def _host_decides(op, a, b):
+    """point_op of a and b, and the interval op of their points, call the
+    exact core's rounding not once and give the exact result's hull."""
+    calls = []
+    core = interval._nearest
+    interval._nearest = lambda *args: calls.append(args) or core(*args)
+    try:
+        x, y = interpret(a, ZeroMode.INFINITE), interpret(b, ZeroMode.INFINITE)
+        results = point_op(op, a, b), apply_op(op, x, y)
+    finally:
+        interval._nearest = core
+    assert not calls, (a, op, b)
+    q = EXACT[op](a.to_rational(), b.to_rational())
+    for got in results:
+        assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
+        # an exact result is one object, as a point interval is
+        assert (got.lo is got.hi) == (got.lo.is_finite and got.lo.to_rational() == q), (a, op, b)
+
+
+_FINITE64 = (
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(math.isfinite)
+)
+
+
+def test_no_binary64_point_op_reaches_the_exact_core():
+    # hard_pairs ends with the finite adversarial block, both zeros included
+    for op in OpKind:
+        for a, b in hard_pairs(op):
+            if not (op is OpKind.DIV and b.is_zero):
+                _host_decides(op, a, b)
+
+    @settings(deadline=None, derandomize=True, max_examples=1000)
+    @given(st.sampled_from(list(OpKind)), _FINITE64, _FINITE64)
+    def bit_patterns(op, x, y):
+        if not (op is OpKind.DIV and y == 0):
+            _host_decides(op, Fp.from_float(BINARY64, x), Fp.from_float(BINARY64, y))
+
+    bit_patterns()
 
 
 def test_point_op_rejects_mixed_formats(toy):
