@@ -215,6 +215,11 @@ def _unsupported(self, other):
     return NotImplemented
 
 
+def _refused(*args, **kwargs):
+    """A namedtuple helper (`_make`, `_replace`) that would skip `__init__`."""
+    raise TypeError("a value is built by calling its class, not by _make or _replace")
+
+
 class Fp(_FpFields):
     """One datum of a format: a finite nonzero value, a zero, an infinity,
     or NaN.
@@ -227,7 +232,7 @@ class Fp(_FpFields):
     has exactly one encoding, so equality of the five fields, which the
     tuple underneath compares and hashes, is value identity, with +0 and -0
     distinct.  A value is immutable and unordered, and the tuple's
-    concatenation and repetition do not apply to it.
+    concatenation and repetition, `_make` and `_replace` do not apply to it.
     """
 
     __slots__ = ()
@@ -236,6 +241,7 @@ class Fp(_FpFields):
         """Every Fp is built through here; the benchmark's object counter and `built` wrap it."""
 
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
+    _make = _replace = _refused
 
     # -- constructors --------------------------------------------------------
 
@@ -320,13 +326,14 @@ class Fp(_FpFields):
 
     def to_rational(self) -> Fraction:
         """Exact value of a finite datum (both zeros give 0)."""
-        if self.kind is not _FINITE:
-            if self.is_zero:
+        fmt, kind, negative, c, e = self
+        if kind is not _FINITE:
+            if kind is _ZERO:
                 return Fraction(0)
             raise DomainError(f"{self} has no rational value")
-        s = self.e - self.fmt.precision + 1
-        mag = Fraction(self.c << s) if s >= 0 else Fraction(self.c, 1 << -s)
-        return -mag if self.negative else mag
+        s = e - fmt.precision + 1
+        c = -c if negative else c
+        return Fraction(c << s) if s >= 0 else Fraction(c, 1 << -s)
 
     def to_float(self) -> float:
         """Host-float value (exact when the format fits in binary64)."""

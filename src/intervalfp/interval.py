@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .fpformat import (BINARY64, FloatFormat, Fp, RoundFlag, _EXACT, _FINITE, _NOT_ROUNDED_UP,
-                       _ROUNDED_UP, _ZERO, _bracket_side, _nearest, _unsupported,
-                       recover_bounds, value_cmp)
+                       _ROUNDED_UP, _ZERO, _bracket_side, _nearest, _refused,
+                       _unsupported, recover_bounds, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -62,11 +62,12 @@ class ExtInterval(_ExtIntervalFields):
     """Empty, or the reals between two format bounds (closed where finite).
 
     An immutable, unordered value like `Fp`: the tuple underneath compares
-    and hashes the three fields, and the operators below are interval
-    arithmetic, not the tuple's."""
+    and hashes the three fields, the operators below are interval
+    arithmetic, not the tuple's, and `_make` and `_replace` are refused."""
 
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = __rmul__ = _unsupported
+    _make = _replace = _refused
 
     @staticmethod
     def empty(fmt: FloatFormat) -> "ExtInterval":
@@ -406,8 +407,15 @@ def negate(x: ExtInterval) -> ExtInterval:
 
 
 def sub(x: ExtInterval, y: ExtInterval) -> ExtInterval:
-    """Hull of the set of z with y + z = x, which is the difference set."""
-    return add(x, negate(y))
+    """Hull of the set of z with y + z = x: [x.lo - y.hi, x.hi - y.lo]."""
+    _check_pair(x, y)
+    if x.is_empty or y.is_empty:
+        return ExtInterval.empty(x.fmt)
+    if x.lo is x.hi and y.lo is y.hi:
+        return point_op(OpKind.SUB, x.lo, y.lo)
+    (yhn, yhd), (yln, yld) = _bound(y.hi), _bound(y.lo)
+    lo = _add_bound(_bound(x.lo), (-yhn, yhd))
+    return _round_out(lo, _add_bound(_bound(x.hi), (-yln, yld)), x.fmt)
 
 
 def mul(x: ExtInterval, y: ExtInterval) -> ExtInterval:

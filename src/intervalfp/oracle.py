@@ -5,7 +5,9 @@ sign-split case analysis in exact rational arithmetic (a set may have two
 components, e.g. dividing by a straddling interval), then hulls it into
 the format.  It deliberately shares none of the bound recipes in
 interval.py: agreement between the two routes over entire enumerated
-formats is the tightness evidence the test suites rest on.
+formats is the tightness evidence the test suites rest on.  `oracle_op`
+takes `RealSet` or `ExtInterval` operands; `exhaustive_compare` builds each
+value's meaning and its `RealSet` once per run, not once per pair.
 """
 
 from __future__ import annotations
@@ -97,14 +99,10 @@ def exact_relational_set(x: RealSet, y: RealSet, op: OpKind) -> RealSet:
     if op is OpKind.ADD:
         return RealSet.interval(_sum_lo(xl, yl), _sum_hi(xh, yh))
     if op is OpKind.SUB:
-        return RealSet.interval(_sum_lo(xl, _nege(yh)), _sum_hi(xh, _nege(yl)))
+        return RealSet.interval(_sum_lo(xl, -yh), _sum_hi(xh, -yl))
     if op is OpKind.MUL:
         return _mul_set(xl, xh, yl, yh)
     return _div_set(xl, xh, yl, yh)
-
-
-def _nege(v: Endpoint) -> Endpoint:
-    return -v
 
 
 def _sum_lo(a: Endpoint, b: Endpoint) -> Endpoint:
@@ -196,10 +194,10 @@ def _div_set(xl, xh, yl, yh) -> RealSet:
     pos = _div_by_positive(xl, xh, yl, yh)
     if pos is not None:
         pieces.append(pos)
-    neg = _div_by_positive(xl, xh, _nege(yh), _nege(yl))
+    neg = _div_by_positive(xl, xh, -yh, -yl)
     if neg is not None:
         lo, hi = neg
-        pieces.append((_nege(hi), _nege(lo)))
+        pieces.append((-hi, -lo))
     if not pieces:
         return RealSet.empty()
     return RealSet.union(pieces)
@@ -214,9 +212,13 @@ def _to_real_set(x: ExtInterval) -> RealSet:
     return RealSet.interval(x.lo_ext, x.hi_ext)
 
 
-def oracle_op(x: ExtInterval, y: ExtInterval, op: OpKind, fmt: FloatFormat) -> ExtInterval:
-    """Format hull of the exact relational set; the reference for tightness."""
-    solution = exact_relational_set(_to_real_set(x), _to_real_set(y), op)
+def oracle_op(x: Union[RealSet, ExtInterval], y: Union[RealSet, ExtInterval], op: OpKind,
+              fmt: FloatFormat) -> ExtInterval:
+    """Format hull of the exact relational set; the reference for tightness.
+    Each operand is a `RealSet`, or an `ExtInterval` that is converted here."""
+    x = _to_real_set(x) if isinstance(x, ExtInterval) else x
+    y = _to_real_set(y) if isinstance(y, ExtInterval) else y
+    solution = exact_relational_set(x, y, op)
     if solution.is_empty:
         return ExtInterval.empty(fmt)
     lo, hi = solution.bounds()
@@ -246,18 +248,18 @@ def exhaustive_compare(fmt: FloatFormat, mode: ZeroMode) -> list[Mismatch]:
     """Compare the interval implementation against the oracle over every
     ordered pair of format values (NaN included in infinite-zero mode,
     where it means the empty set) and all four operations.  An empty
-    report is the tightness contract."""
+    report is the tightness contract.  Each value's meaning and its
+    `RealSet` are built once, before the pairs, and dropped on return."""
     values = list(fmt.enumerate())
     if mode is ZeroMode.INFINITE:
         values.append(Fp.nan(fmt))
-    meanings = {v: interpret(v, mode) for v in values}
+    table = [(v, _to_real_set(interpret(v, mode))) for v in values]
     report = []
     for op in OpKind:
-        for a in values:
-            ia = meanings[a]
-            for b in values:
+        for a, sa in table:
+            for b, sb in table:
                 got = fp_interval_op(a, b, op, mode)
-                expected = oracle_op(ia, meanings[b], op, fmt)
+                expected = oracle_op(sa, sb, op, fmt)
                 if got != expected:
                     report.append(Mismatch(fmt, op, a, b, mode, got, expected))
     return report

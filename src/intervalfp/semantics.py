@@ -101,12 +101,7 @@ def represent(x: ExtInterval, mode: ZeroMode) -> Optional[Fp]:
         return Fp.nan(fmt) if mode is ZeroMode.INFINITE else None
     if x.is_point() and x.lo.kind is _FINITE:
         return x.lo
-    for candidate in (
-        Fp.zero(fmt),
-        Fp.zero(fmt, negative=True),
-        Fp.inf(fmt),
-        Fp.inf(fmt, negative=True),
-    ):
+    for candidate in (Fp.zero(fmt), Fp.zero(fmt, True), Fp.inf(fmt), Fp.inf(fmt, True)):
         if interpret(candidate, mode) == x:
             return candidate
     return None

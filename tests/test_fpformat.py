@@ -398,6 +398,19 @@ def test_to_rational_examples(toy):
         Fp.inf(toy).to_rational()
 
 
+def test_to_rational_is_the_signed_significand_times_its_scale():
+    # value = (-1)**negative * c * 2**(e - p + 1); every value of p2e2:4ns
+    # has a scale e - p + 1 >= 0, and the binary64 ends below have one < 0
+    values = [v for d in ("p3e-2:3", "p2e2:4ns") for v in parse_format(d).enumerate()
+              if v.is_finite]
+    for x in (5e-324, 2.0**-1022, 1.7976931348623157e308):
+        values += [Fp.from_float(BINARY64, x), Fp.from_float(BINARY64, -x)]
+    for v in values:
+        expected = F(-1) ** int(v.negative) * v.c * F(2) ** (v.e - v.fmt.precision + 1)
+        got = v.to_rational()
+        assert type(got) is F and got == expected, v
+
+
 def test_from_exact_rejects_unrepresentable(toy):
     with pytest.raises(ValueError):
         Fp.from_exact(toy, F(1, 3))
@@ -462,6 +475,18 @@ def test_fp_is_an_immutable_unordered_value(toy):
     assert Fp.zero(toy) != Fp.zero(toy, negative=True)
     assert repr(x) == "Fp('0.5', 'p3e-2:3')"
     assert repr(Fp.inf(BINARY64, negative=True)) == "Fp('-inf', 'b64')"
+
+
+def test_fp_refuses_the_namedtuple_helpers(toy):
+    # _make and _replace would build an Fp without calling Fp.__init__
+    x = Fp.from_exact(toy, 3)
+    with pytest.raises(TypeError):
+        Fp._make(tuple(x))
+    with pytest.raises(TypeError):
+        x._replace(negative=True)
+    # iteration and unpacking stay: the op paths read the five fields at once
+    fmt, kind, negative, c, e = x
+    assert (fmt, kind, negative, c, e) == tuple(x) == (toy, FpKind.FINITE, False, 6, 1)
 
 
 @pytest.mark.parametrize("descriptor, x", [

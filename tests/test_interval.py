@@ -90,6 +90,17 @@ def test_ext_interval_is_an_immutable_unordered_value(toy):
     assert repr(ExtInterval.empty(toy)) == "ExtInterval('empty', 'p3e-2:3')"
 
 
+def test_ext_interval_refuses_the_namedtuple_helpers(toy):
+    # _make and _replace would build an interval around make and unchecked
+    x = iv("[1, 2]", toy)
+    with pytest.raises(TypeError):
+        ExtInterval._make(tuple(x))
+    with pytest.raises(TypeError):
+        x._replace(hi=x.lo)
+    fmt, lo, hi = x
+    assert fmt is toy and (lo, hi) == (x.lo, x.hi) and tuple(x) == (toy, lo, hi)
+
+
 def test_equal_intervals_from_every_path_are_equal_and_hash_alike(toy):
     one, two = Fp.from_exact(toy, 1), Fp.from_exact(toy, 2)
     half = iv("[0.5, 1]", toy)
@@ -231,6 +242,30 @@ def test_negation_symmetry(toy):
         assert negate(add(x, y)) == add(negate(x), negate(y))
         assert mul(negate(x), negate(y)) == mul(x, y)
         assert div(negate(x), y) == negate(div(x, y))
+
+
+def test_sub_is_add_of_the_mirror_without_negate(toy, monkeypatch):
+    """x - y equals x + (-y), but sub never builds the interval -y."""
+    import intervalfp.interval as interval_mod
+
+    rng = random.Random(22)
+    values = toy.enumerate()
+    points = [ExtInterval.point(v) for v in values if v.is_finite]
+    pairs = [(rand_interval(rng, toy, values), rand_interval(rng, toy, values))
+             for _ in range(600)]
+    pairs += [(x, y) for x in points[::3] for y in points[::3]]
+    pairs += [(x, rand_interval(rng, toy, values)) for x in points]
+    pairs += [(rand_interval(rng, toy, values), y) for y in points]
+    expected = [add(x, negate(y)) for x, y in pairs]
+
+    def refused(*args):
+        raise AssertionError("sub built -y")
+
+    monkeypatch.setattr(interval_mod, "negate", refused)
+    for (x, y), want in zip(pairs, expected):
+        got = sub(x, y)
+        assert got == want, (x, y)
+        assert (got.lo is got.hi) == (want.lo is want.hi), (x, y)
 
 
 def test_point_interval_consistency(toy):

@@ -17,7 +17,8 @@ from intervalfp import (
     parse_interval,
 )
 from intervalfp import interval as iv_mod
-from intervalfp.oracle import _NEG, _POS
+from intervalfp import oracle
+from intervalfp.oracle import _NEG, _POS, _to_real_set
 
 
 def rs(lo, hi):
@@ -93,6 +94,23 @@ def test_union_result_hulls_to_full_line(toy):
     assert oracle_op(one, straddle, OpKind.DIV, toy) == ExtInterval.full_line(toy)
 
 
+def test_oracle_op_takes_real_sets_and_intervals_alike(toy):
+    """Every op on every ordered pair of meanings, in both zero modes: a
+    `RealSet` operand gives what its `ExtInterval` gives."""
+    from intervalfp import interpret
+
+    for mode in ZeroMode:
+        values = list(toy.enumerate())
+        if mode is ZeroMode.INFINITE:
+            values.append(Fp.nan(toy))
+        meanings = [interpret(v, mode) for v in values]
+        sets = [_to_real_set(x) for x in meanings]
+        for op in OpKind:
+            for x, sx in zip(meanings, sets):
+                for y, sy in zip(meanings, sets):
+                    assert oracle_op(sx, sy, op, toy) == oracle_op(x, y, op, toy), (x, y, op, mode)
+
+
 # -- oracle self-consistency by dense sampling -----------------------------------
 
 
@@ -159,6 +177,30 @@ def test_exact_sets_tight_for_bounded_images():
 def test_exhaustive_compare_toy_clean(toy):
     for mode in (ZeroMode.FINITE, ZeroMode.INFINITE):
         assert exhaustive_compare(toy, mode) == []
+
+
+def test_exhaustive_compare_builds_each_meaning_once(toy, monkeypatch):
+    """One oracle_op and one fp_interval_op per ordered pair and op, through
+    the module names, and one meaning set per value, built before the pairs."""
+    calls = {}
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    for name in ("oracle_op", "fp_interval_op", "interpret", "_to_real_set"):
+        counted(name)
+    for mode in ZeroMode:
+        calls.clear()
+        assert exhaustive_compare(toy, mode) == []
+        n = toy.value_count() + (1 if mode is ZeroMode.INFINITE else 0)
+        assert calls == {"oracle_op": 4 * n * n, "fp_interval_op": 4 * n * n,
+                         "interpret": n, "_to_real_set": n}, mode
 
 
 def test_exhaustive_compare_all_interval_pairs_tiny(tiny):
