@@ -180,7 +180,8 @@ MAX_EXPONENT = 1 << 18
 
 def parse_format(text: str) -> FloatFormat:
     """Parse a format descriptor: ``b64`` or ``p<P>e<EMIN>:<EMAX>[ns]``,
-    with P at most MAX_PRECISION and |EMIN|, |EMAX| at most MAX_EXPONENT."""
+    with P at most MAX_PRECISION and |EMIN|, |EMAX| at most MAX_EXPONENT.
+    The descriptor of binary64's fields gives the object `BINARY64`."""
     text = text.strip()
     if text == "b64":
         return BINARY64
@@ -199,7 +200,8 @@ def parse_format(text: str) -> FloatFormat:
     for e in (e_min, e_max):
         if abs(e) > MAX_EXPONENT:
             raise ValueError(f"exponent {e} is outside the limit of -{MAX_EXPONENT}:{MAX_EXPONENT}")
-    return FloatFormat(precision, e_min, e_max, m.group(4) is None)
+    fmt = FloatFormat(precision, e_min, e_max, m.group(4) is None)
+    return BINARY64 if fmt == BINARY64 else fmt
 
 
 class _FpFields(NamedTuple):

@@ -1,10 +1,13 @@
 """Differential testing against IEEE 754 behaviour.
 
 The reference semantics (ieee_reference) follows the standard's rules in
-exact rational arithmetic: NaN for the classically invalid combinations,
-signed zeros per the sign rules, directed rounding via the format rounder.
-For binary64 an optional native backend drives the actual FPU through
-fesetround, so the softfloat rules can be diffed against hardware.
+exact arithmetic: NaN for the classically invalid combinations, signed
+zeros per the sign rules, and every direction through the oracle's
+rounding from the definition (`oracle.round_scaled`) on operands in units
+of the format's least step.  So it shares the construction of values with
+the implementation, and nothing of its rounding or meanings.  For binary64 an
+optional native backend drives the actual FPU through fesetround, so the
+softfloat rules can be diffed against hardware.
 
 Classification against IEEE 754 lives here too, next to the reference it
 needs: an interval result conforms, deviates, or is newly defined where
@@ -42,6 +45,7 @@ from .fpformat import (
     RoundingDirection,
 )
 from .interval import ExtInterval, OpKind
+from .oracle import least_step, round_scaled, units
 from .semantics import (
     ZeroMode,
     extract_bound,
@@ -60,64 +64,43 @@ DEFAULT_SEED = 271828
 
 
 def ieee_reference(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection) -> Fp:
-    """The IEEE 754 result of a op b under a rounding direction, computed
-    from exact rationals.  NaN is an ordinary value here."""
-    if a.fmt is not b.fmt and a.fmt != b.fmt:
+    """The IEEE 754 result of a op b under a rounding direction: the special
+    cases by the standard's rules, else the exact result in units of the
+    format's least step, rounded by the oracle.  NaN is an ordinary value."""
+    fmt = a.fmt
+    if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
-    if a.is_nan or b.is_nan:
-        return Fp.nan(a.fmt)
-    if op is OpKind.ADD:
-        return _ieee_add(a, b, direction)
     if op is OpKind.SUB:
-        return _ieee_add(a, -b, direction)
-    if op is OpKind.MUL:
-        return _ieee_mul(a, b, direction)
-    return _ieee_div(a, b, direction)
-
-
-def _ieee_add(a: Fp, b: Fp, direction: RoundingDirection) -> Fp:
-    fmt = a.fmt
-    if a.is_inf or b.is_inf:
-        if a.is_inf and b.is_inf and a.negative != b.negative:
-            return Fp.nan(fmt)
-        return a if a.is_inf else b
-    q = a.to_rational() + b.to_rational()
-    if q == 0:
-        if a.is_zero and b.is_zero and a.negative == b.negative:
-            return Fp.zero(fmt, a.negative)
-        # opposite-sign zeros or exact cancellation: +0 except when rounding down
-        return Fp.zero(fmt, direction is RoundingDirection.TO_NEG_INF)
-    return fmt.round(q, direction)
-
-
-def _ieee_mul(a: Fp, b: Fp, direction: RoundingDirection) -> Fp:
-    fmt = a.fmt
+        op, b = OpKind.ADD, -b
     sign = a.negative != b.negative
-    if a.is_inf or b.is_inf:
+    if a.is_nan or b.is_nan:
+        return Fp.nan(fmt)
+    if op is OpKind.ADD:
+        if a.is_inf or b.is_inf:
+            return Fp.nan(fmt) if a.is_inf and b.is_inf and sign else a if a.is_inf else b
+        v, s = units(a) + units(b), least_step(fmt)
+        if v == 0:  # opposite zeros or exact cancellation: +0 except when rounding down
+            return Fp.zero(fmt, a.negative if a.is_zero and b.is_zero and not sign else
+                           direction is RoundingDirection.TO_NEG_INF)
+    elif op is OpKind.MUL:
+        if a.is_inf or b.is_inf:
+            return Fp.nan(fmt) if a.is_zero or b.is_zero else Fp.inf(fmt, sign)
         if a.is_zero or b.is_zero:
+            return Fp.zero(fmt, sign)
+        v, s = units(a) * units(b), 2 * least_step(fmt)
+    else:
+        if (a.is_inf and b.is_inf) or (a.is_zero and b.is_zero):
             return Fp.nan(fmt)
-        return Fp.inf(fmt, sign)
-    if a.is_zero or b.is_zero:
-        return Fp.zero(fmt, sign)
-    return fmt.round(a.to_rational() * b.to_rational(), direction)
-
-
-def _ieee_div(a: Fp, b: Fp, direction: RoundingDirection) -> Fp:
-    fmt = a.fmt
-    sign = a.negative != b.negative
-    if a.is_inf:
-        if b.is_inf:
-            return Fp.nan(fmt)
-        return Fp.inf(fmt, sign)
-    if b.is_inf:
-        return Fp.zero(fmt, sign)
-    if b.is_zero:
-        if a.is_zero:
-            return Fp.nan(fmt)
-        return Fp.inf(fmt, sign)
-    if a.is_zero:
-        return Fp.zero(fmt, sign)
-    return fmt.round(a.to_rational() / b.to_rational(), direction)
+        if a.is_inf or b.is_zero:
+            return Fp.inf(fmt, sign)
+        if b.is_inf or a.is_zero:
+            return Fp.zero(fmt, sign)
+        v, s = Fraction(units(a), units(b)), 0
+    if direction is RoundingDirection.NEAREST:
+        return round_scaled(v, s, fmt, None)
+    toward_zero = direction is RoundingDirection.TO_ZERO
+    up = v < 0 if toward_zero else direction is RoundingDirection.TO_POS_INF
+    return round_scaled(v, s, fmt, up)
 
 
 # -- native backend (binary64 via the host FPU) ---------------------------------------
@@ -153,8 +136,8 @@ def _native_rounding() -> Optional[tuple[ctypes.CDLL, dict]]:
     if lib is None:
         return None
     one, three = float(1.0), float(3.0)
-    want_dn = BINARY64.round(Fraction(1, 3), RoundingDirection.TO_NEG_INF).to_float()
-    want_up = BINARY64.round(Fraction(1, 3), RoundingDirection.TO_POS_INF).to_float()
+    want_dn = round_scaled(Fraction(1, 3), 0, BINARY64, False).to_float()
+    want_up = round_scaled(Fraction(1, 3), 0, BINARY64, True).to_float()
     for consts in _FE_CANDIDATES:
         old = lib.fegetround()
         try:

@@ -326,7 +326,8 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
-    if fmt is BINARY64 or fmt == BINARY64:
+    # one field read spares other formats the dataclass __eq__
+    if fmt is BINARY64 or (fmt.precision == 53 and fmt == BINARY64):
         return ExtInterval.unchecked(*recover_bounds(*_point_op64(op, a, b)))
     pa, pb = _bound(a), _bound(b)
     if op is _ADD:

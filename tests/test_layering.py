@@ -54,3 +54,20 @@ def test_imports_only_go_down_the_stack():
 def test_the_check_sees_imports_inside_functions():
     tree = ast.parse("def f():\n    from .harness import ieee_reference\n")
     assert list(_package_imports(tree)) == [(2, "harness")]
+
+
+def test_the_oracle_imports_construction_and_what_it_checks():
+    """The oracle states meanings and rounds on its own: from the package it
+    takes value and result construction, and the two functions under check."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("intervalfp"))
+             for alias in node.names}
+    assert names == {"FloatFormat", "Fp", "FpKind", "ExtInterval", "OpKind", "ZeroMode",
+                     "fp_interval_op", "interpret"}
+    borrowed = {"round", "round_both", "round_flagged", "next_up", "next_down", "toward_zero",
+                "away_from_zero", "max_finite", "min_pos", "to_rational", "lo_ext", "hi_ext"}
+    for name in ("oracle", "harness"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert used & borrowed == set(), name

@@ -1,6 +1,7 @@
 """The independent reference path: exact solution sets and tightness."""
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -8,17 +9,28 @@ import pytest
 from intervalfp import (
     ExtInterval,
     Fp,
+    FpKind,
     OpKind,
     RealSet,
+    RoundingDirection,
     ZeroMode,
     exact_relational_set,
     exhaustive_compare,
     oracle_op,
+    parse_format,
     parse_interval,
+    run_theorem_suite,
 )
 from intervalfp import interval as iv_mod
 from intervalfp import oracle
-from intervalfp.oracle import _NEG, _POS, _to_real_set
+from intervalfp import semantics
+from intervalfp.oracle import (_NEG, _POS, MeaningMismatch, Mismatch, _to_real_set, least_step,
+                               round_scaled)
+
+# Formats for the rounding and oracle checks: with and without subnormals,
+# one binade, negative and positive exponent ranges.
+NINE_FORMATS = ("p2e0:0ns", "p3e-2:3", "p3e-2:3ns", "p4e-3:3", "p2e-6:-6", "p3e-4:-1",
+                "p2e-1:-1ns", "p2e2:4ns", "p3e0:2")
 
 
 def rs(lo, hi):
@@ -66,6 +78,19 @@ def test_realset_normalisation():
     merged = RealSet.union([(F(1), F(2)), (F(2), F(3)), (F(5), F(6))])
     assert merged.parts == ((F(1), F(3)), (F(5), F(6)))
     assert merged.contains(F(2)) and not merged.contains(F(4))
+
+
+def test_scaled_sets_carry_their_unit():
+    """Endpoints in units of 2**scale: sums keep the unit and refuse to mix
+    two, products add scales, quotients subtract them, and the set reads
+    as exact reals."""
+    a, b = RealSet.interval(3, 5, -2), RealSet.interval(1, 2, -2)  # [3/4, 5/4], [1/4, 1/2]
+    assert exact_relational_set(a, b, OpKind.SUB) == RealSet.interval(1, 4, -2)
+    assert exact_relational_set(a, b, OpKind.MUL) == RealSet.interval(3, 10, -4)
+    assert exact_relational_set(a, b, OpKind.DIV) == RealSet.interval(F(3, 2), 5, 0)
+    with pytest.raises(ValueError, match="units"):
+        exact_relational_set(a, rs(F(1), F(2)), OpKind.ADD)
+    assert str(a) == "[3/4, 5/4]" and a.contains(F(1)) and not a.contains(F(3))
 
 
 def test_relational_set_rejects_multipart():
@@ -179,9 +204,18 @@ def test_exhaustive_compare_toy_clean(toy):
         assert exhaustive_compare(toy, mode) == []
 
 
+@pytest.mark.parametrize("descriptor", ["p2e0:0ns", "p3e-2:3ns"])
+def test_exhaustive_compare_clean_without_subnormals(descriptor):
+    """Formats whose zeros are as wide as the least normal value."""
+    fmt = parse_format(descriptor)
+    for mode in ZeroMode:
+        assert exhaustive_compare(fmt, mode) == [], mode
+
+
 def test_exhaustive_compare_builds_each_meaning_once(toy, monkeypatch):
     """One oracle_op and one fp_interval_op per ordered pair and op, through
-    the module names, and one meaning set per value, built before the pairs."""
+    the module names, and per value one oracle meaning and one `interpret`
+    set to check it against, built before the pairs."""
     calls = {}
 
     def counted(name):
@@ -193,14 +227,14 @@ def test_exhaustive_compare_builds_each_meaning_once(toy, monkeypatch):
 
         monkeypatch.setattr(oracle, name, wrapper)
 
-    for name in ("oracle_op", "fp_interval_op", "interpret", "_to_real_set"):
+    for name in ("oracle_op", "fp_interval_op", "interpret", "_meaning", "_to_real_set"):
         counted(name)
     for mode in ZeroMode:
         calls.clear()
         assert exhaustive_compare(toy, mode) == []
         n = toy.value_count() + (1 if mode is ZeroMode.INFINITE else 0)
         assert calls == {"oracle_op": 4 * n * n, "fp_interval_op": 4 * n * n,
-                         "interpret": n, "_to_real_set": n}, mode
+                         "interpret": n, "_meaning": n, "_to_real_set": n}, mode
 
 
 def test_exhaustive_compare_all_interval_pairs_tiny(tiny):
@@ -261,3 +295,114 @@ def test_mutation_is_detected(toy, monkeypatch):
     report = exhaustive_compare(toy, ZeroMode.FINITE)
     assert report
     assert all(m.op is OpKind.MUL for m in report)
+
+
+# -- rounding from the definition ---------------------------------------------------
+
+
+def _bisection(fmt, q, direction):
+    """q rounded by bisection over the format's ascending finite values,
+    with the infinities beyond +-M; a nonzero q that rounds to zero gives
+    the zero of its sign.  Nearest takes the nearer side, where an infinity
+    stands at 2**(e_max + 1), and breaks a tie toward the side that is an
+    even multiple of the gap between the two."""
+    finite = [v for v in fmt.enumerate() if v.is_finite and not (v.is_zero and v.negative)]
+    reals = [v.to_rational() for v in finite]
+    i, j = bisect_right(reals, q) - 1, bisect_left(reals, q)
+    below = finite[i] if i >= 0 else Fp.inf(fmt, True)
+    above = finite[j] if j < len(finite) else Fp.inf(fmt)
+    top = F(2) ** (fmt.e_max + 1)
+    lo, hi = (-top if x.is_inf and x.negative else top if x.is_inf else x.to_rational()
+              for x in (below, above))
+    if direction is RoundingDirection.TO_NEG_INF:
+        out = below
+    elif direction is RoundingDirection.TO_POS_INF:
+        out = above
+    elif direction is RoundingDirection.TO_ZERO:
+        out = below if q >= 0 else above
+    elif lo == hi or 2 * q != lo + hi:
+        out = below if 2 * q <= lo + hi else above
+    else:
+        out = below if (lo / (hi - lo)) % 2 == 0 else above
+    return Fp.zero(fmt, q < 0) if out.is_zero else out
+
+
+def _probe_points(fmt):
+    """Every value, the midpoint and quarter points between neighbours, the
+    points between 0 and m, M + ulp/2 and beyond, and their negatives."""
+    finite = sorted({v.to_rational() for v in fmt.enumerate() if v.is_finite})
+    points = set(finite)
+    for a, b in zip(finite, finite[1:]):
+        points.update(a + (b - a) * j / 4 for j in (1, 2, 3))
+    big, m = finite[-1], finite[finite.index(0) + 1]
+    ulp = F(2) ** (fmt.e_max - fmt.precision + 1)
+    top = F(2) ** (fmt.e_max + 1)
+    points.update([big + ulp / 4, big + ulp / 2, big + 3 * ulp / 4, top, top + ulp, 3 * top,
+                   m / 1024, m / 4, m / 2, 3 * m / 4])
+    return sorted(points | {-q for q in points})
+
+
+@pytest.mark.parametrize("descriptor", NINE_FORMATS)
+def test_rounding_against_bisection(descriptor):
+    """round_scaled against bisection over enumerate(), in all four
+    directions, with each point as a Fraction at scale 0 and, where it is
+    one, as an int at scale k - 2; fpformat's rounder agrees too."""
+    fmt = parse_format(descriptor)
+    k = least_step(fmt)
+    ulp = F(2) ** (fmt.e_max - fmt.precision + 1)
+    assert round_scaled(fmt.max_finite().to_rational() + ulp / 2, 0, fmt, None) == Fp.inf(fmt)
+    for q in _probe_points(fmt):
+        forms = [(q, 0)]
+        scaled = q * F(2) ** (2 - k)
+        if scaled.denominator == 1:
+            forms.append((int(scaled), k - 2))
+        for direction in RoundingDirection:
+            want = _bisection(fmt, q, direction)
+            assert fmt.round(q, direction) == want, (descriptor, q, direction)
+            up = {RoundingDirection.TO_NEG_INF: False, RoundingDirection.TO_POS_INF: True,
+                  RoundingDirection.TO_ZERO: q < 0, RoundingDirection.NEAREST: None}[direction]
+            for v, s in forms:
+                got = round_scaled(v, s, fmt, up)
+                assert got == want, (descriptor, q, s, direction, got, want)
+
+
+# -- the suites catch what they check ---------------------------------------------------
+
+
+def test_a_wrong_neighbour_is_caught_by_the_suites(toy, monkeypatch):
+    """Mutation (a): from the least significand of a binade, `toward_zero`
+    steps to 2*half - 2 instead of 2*half - 1, so a lower bound just below
+    a power of two skips a value."""
+    original = Fp.toward_zero
+
+    def skipping(self):
+        fmt, kind, negative, c, e = self
+        half = 1 << (fmt.precision - 1)
+        if kind is FpKind.FINITE and c == half and e > fmt.e_min:
+            return Fp(fmt, kind, negative, 2 * half - 2, e - 1)
+        return original(self)
+
+    monkeypatch.setattr(Fp, "toward_zero", skipping)
+    for mode in ZeroMode:
+        report = exhaustive_compare(toy, mode)
+        assert report and all(isinstance(m, Mismatch) for m in report), mode
+    assert not run_theorem_suite(toy).ok
+
+
+def test_a_widened_zero_is_caught_by_the_suites(toy, monkeypatch):
+    """Mutation (b): the finite-mode zeros mean one value more than [0, m]
+    (mirrored); the compare names both zeros and both sets."""
+    original = semantics._special_meaning
+
+    def widened(x, mode):
+        if x.is_zero and mode is ZeroMode.FINITE:
+            zero = ExtInterval.make(Fp.zero(toy), toy.min_pos().next_up())
+            return -zero if x.negative else zero
+        return original(x, mode)
+
+    monkeypatch.setattr(semantics, "_special_meaning", widened)
+    report = exhaustive_compare(toy, ZeroMode.FINITE)
+    meanings = [m for m in report if isinstance(m, MeaningMismatch)]
+    assert {m.value for m in meanings} == {Fp.zero(toy), Fp.zero(toy, True)}
+    assert len(report) > len(meanings)
+    assert str(meanings[0]) == "p3e-2:3 meaning of -0 finite: interpret [-1/8, 0], oracle [-1/16, 0]"

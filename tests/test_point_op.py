@@ -268,3 +268,31 @@ def test_point_op_rejects_mixed_formats(toy):
     with pytest.raises(ValueError, match="different formats"):
         point_op(OpKind.ADD, Fp.from_float(BINARY64, 1.0), Fp.from_float(toy, 1.0))
 
+
+
+def test_point_op_decides_binary64_by_a_field_before_comparing_formats(toy):
+    """A format of another precision never reaches FloatFormat.__eq__, a
+    binary64 built field by field still takes the host path, and its
+    descriptor parses to BINARY64 itself."""
+    from intervalfp import FloatFormat, parse_format
+
+    calls = []
+    eq = FloatFormat.__eq__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return eq(a, b)
+
+    one, two = Fp.from_float(toy, 1.0), Fp.from_float(toy, 2.0)
+    fields = FloatFormat(53, -1022, 1023)
+    x = Fp(fields, FpKind.FINITE, False, 1 << 52, 0)
+    try:
+        FloatFormat.__eq__ = counted
+        got = point_op(OpKind.ADD, one, one)
+        assert calls == []
+        host = point_op(OpKind.MUL, x, x)
+    finally:
+        FloatFormat.__eq__ = eq
+    assert got == interval.ExtInterval.point(two)
+    assert host == interval.ExtInterval.point(x)
+    assert fields is not BINARY64 and parse_format("p53e-1022:1023") is BINARY64
