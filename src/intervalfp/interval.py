@@ -12,14 +12,18 @@ down and the upper bound up.  An exact bound is a pair (num, den) of ints:
 the rational num/den, unreduced, when den > 0, and the infinity signed like
 num when den == 0 (the infinity flag).  The pair is rounded to nearest on
 integers with the paper's rounding flag.  A bound is the nearest value
-when it lies on the bound's side, and otherwise its neighbour, which only
+when it lies on the bound's side, and otherwise its neighbour, which
 `fpformat.recover_bounds` builds; no operation builds a Fraction.
 `hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
 for callers outside the operations.
 
-Point operands share one corner, and `point_op` rounds it: binary64 on
-host floats, as the paper's hardware would, and every other format on the
-exact core.
+Point operands share one corner, and `point_op` rounds it.  Every format
+but binary64 rounds it on the exact core.  Binary64 does as the paper's
+hardware would: one host float op gives the nearest result r, an integer
+comparison gives the flag, and the kernel `_point_op64` builds the bracket
+from the two in place.  It reads r's significand and exponent once, and
+takes one integer step on them for the other side: toward zero when the
+flag says rounded up, away from zero otherwise.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .fpformat import (BINARY64, FloatFormat, Fp, RoundFlag, _EXACT, _FINITE, _NOT_ROUNDED_UP,
-                       _ROUNDED_UP, _ZERO, _bracket_side, _nearest, _refused,
-                       _unsupported, recover_bounds, value_cmp)
+from .fpformat import (BINARY64, FloatFormat, Fp, _FINITE, _INF, _ZERO, _bracket_side, _max_finite,
+                       _min_pos, _nearest, _refused, _unsupported, recover_bounds, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -50,6 +53,8 @@ class OpKind(Enum):
 
 # module names for the members `point_op` tests (see `fpformat._FINITE`)
 _ADD, _SUB, _MUL = OpKind.ADD, OpKind.SUB, OpKind.MUL
+# the least and greatest significands of a normal binary64 value
+_C_HALF, _C_MAX = 1 << 52, (1 << 53) - 1
 
 
 class _ExtIntervalFields(NamedTuple):
@@ -321,14 +326,15 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     """Hull of a op b for finite a and b of one format (b nonzero for
     division): the exact result as a point (lo is hi), or both sides of its
     rounding bracket.  Both bounds come from the nearest result and the
-    paper's flag: for binary64 from `_point_op64` on the host, for every
-    other format from `_round_point` of the exact result."""
+    paper's flag: for binary64 the host kernel `_point_op64` returns the
+    interval itself, and every other format takes `_round_point` of the
+    exact result."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
     # one field read spares other formats the dataclass __eq__
     if fmt is BINARY64 or (fmt.precision == 53 and fmt == BINARY64):
-        return ExtInterval.unchecked(*recover_bounds(*_point_op64(op, a, b)))
+        return _point_op64(op, a, b)
     pa, pb = _bound(a), _bound(b)
     if op is _ADD:
         p = _add_bound(pa, pb)
@@ -341,11 +347,13 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     return _round_point(p, fmt)
 
 
-def _point_op64(op: OpKind, a: Fp, b: Fp) -> tuple[Fp, RoundFlag]:
-    """`_nearest` of a op b for every pair, on host floats: r is the FPU's
+def _point_op64(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
+    """`point_op` of binary64 a and b, on host floats: r is the FPU's
     nearest result (only `harness._native_mode` leaves round-to-nearest,
-    around its own float ops), rounded up when |a op b| < |r|, which an
-    integer comparison decides."""
+    around its own float ops), and an integer comparison gives the paper's
+    flag, rounded up when |a op b| < |r|.  The other side of the bracket
+    is r's neighbour toward zero when r was rounded up and away from zero
+    otherwise, one step on r's integer fields."""
     # one unpacking costs less than five field reads; an operand on the host
     # is c * 2**(e - 52), and a zero has c = 0
     fmt, _, na, ca, ea = a
@@ -356,14 +364,24 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> tuple[Fp, RoundFlag]:
     is_sum = op is _ADD or op is _SUB
     r = xa + xb if is_sum else xa * xb if op is _MUL else xa / xb
     if not r:  # exact for a sum (subnormals) or a zero operand, else underflow
+        zero = Fp(fmt, _ZERO)
         if is_sum or not (ca and cb):
-            return Fp(fmt, _ZERO), _EXACT
-        return Fp(fmt, _ZERO, na != nb), _NOT_ROUNDED_UP
-    if abs(r) == math.inf:  # the overflow of a finite result
-        return Fp.inf(fmt, r < 0), _ROUNDED_UP
-    near = Fp.from_float(fmt, r)
-    # |a op b| against |r| = cr * 2**(er - 52), on integers
-    _, _, _, cr, er = near
+            return tuple.__new__(ExtInterval, (fmt, zero, zero))
+        if na != nb:  # strictly between -m and 0
+            return tuple.__new__(ExtInterval, (fmt, Fp(fmt, _FINITE, True, 1, -1022), zero))
+        return tuple.__new__(ExtInterval, (fmt, zero, _min_pos(fmt)))
+    negative = r < 0
+    if abs(r) == math.inf:  # a finite result beyond M + half an ulp
+        if negative:
+            return tuple.__new__(ExtInterval, (fmt, Fp(fmt, _INF, True),
+                                               Fp(fmt, _FINITE, True, _C_MAX, 1023)))
+        return tuple.__new__(ExtInterval, (fmt, _max_finite(fmt), Fp(fmt, _INF)))
+    # r = cr * 2**(er - 52), read as `Fp.from_float` reads it
+    m, er = math.frexp(abs(r))
+    cr, er = int(m * 9007199254740992.0), er - 1  # m * 2**53 is exact
+    if er < -1022:  # subnormal: the same value at the least exponent
+        cr, er = cr >> (-1022 - er), -1022
+    # |a op b| against |r|, on integers
     if is_sum:  # at the least of the three exponents
         low = min(ea, eb, er)
         exact = abs(((-ca if na else ca) << (ea - low)) + ((-cb if nb else cb) << (eb - low)))
@@ -376,9 +394,24 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> tuple[Fp, RoundFlag]:
         exact <<= shift
     else:
         rounded <<= -shift
+    near = Fp(fmt, _FINITE, negative, cr, er)
     if exact == rounded:
-        return near, _EXACT
-    return near, (_NOT_ROUNDED_UP if exact > rounded else _ROUNDED_UP)
+        return tuple.__new__(ExtInterval, (fmt, near, near))
+    up = exact < rounded
+    if up:  # toward zero: below 2**52 borrow from the binade below, and 0 is +0
+        c, e = cr - 1, er
+        if c < _C_HALF and e > -1022:
+            c, e = _C_MAX, e - 1
+        other = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO)
+    else:  # away from zero: at 2**53 carry into the binade above, past M +-inf
+        c, e = cr + 1, er
+        if c > _C_MAX:
+            c, e = _C_HALF, e + 1
+        other = Fp(fmt, _FINITE, negative, c, e) if e <= 1023 else Fp(fmt, _INF, negative)
+    # the exact value lies below a positive result rounded up
+    if up != negative:
+        return tuple.__new__(ExtInterval, (fmt, other, near))
+    return tuple.__new__(ExtInterval, (fmt, near, other))
 
 
 # -- the four operations -----------------------------------------------------------

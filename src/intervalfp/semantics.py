@@ -115,8 +115,9 @@ def fp_interval_op(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> ExtInterval:
     and total outright in INFINITE mode (NaN reads as the empty set).
 
     Two finite nonzero operands are points in either zero mode, so they go
-    straight to `interval.point_op` (binary64 on the host, every other
-    format on the exact core) without building their intervals.  Zeros,
+    straight to `interval.point_op` without building their intervals:
+    binary64 to the host kernel, which returns the interval from one float
+    op and its flag, and every other format to the exact core.  Zeros,
     infinities and NaN take their mode's meaning through `interpret` and go
     through `apply_op`."""
     if a.kind is _FINITE and b.kind is _FINITE:

@@ -1,6 +1,6 @@
 import pytest
 
-from intervalfp import parse_format
+from intervalfp import Fp, parse_format
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,17 @@ def toy4():
 def tiny():
     """Degenerate two-normal format p2e0:0ns: values +-1, +-1.5 only."""
     return parse_format("p2e0:0ns")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every Fp constructed while the test runs, in order."""
+    objects = []
+    init = Fp.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        objects.append(self)
+
+    monkeypatch.setattr(Fp, "__init__", recording_init)
+    return objects

@@ -2,11 +2,16 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import intervalfp
 from intervalfp import FpKind, OpKind
 from intervalfp.cli import NEG, ExprSyntaxError, Lit, eval_expr, main, parse, unparse
 from intervalfp import BINARY64, ZeroMode, member, oracle_op, parse_format, parse_interval
@@ -211,6 +216,14 @@ def test_cmd_eval(capsys):
     assert main(["eval", "1/3", "--format", "p3e-2:3", "--round", "both"]) == 0
     out = capsys.readouterr().out
     assert "down: 0.3125" in out and "up: 0.375" in out
+
+
+def test_python_m_runs_the_command_line():
+    src = Path(intervalfp.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "intervalfp", "eval", "1+1"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "[2, 2]"), done.stderr
 
 
 def test_cmd_eval_syntax_error(capsys):

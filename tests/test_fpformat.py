@@ -328,20 +328,6 @@ def test_round_is_nearest_or_one_side_of_round_both(descriptor):
         assert fmt.round(q, RD.TO_ZERO) == (hi if q < 0 else lo), q
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """Every Fp constructed while the test runs, in order."""
-    objects = []
-    init = Fp.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        objects.append(self)
-
-    monkeypatch.setattr(Fp, "__init__", recording_init)
-    return objects
-
-
 @pytest.mark.parametrize("descriptor", ["p3e-2:3", "b64"])
 def test_directed_rounding_builds_no_neighbour_it_drops(descriptor, built):
     # the nearest value is built first; its neighbour only when the nearest

@@ -7,7 +7,7 @@ import intervalfp
 
 PACKAGE = Path(intervalfp.__file__).parent
 # Lowest layer first.  __init__ re-exports everything and is not a layer.
-LAYERS = ("fpformat", "roundflag", "interval", "semantics", "oracle", "harness", "cli")
+LAYERS = ("fpformat", "roundflag", "interval", "semantics", "oracle", "harness", "cli", "__main__")
 
 
 def _package_imports(tree: ast.AST):

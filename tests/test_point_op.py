@@ -190,36 +190,80 @@ def test_point_op_equals_exact_core_oracle_and_fpu(op, monkeypatch):
 
 @pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
 def test_host_nearest_and_flag_equal_the_exact_core(op):
-    # the host kernel decides every pair: it rounds once to nearest and
-    # flags the rounding exactly as the integer core does
-    pairs = decided = 0
+    # the host kernel decides every pair: its interval is the exact core's,
+    # a point exactly when nearest rounding is exact, and otherwise holds
+    # the nearest value on the side the flag names (a zero stored as +0)
+    pairs = 0
     for a, b in hard_pairs(op):
         if op is OpKind.DIV and b.is_zero:
             continue
         pairs += 1
         q = EXACT[op](a.to_rational(), b.to_rational())
-        decided += _point_op64(op, a, b) == _nearest(BINARY64, q.numerator, q.denominator)
-    assert pairs > 5000 and decided == pairs
+        got = _point_op64(op, a, b)
+        assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
+        nearest, flag = _nearest(BINARY64, q.numerator, q.denominator)
+        assert (got.lo is got.hi) == (flag is RoundFlag.EXACT), (a, op, b)
+        if flag is not RoundFlag.EXACT:
+            # a magnitude rounded up lies beyond q, away from zero
+            upper = (flag is RoundFlag.ROUNDED_UP) != nearest.negative
+            side = got.hi if upper else got.lo
+            assert side == (Fp.zero(BINARY64) if nearest.is_zero else nearest), (a, op, b)
+    assert pairs > 5000
 
 
 @pytest.mark.parametrize("op", [OpKind.MUL, OpKind.DIV], ids=["mul", "div"])
 def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
     # an overflow is decided on the host: the exact result is finite, so
-    # the infinity nearest rounding gives was rounded up; below the normal
-    # range the host's subnormal or zero is the exact core's
+    # the infinity nearest rounding gives was rounded up and the interval
+    # runs from M to it; below the normal range the host's subnormal or
+    # zero gives the exact core's bracket
     overflowed = underflowed = 0
     for a, b in hard_pairs(op):
         if b.is_zero:
             continue
         q = EXACT[op](a.to_rational(), b.to_rational())
-        flagged = _point_op64(op, a, b)
+        got = _point_op64(op, a, b)
+        nearest, flag = _nearest(BINARY64, q.numerator, q.denominator)
         if 0 < abs(q) < F(TINY):
-            assert flagged == _nearest(BINARY64, q.numerator, q.denominator), (a, op, b)
+            assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
             underflowed += 1
-        elif flagged[0].is_inf:
-            assert flagged == (Fp.inf(BINARY64, q < 0), RoundFlag.ROUNDED_UP), (a, op, b)
+        elif nearest.is_inf:
+            assert flag is RoundFlag.ROUNDED_UP, (a, op, b)
+            big = Fp.from_float(BINARY64, -M if q < 0 else M)
+            bounds = (nearest, big) if q < 0 else (big, nearest)
+            assert got == interval.ExtInterval(BINARY64, *bounds), (a, op, b)
             overflowed += 1
     assert overflowed >= 20 and underflowed >= 20
+
+
+@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
+def test_binary64_point_op_builds_only_its_bounds(op, built, monkeypatch):
+    # the kernel reads r's fields inline and steps them for the neighbour:
+    # every Fp it builds is a bound of its result, one for a point, and the
+    # old route through a decoded r and `recover_bounds` is never taken
+    pairs = [(a, b) for a, b in hard_pairs(op) if not (op is OpKind.DIV and b.is_zero)]
+    # the only bounds it may return without building them
+    cached = (BINARY64.max_finite(), BINARY64.min_pos())
+    calls = []
+
+    def recorded(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    for owner, name in ((interval, "_nearest"), (interval, "recover_bounds")):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+    for owner, name in ((Fp, "from_float"), (interval.ExtInterval, "unchecked")):
+        monkeypatch.setattr(owner, name, staticmethod(recorded(name, getattr(owner, name))))
+    for name in ("toward_zero", "away_from_zero"):
+        monkeypatch.setattr(Fp, name, recorded(name, getattr(Fp, name)))
+    for a, b in pairs:
+        built.clear()
+        got = point_op(op, a, b)
+        bounds = (got.lo,) if got.lo is got.hi else (got.lo, got.hi)
+        fresh = [x for x in bounds if not any(x is y for y in cached)]
+        # built holds each fresh bound once, and nothing else
+        assert len(built) == len(fresh), (a, op, b, built)
+        assert all(any(x is y for y in built) for x in fresh), (a, op, b, built)
+    assert calls == []
 
 
 def _host_decides(op, a, b):
