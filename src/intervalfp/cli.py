@@ -490,10 +490,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flag.add_argument("--exp", type=int, default=0, help="binary exponent for placement")
     p_flag.set_defaults(func=_cmd_flagdemo)
     # argparse reads a word that starts with '-' as an option unless its
-    # negative-number pattern matches; here a word with one leading '-' that
-    # names no option is the expression or the word (-inf, -(1), -1.11|1)
+    # negative-number pattern matches; here a word that names no option is
+    # the expression or the word when it has one leading '-' (-inf, -(1),
+    # -1.11|1), or two followed by a digit, '.', '(', inf or nan (--1, --inf)
     for p in (p_eval, p_flag):
-        p._negative_number_matcher = re.compile(r"-[^-]")
+        p._negative_number_matcher = re.compile(r"-[^-]|--(?:[\d.(]|inf|nan)")
 
     p_repl = sub.add_parser("repl", help="line-oriented read-eval loop")
     p_repl.add_argument("--format", help="format descriptor")

@@ -18,9 +18,11 @@ mismatches, notes).  The conformance suite checks the headline property:
 for finite operands, the directed-rounding IEEE result equals the matching
 bound of the operation's interval.  Zeros take part as exact points and
 results are compared by numeric value, since an interval bound carries no
-zero sign.  Backend agreement diffs the softfloat reference against the
-host FPU, and the totality fuzz checks that every operation returns a
-well-formed, non-empty interval.
+zero sign.  The rules are applied once per pair and op: one exact value
+serves both directed results, and over an enumerable format each distinct
+value is rounded once per run.  Backend agreement diffs the softfloat
+reference against the host FPU, and the totality fuzz checks that every
+operation returns a well-formed, non-empty interval.
 """
 
 from __future__ import annotations
@@ -67,6 +69,20 @@ def ieee_reference(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection) -> Fp
     """The IEEE 754 result of a op b under a rounding direction: the special
     cases by the standard's rules, else the exact result in units of the
     format's least step, rounded by the oracle.  NaN is an ordinary value."""
+    v, s = _exact_or_special(a, b, op)
+    if isinstance(v, Fp):  # a special case: the results down and otherwise
+        return v if direction is RoundingDirection.TO_NEG_INF else s
+    if direction is RoundingDirection.NEAREST:
+        return round_scaled(v, s, a.fmt, None)
+    toward_zero = direction is RoundingDirection.TO_ZERO
+    up = v < 0 if toward_zero else direction is RoundingDirection.TO_POS_INF
+    return round_scaled(v, s, a.fmt, up)
+
+
+def _exact_or_special(a: Fp, b: Fp, op: OpKind) -> tuple:
+    """a op b before rounding, by the standard's rules: (v, s) for the exact
+    nonzero result v * 2**s, v an int or a `Fraction`, or in a special case
+    two `Fp`s, the result when rounding down and in every other direction."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
@@ -74,33 +90,33 @@ def ieee_reference(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection) -> Fp
         op, b = OpKind.ADD, -b
     sign = a.negative != b.negative
     if a.is_nan or b.is_nan:
-        return Fp.nan(fmt)
+        return _both(Fp.nan(fmt))
     if op is OpKind.ADD:
         if a.is_inf or b.is_inf:
-            return Fp.nan(fmt) if a.is_inf and b.is_inf and sign else a if a.is_inf else b
-        v, s = units(a) + units(b), least_step(fmt)
+            return _both(Fp.nan(fmt) if a.is_inf and b.is_inf and sign else a if a.is_inf else b)
+        v = units(a) + units(b)
         if v == 0:  # opposite zeros or exact cancellation: +0 except when rounding down
-            return Fp.zero(fmt, a.negative if a.is_zero and b.is_zero and not sign else
-                           direction is RoundingDirection.TO_NEG_INF)
-    elif op is OpKind.MUL:
+            if a.is_zero and b.is_zero and not sign:
+                return _both(a)
+            return Fp.zero(fmt, True), Fp.zero(fmt)
+        return v, least_step(fmt)
+    if op is OpKind.MUL:
         if a.is_inf or b.is_inf:
-            return Fp.nan(fmt) if a.is_zero or b.is_zero else Fp.inf(fmt, sign)
+            return _both(Fp.nan(fmt) if a.is_zero or b.is_zero else Fp.inf(fmt, sign))
         if a.is_zero or b.is_zero:
-            return Fp.zero(fmt, sign)
-        v, s = units(a) * units(b), 2 * least_step(fmt)
-    else:
-        if (a.is_inf and b.is_inf) or (a.is_zero and b.is_zero):
-            return Fp.nan(fmt)
-        if a.is_inf or b.is_zero:
-            return Fp.inf(fmt, sign)
-        if b.is_inf or a.is_zero:
-            return Fp.zero(fmt, sign)
-        v, s = Fraction(units(a), units(b)), 0
-    if direction is RoundingDirection.NEAREST:
-        return round_scaled(v, s, fmt, None)
-    toward_zero = direction is RoundingDirection.TO_ZERO
-    up = v < 0 if toward_zero else direction is RoundingDirection.TO_POS_INF
-    return round_scaled(v, s, fmt, up)
+            return _both(Fp.zero(fmt, sign))
+        return units(a) * units(b), 2 * least_step(fmt)
+    if (a.is_inf and b.is_inf) or (a.is_zero and b.is_zero):
+        return _both(Fp.nan(fmt))
+    if a.is_inf or b.is_zero:
+        return _both(Fp.inf(fmt, sign))
+    if b.is_inf or a.is_zero:
+        return _both(Fp.zero(fmt, sign))
+    return Fraction(units(a), units(b)), 0
+
+
+def _both(x: Fp) -> tuple[Fp, Fp]:
+    return x, x
 
 
 # -- native backend (binary64 via the host FPU) ---------------------------------------
@@ -298,12 +314,17 @@ def run_theorem_suite(
     seeded random sample of at least one pair for binary64.  Any other
     format too large to enumerate, or samples < 1, raises ValueError (the
     sampler draws binary64 values only).  Division skips zero divisors, the
-    one case the claim excludes."""
+    one case the claim excludes.  Each pair's exact IEEE value is computed
+    once and serves both directions; over an enumerable format the two
+    directed results are kept per distinct value for the length of the run,
+    so each is rounded once.  A sample keeps no such table, since nearly all
+    of its values are distinct."""
     result = SuiteResult(f"conformance {fmt.descriptor()}")
     try:
         finites = [v for v in fmt.enumerate() if v.is_finite]
         pairs = partial(product, finites, finites)
         result.notes.append(f"exhaustive over {len(finites)} finite values")
+        rounded: Optional[dict] = {}
     except EnumerationLimitError:
         if fmt != BINARY64:
             raise ValueError(
@@ -315,13 +336,20 @@ def run_theorem_suite(
         # the same seeded stream again for each op, so no pair is held
         pairs = partial(binary64_pairs, samples, seed, finite_only=True)
         result.notes.append(f"random sample of {samples} pairs, seed {seed}")
+        rounded = None
     for op in OpKind:
         for a, b in pairs():
             if op is OpKind.DIV and b.is_zero:
                 continue
             interval = fp_interval_op(a, b, op, ZeroMode.INFINITE)
-            for direction in _DIRECTED:
-                ieee = ieee_reference(a, b, op, direction)
+            v, s = results = _exact_or_special(a, b, op)
+            if not isinstance(v, Fp):
+                results = None if rounded is None else rounded.get(results)
+                if results is None:
+                    results = round_scaled(v, s, fmt, False), round_scaled(v, s, fmt, True)
+                    if rounded is not None:
+                        rounded[v, s] = results
+            for direction, ieee in zip(_DIRECTED, results):
                 bound = extract_bound(interval, direction)
                 result.checked += 1
                 if not same_value(ieee, bound):

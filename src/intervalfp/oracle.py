@@ -11,6 +11,8 @@ from the definition (`round_scaled`), as `harness.ieee_reference` does.
 Every value is an integer multiple of its format's least step 2**k, so a
 meaning is a `RealSet` of ints in units of 2**k: a sum is an int at that
 scale, a product one at 2**2k and a quotient a `Fraction` at scale 1.
+`exhaustive_compare` keeps a table of hulls for the length of one call, so
+each distinct exact set is rounded once per run, however many pairs share it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .fpformat import FloatFormat, Fp, FpKind
 from .interval import ExtInterval, OpKind
@@ -35,8 +37,7 @@ def _inf(v: Endpoint) -> bool:
     return isinstance(v, float)
 
 
-@dataclass(frozen=True)
-class RealSet:
+class RealSet(NamedTuple):
     """A finite union of closed intervals over the extended reals, kept
     canonical: components disjoint, non-touching, in ascending order.  An
     endpoint v stands for the real v * 2**scale, so a set carries its unit."""
@@ -98,7 +99,8 @@ def exact_relational_set(x: RealSet, y: RealSet, op: OpKind) -> RealSet:
         raise ValueError("operands must be single intervals")
     if (op is OpKind.ADD or op is OpKind.SUB) and x.scale != y.scale:
         raise ValueError(f"operands in units of 2**{x.scale} and 2**{y.scale}")
-    scale = {OpKind.MUL: x.scale + y.scale, OpKind.DIV: x.scale - y.scale}.get(op, x.scale)
+    scale = (x.scale + y.scale if op is OpKind.MUL else
+             x.scale - y.scale if op is OpKind.DIV else x.scale)
     if x.is_empty or y.is_empty:
         return RealSet.empty(scale)
     (xl, xh), (yl, yh) = x.parts[0], y.parts[0]
@@ -267,15 +269,28 @@ def _side(n: int, d: int, s: int, fmt: FloatFormat, away: bool, negative: bool) 
 
 
 def oracle_op(x: Union[RealSet, ExtInterval], y: Union[RealSet, ExtInterval], op: OpKind,
-              fmt: FloatFormat) -> ExtInterval:
+              fmt: FloatFormat, hulls: Optional[dict] = None) -> ExtInterval:
     """Format hull of the exact relational set; the reference for tightness.
-    Each operand is a `RealSet`, or an `ExtInterval` that is converted here."""
+    Each operand is a `RealSet`, or an `ExtInterval` that is converted here.
+    `hulls`, when given, is the caller's table of hulls in this format, keyed
+    by the set's least and greatest endpoint and its scale (all the hull
+    reads of the set): a set whose key is there is not rounded again."""
     x = _to_real_set(x) if isinstance(x, ExtInterval) else x
     y = _to_real_set(y) if isinstance(y, ExtInterval) else y
     solution = exact_relational_set(x, y, op)
     if solution.is_empty:
         return ExtInterval.empty(fmt)
-    (lo, _), (_, hi), s = solution.parts[0], solution.parts[-1], solution.scale
+    key = solution.parts[0][0], solution.parts[-1][1], solution.scale
+    if hulls is None:
+        return _hull(*key, fmt)
+    hull = hulls.get(key)
+    if hull is None:
+        hull = hulls[key] = _hull(*key, fmt)
+    return hull
+
+
+def _hull(lo: Endpoint, hi: Endpoint, s: int, fmt: FloatFormat) -> ExtInterval:
+    """[lo * 2**s, hi * 2**s] rounded outward to the format."""
     lo_fp = Fp(fmt, _INF, True) if _inf(lo) else round_scaled(lo, s, fmt, False)
     hi_fp = Fp(fmt, _INF) if _inf(hi) else round_scaled(hi, s, fmt, True)
     return ExtInterval.make(lo_fp, hi_fp)
@@ -316,11 +331,13 @@ def exhaustive_compare(fmt: FloatFormat, mode: ZeroMode) -> list[Union[MeaningMi
     the implementation with the oracle over every ordered pair of values
     (NaN included in infinite-zero mode, where it means the empty set) and
     all four operations.  An empty report is the tightness contract.  The
-    meanings are built once, before the pairs, and dropped on return."""
+    meanings are built once, before the pairs, and so is a table of hulls
+    that `oracle_op` fills: each distinct exact set is rounded once per
+    call, and both are dropped on return."""
     values = list(fmt.enumerate())
     if mode is ZeroMode.INFINITE:
         values.append(Fp.nan(fmt))
-    report, table = [], []
+    report, table, hulls = [], [], {}
     for v in values:
         own, got = _meaning(v, mode), _to_real_set(interpret(v, mode))
         if got != own:
@@ -330,7 +347,7 @@ def exhaustive_compare(fmt: FloatFormat, mode: ZeroMode) -> list[Union[MeaningMi
         for a, sa in table:
             for b, sb in table:
                 got = fp_interval_op(a, b, op, mode)
-                expected = oracle_op(sa, sb, op, fmt)
+                expected = oracle_op(sa, sb, op, fmt, hulls)
                 if got != expected:
                     report.append(Mismatch(fmt, op, a, b, mode, got, expected))
     return report

@@ -226,6 +226,18 @@ def test_python_m_runs_the_command_line():
     assert (done.returncode, done.stdout.strip()) == (0, "[2, 2]"), done.stderr
 
 
+def test_python_m_check_runs_both_suites():
+    src = Path(intervalfp.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "intervalfp", "check", "--format", "p3e-2:3",
+                           "--mode", "infinite"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "oracle: p3e-2:3 infinite zeros: ok" in lines
+    assert "conformance p3e-2:3: 24864 comparisons, ok" in lines
+
+
 def test_cmd_eval_syntax_error(capsys):
     assert main(["eval", "1 +", "--format", "p3e-2:3"]) == 1
     assert "position 3" in capsys.readouterr().err
@@ -241,11 +253,22 @@ def test_cmd_eval_syntax_error(capsys):
         (["eval", "-1/3", "--format", "p3e-2:3"], "[-0.375, -0.3125]"),
         (["flagdemo", "-1.11|1", "--format", "p3e-2:3", "--exp", "3"],
          "recovered bounds: [-inf, -14]"),
+        (["eval", "--1"], "[1, 1]"),
+        (["eval", "--(1)", "--format", "p3e-2:3"], "[1, 1]"),
+        (["eval", "--.5"], "[0.5, 0.5]"),
+        (["eval", "--inf"], "[0x1.fffffffffffffp+1023, +inf)"),
+        (["eval", "--nan", "--mode", "infinite"], "empty"),
     ],
 )
 def test_operand_may_start_with_minus(argv, line, capsys):
     assert main(argv) == 0
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_a_word_with_two_minus_signs_reaches_flagdemo(capsys):
+    # the word, not argparse, refuses it: exit 1 rather than a usage error
+    assert main(["flagdemo", "--1.11|1", "--format", "p3e-2:3"]) == 1
+    assert "bad pre-rounded word '--1.11|1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["eval", "--bogus"], ["eval", "-inf", "--bogus"],

@@ -1,5 +1,7 @@
 """Differential harness: IEEE reference rules, conformance suite, report."""
 
+import hashlib
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -89,6 +91,24 @@ def test_nan_propagates(toy):
         assert ieee_reference(Fp.inf(toy), nan, op, DOWN).is_nan
 
 
+# sha256 over ieee_reference's fields on every ordered pair of p3e-2:3
+# values and NaN, every op and direction, recorded while the reference still
+# applied the standard's rules once per direction
+_TOY_REFERENCE_DIGEST = "ed106d6fe696c0ecd5b08a207fa98fda8b4bc666b71cff67f5241f4467417198"
+
+
+def test_reference_results_are_pinned(toy):
+    values = list(toy.enumerate()) + [Fp.nan(toy)]
+    digest = hashlib.sha256()
+    for op in OpKind:
+        for a in values:
+            for b in values:
+                for direction in RD:
+                    _, kind, negative, c, e = ieee_reference(a, b, op, direction)
+                    digest.update(f"{kind.name} {negative:d} {c} {e}\n".encode())
+    assert digest.hexdigest() == _TOY_REFERENCE_DIGEST
+
+
 # -- conformance suites ------------------------------------------------------------
 
 
@@ -103,6 +123,40 @@ def test_theorem_suite_exhaustive_toy(toy, monkeypatch):
     assert result.ok and result.checked == 3 * 56 * 56 * 2 + 56 * 54 * 2 == 24_864
     # one interval per pair and op serves both directed bounds
     assert len(calls) == result.checked // 2
+
+
+def test_theorem_suite_takes_both_directions_from_one_value(toy, monkeypatch):
+    """The suite's directed results are ieee_reference's, signed zeros
+    included, on every finite pair and op it checks."""
+    seen = []
+    compare = harness.same_value
+    monkeypatch.setattr(harness, "same_value", lambda ieee, bound: seen.append(ieee)
+                        or compare(ieee, bound))
+    assert run_theorem_suite(toy).ok
+    finites = [v for v in toy.enumerate() if v.is_finite]
+    want = [ieee_reference(a, b, op, direction)
+            for op in OpKind for a in finites for b in finites
+            if not (op is OpKind.DIV and b.is_zero) for direction in (DOWN, UP)]
+    assert len(want) == 24_864
+    assert seen == want  # Fp equality tells -0 from +0
+
+
+def test_sampled_theorem_suite_rounds_every_value(monkeypatch):
+    """With binary64 samples no table is kept: each directed comparison
+    whose exact result is nonzero rounds once."""
+    calls = []
+    round_scaled = harness.round_scaled
+    monkeypatch.setattr(harness, "round_scaled", lambda *args: calls.append(args)
+                        or round_scaled(*args))
+    result = run_theorem_suite(BINARY64, samples=500)
+    assert result.ok
+    exact = {OpKind.ADD: operator.add, OpKind.SUB: operator.sub, OpKind.MUL: operator.mul,
+             OpKind.DIV: operator.truediv}
+    nonzero = sum(exact[op](a.to_rational(), b.to_rational()) != 0
+                  for op in OpKind
+                  for a, b in binary64_pairs(500, harness.DEFAULT_SEED, finite_only=True)
+                  if not (op is OpKind.DIV and b.is_zero))
+    assert 0 < len(calls) == 2 * nonzero < result.checked
 
 
 def test_theorem_suite_reports_a_widened_bound(toy, monkeypatch):

@@ -237,6 +237,24 @@ def test_exhaustive_compare_builds_each_meaning_once(toy, monkeypatch):
                          "interpret": n, "_meaning": n, "_to_real_set": n}, mode
 
 
+def test_each_distinct_exact_set_is_rounded_once_per_call(toy4, monkeypatch):
+    """The hull table rounds each distinct exact set's ends once, and lives
+    for one call: a second call rounds as much again."""
+    calls = []
+    round_scaled = oracle.round_scaled
+    monkeypatch.setattr(oracle, "round_scaled", lambda *args: calls.append(args)
+                        or round_scaled(*args))
+    meanings = [oracle._meaning(v, ZeroMode.FINITE) for v in toy4.enumerate()]
+    distinct = {exact_relational_set(x, y, op) for op in OpKind for x in meanings
+                for y in meanings}
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert exhaustive_compare(toy4, ZeroMode.FINITE) == []
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1] <= 2 * len(distinct) < 4 * len(meanings) ** 2
+
+
 def test_exhaustive_compare_all_interval_pairs_tiny(tiny):
     """Beyond value interpretations: every interval over the tiny format."""
     values = tiny.enumerate()
@@ -367,6 +385,52 @@ def test_rounding_against_bisection(descriptor):
 
 
 # -- the suites catch what they check ---------------------------------------------------
+
+
+def _skip_a_neighbour(monkeypatch):
+    """Mutation (a), as below: `toward_zero` skips 2*half - 1."""
+    original = Fp.toward_zero
+
+    def skipping(self):
+        fmt, kind, negative, c, e = self
+        half = 1 << (fmt.precision - 1)
+        if kind is FpKind.FINITE and c == half and e > fmt.e_min:
+            return Fp(fmt, kind, negative, 2 * half - 2, e - 1)
+        return original(self)
+
+    monkeypatch.setattr(Fp, "toward_zero", skipping)
+
+
+def _corrupt_zero_times_inf(monkeypatch):
+    """The corrupted `_mul_bound` of test_mutation_is_detected: 0 * inf is m."""
+    original = iv_mod._mul_bound
+
+    def corrupted(a, b):
+        if (a[0] == 0 and b[1] == 0) or (b[0] == 0 and a[1] == 0):
+            return (1, 16)
+        return original(a, b)
+
+    monkeypatch.setattr(iv_mod, "_mul_bound", corrupted)
+
+
+@pytest.mark.parametrize("mutate", [_skip_a_neighbour, _corrupt_zero_times_inf])
+def test_the_hull_table_changes_no_verdict(toy, monkeypatch, mutate):
+    """Under a mutation, exhaustive_compare reports what a loop over every
+    pair with an `oracle_op` that keeps no table reports, line for line."""
+    mutate(monkeypatch)
+    for mode in ZeroMode:
+        values = list(toy.enumerate()) + ([Fp.nan(toy)] if mode is ZeroMode.INFINITE else [])
+        want = []
+        for op in OpKind:
+            for a in values:
+                for b in values:
+                    got = semantics.fp_interval_op(a, b, op, mode)
+                    expected = oracle_op(oracle._meaning(a, mode), oracle._meaning(b, mode),
+                                         op, toy)
+                    if got != expected:
+                        want.append(str(Mismatch(toy, op, a, b, mode, got, expected)))
+        got = [str(m) for m in exhaustive_compare(toy, mode)]
+        assert got == want and want, mode
 
 
 def test_a_wrong_neighbour_is_caught_by_the_suites(toy, monkeypatch):
