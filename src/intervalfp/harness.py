@@ -312,8 +312,9 @@ def run_theorem_suite(
     """Check that each directed IEEE result equals the matching interval
     bound: over every finite operand pair for enumerable formats, or a
     seeded random sample of at least one pair for binary64.  Any other
-    format too large to enumerate, or samples < 1, raises ValueError (the
-    sampler draws binary64 values only).  Division skips zero divisors, the
+    format too large to enumerate raises ValueError (the sampler draws
+    binary64 values only), and so does samples < 1 on binary64; an
+    enumerable format ignores samples.  Division skips zero divisors, the
     one case the claim excludes.  Each pair's exact IEEE value is computed
     once and serves both directions; over an enumerable format the two
     directed results are kept per distinct value for the length of the run,

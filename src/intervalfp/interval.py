@@ -5,15 +5,19 @@ format, where an infinite bound means the set is unbounded on that side.
 Bounds that are real zero are stored as +0: the sign of zero carries no
 set-theoretic meaning inside an interval.
 
-The four arithmetic operations are total.  Each one computes the exact
-bounds of the relational solution set (for division: all z with y*z = x)
-on plain integers and then takes the format hull, rounding the lower bound
-down and the upper bound up.  An exact bound is a pair (num, den) of ints:
-the rational num/den, unreduced, when den > 0, and the infinity signed like
-num when den == 0 (the infinity flag).  The pair is rounded to nearest on
-integers with the paper's rounding flag.  A bound is the nearest value
-when it lies on the bound's side, and otherwise its neighbour, which
-`fpformat.recover_bounds` builds; no operation builds a Fraction.
+The four arithmetic operations are total, and `apply_op` is their one
+entry: the operators of `ExtInterval` are its spelling.  It checks that the
+operands share a format, passes an empty operand through and sends two
+points to `point_op`.  Every other pair takes its op's recipe, which
+computes the exact bounds of the relational solution set (for division:
+all z with y*z = x) on plain integers and then takes the format hull,
+rounding the lower bound down and the upper bound up.  An exact bound is a
+pair (num, den) of ints: the rational num/den, unreduced, when den > 0, and
+the infinity signed like num when den == 0 (the infinity flag).  The pair
+is rounded to nearest on integers with the paper's rounding flag.  A bound
+is the nearest value when it lies on the bound's side, and otherwise its
+neighbour, which `fpformat.recover_bounds` builds; no operation builds a
+Fraction.
 `hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
 for callers outside the operations.
 
@@ -51,10 +55,19 @@ class OpKind(Enum):
     DIV = "/"
 
 
-# module names for the members `point_op` tests (see `fpformat._FINITE`)
-_ADD, _SUB, _MUL = OpKind.ADD, OpKind.SUB, OpKind.MUL
+# module names for the members `apply_op` and `point_op` test (see `fpformat._FINITE`)
+_ADD, _SUB, _MUL, _DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
 # the least and greatest significands of a normal binary64 value
 _C_HALF, _C_MAX = 1 << 52, (1 << 53) - 1
+
+
+def _operator(op: OpKind):
+    """The `ExtInterval` operator for op: `apply_op` when the other operand
+    is an interval too, and otherwise NotImplemented, which Python turns
+    into a TypeError."""
+    def method(x, y):
+        return apply_op(op, x, y) if isinstance(y, ExtInterval) else NotImplemented
+    return method
 
 
 class _ExtIntervalFields(NamedTuple):
@@ -149,17 +162,8 @@ class ExtInterval(_ExtIntervalFields):
 
     # -- operators -----------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
+    __add__, __sub__ = _operator(_ADD), _operator(_SUB)
+    __mul__, __truediv__ = _operator(_MUL), _operator(_DIV)
 
     def __neg__(self):
         return negate(self)
@@ -314,21 +318,17 @@ def hull(lo: ExtReal, hi: ExtReal, fmt: FloatFormat) -> ExtInterval:
     )
 
 
-def _check_pair(x: ExtInterval, y: ExtInterval):
-    if x.fmt is not y.fmt and x.fmt != y.fmt:
-        raise ValueError("operands use different formats")
-
-
 # -- point operands ------------------------------------------------------------------
 
 
 def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     """Hull of a op b for finite a and b of one format (b nonzero for
     division): the exact result as a point (lo is hi), or both sides of its
-    rounding bracket.  Both bounds come from the nearest result and the
-    paper's flag: for binary64 the host kernel `_point_op64` returns the
-    interval itself, and every other format takes `_round_point` of the
-    exact result."""
+    rounding bracket.  `apply_op` sends two point operands here, and
+    `semantics.fp_interval_op` two finite values.  Both bounds come from the
+    nearest result and the paper's flag: for binary64 the host kernel
+    `_point_op64` returns the interval itself, and every other format takes
+    `_round_point` of the exact result."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
@@ -414,20 +414,59 @@ def _point_op64(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     return tuple.__new__(ExtInterval, (fmt, near, other))
 
 
-# -- the four operations -----------------------------------------------------------
-# Point operands (lo is hi, as `semantics.interpret` builds them) share one
-# corner and go through `point_op`.
+# -- the one entry ---------------------------------------------------------------
+# `apply_op` is the operations' one entry, and the operators of `ExtInterval`
+# are its spelling.  Point operands (lo is hi, as `semantics.interpret` builds
+# them) share one corner and go through `point_op`.
 
 
-def add(x: ExtInterval, y: ExtInterval) -> ExtInterval:
-    """Hull of the exact sum set."""
-    _check_pair(x, y)
-    if x.is_empty or y.is_empty:
-        return ExtInterval.empty(x.fmt)
-    if x.lo is x.hi and y.lo is y.hi:
-        return point_op(OpKind.ADD, x.lo, y.lo)
-    lo = _add_bound(_bound(x.lo), _bound(y.lo))
-    return _round_out(lo, _add_bound(_bound(x.hi), _bound(y.hi)), x.fmt)
+def apply_op(op: OpKind, x: ExtInterval, y: ExtInterval) -> ExtInterval:
+    """Hull of the exact solution set of x op y for intervals of one format:
+    the sums, the z with y + z = x, the products, or the z with y * z = x.
+    Empty when either operand is; the format is checked first."""
+    fmt, xlo, xhi = x
+    yfmt, ylo, yhi = y
+    if fmt is not yfmt and fmt != yfmt:
+        raise ValueError("operands use different formats")
+    if xlo is None or ylo is None:
+        return ExtInterval.empty(fmt)
+    if xlo is xhi and ylo is yhi and (op is not _DIV or ylo.kind is not _ZERO):
+        return point_op(op, xlo, ylo)
+    xl, xh, yl, yh = _bound(xlo), _bound(xhi), _bound(ylo), _bound(yhi)
+    if op is _ADD:
+        return _round_out(_add_bound(xl, yl), _add_bound(xh, yh), fmt)
+    if op is _SUB:  # [x.lo - y.hi, x.hi - y.lo]
+        return _round_out(_add_bound(xl, (-yh[0], yh[1])), _add_bound(xh, (-yl[0], yl[1])), fmt)
+    if op is _MUL:
+        return _round_corners([_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)], fmt)
+    return _quotient(xl, xh, yl, yh, fmt)
+
+
+def _quotient(xl: Bound, xh: Bound, yl: Bound, yh: Bound, fmt: FloatFormat) -> ExtInterval:
+    """Hull of the relational quotient set {z | y * z = x} of non-empty
+    operands with exact bounds [xl, xh] and [yl, yh].
+
+    With zero outside the divisor this is ordinary corner division.  When
+    both operands contain zero, z is arbitrary (witness x = y = 0).  A
+    nonzero dividend with divisor exactly [0,0] has no solutions at all.
+    Otherwise a divisor on both sides of zero gives the full line, and a
+    divisor with zero as one end gives one half-line."""
+    # a bound's sign is the sign of its numerator
+    if not yl[0] <= 0 <= yh[0]:
+        return _round_corners([_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)], fmt)
+    if xl[0] <= 0 <= xh[0] or yl[0] < 0 < yh[0]:
+        return ExtInterval.full_line(fmt)
+    if yl[0] == 0 == yh[0]:
+        return ExtInterval.empty(fmt)
+    # one half-line: the dividend's end nearest zero over the divisor's
+    # nonzero end, opening upward when the operands share a sign (taken from
+    # the operands, as that quotient is 0 for an infinite divisor end)
+    x_positive = xl[0] > 0
+    y_end = yh if yh[0] else yl
+    end = _div_bound(xl if x_positive else xh, y_end)
+    if x_positive == (y_end[0] > 0):
+        return _round_out(end, _PLUS_INF, fmt)
+    return _round_out(_MINUS_INF, end, fmt)
 
 
 def negate(x: ExtInterval) -> ExtInterval:
@@ -438,68 +477,6 @@ def negate(x: ExtInterval) -> ExtInterval:
         p = -x.lo
         return ExtInterval.unchecked(p, p)
     return ExtInterval.unchecked(-x.hi, -x.lo)
-
-
-def sub(x: ExtInterval, y: ExtInterval) -> ExtInterval:
-    """Hull of the set of z with y + z = x: [x.lo - y.hi, x.hi - y.lo]."""
-    _check_pair(x, y)
-    if x.is_empty or y.is_empty:
-        return ExtInterval.empty(x.fmt)
-    if x.lo is x.hi and y.lo is y.hi:
-        return point_op(OpKind.SUB, x.lo, y.lo)
-    (yhn, yhd), (yln, yld) = _bound(y.hi), _bound(y.lo)
-    lo = _add_bound(_bound(x.lo), (-yhn, yhd))
-    return _round_out(lo, _add_bound(_bound(x.hi), (-yln, yld)), x.fmt)
-
-
-def mul(x: ExtInterval, y: ExtInterval) -> ExtInterval:
-    """Hull of the exact product set via the four corner products."""
-    _check_pair(x, y)
-    if x.is_empty or y.is_empty:
-        return ExtInterval.empty(x.fmt)
-    if x.lo is x.hi and y.lo is y.hi:
-        return point_op(OpKind.MUL, x.lo, y.lo)
-    xl, yl, xh, yh = _bound(x.lo), _bound(y.lo), _bound(x.hi), _bound(y.hi)
-    return _round_corners([_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)], x.fmt)
-
-
-def div(x: ExtInterval, y: ExtInterval) -> ExtInterval:
-    """Hull of the relational quotient set {z | y * z = x}.
-
-    With zero outside the divisor this is ordinary corner division.  When
-    both operands contain zero, z is arbitrary (witness x = y = 0).  A
-    nonzero dividend with divisor exactly [0,0] has no solutions at all.
-    Otherwise a divisor on both sides of zero gives the full line, and a
-    divisor with zero as one end gives one half-line."""
-    _check_pair(x, y)
-    if x.is_empty or y.is_empty:
-        return ExtInterval.empty(x.fmt)
-    if x.lo is x.hi and y.lo is y.hi and y.lo.kind is not _ZERO:
-        return point_op(OpKind.DIV, x.lo, y.lo)
-    xl, yl, xh, yh = _bound(x.lo), _bound(y.lo), _bound(x.hi), _bound(y.hi)
-    # a bound's sign is the sign of its numerator
-    if not yl[0] <= 0 <= yh[0]:
-        return _round_corners([_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)], x.fmt)
-    if xl[0] <= 0 <= xh[0] or yl[0] < 0 < yh[0]:
-        return ExtInterval.full_line(x.fmt)
-    if yl[0] == 0 == yh[0]:
-        return ExtInterval.empty(x.fmt)
-    # one half-line: the dividend's end nearest zero over the divisor's
-    # nonzero end, opening upward when the operands share a sign (taken from
-    # the operands, as that quotient is 0 for an infinite divisor end)
-    x_positive = xl[0] > 0
-    y_end = yh if yh[0] else yl
-    end = _div_bound(xl if x_positive else xh, y_end)
-    if x_positive == (y_end[0] > 0):
-        return _round_out(end, _PLUS_INF, x.fmt)
-    return _round_out(_MINUS_INF, end, x.fmt)
-
-
-_OPS = {OpKind.ADD: add, OpKind.SUB: sub, OpKind.MUL: mul, OpKind.DIV: div}
-
-
-def apply_op(op: OpKind, x: ExtInterval, y: ExtInterval) -> ExtInterval:
-    return _OPS[op](x, y)
 
 
 # -- predicates -----------------------------------------------------------------------
@@ -514,7 +491,8 @@ def member(q: Fraction, x: ExtInterval) -> bool:
 
 def subset(x: ExtInterval, y: ExtInterval) -> bool:
     """Set containment; the empty interval is a subset of everything."""
-    _check_pair(x, y)
+    if x.fmt is not y.fmt and x.fmt != y.fmt:
+        raise ValueError("operands use different formats")
     if x.is_empty:
         return True
     if y.is_empty:

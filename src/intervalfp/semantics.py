@@ -118,8 +118,8 @@ def fp_interval_op(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> ExtInterval:
     straight to `interval.point_op` without building their intervals:
     binary64 to the host kernel, which returns the interval from one float
     op and its flag, and every other format to the exact core.  Zeros,
-    infinities and NaN take their mode's meaning through `interpret` and go
-    through `apply_op`."""
+    infinities and NaN take their mode's meaning through `interpret`, and
+    the two intervals go to `apply_op`, the interval operations' one entry."""
     if a.kind is _FINITE and b.kind is _FINITE:
         return point_op(op, a, b)
     return apply_op(op, interpret(a, mode), interpret(b, mode))

@@ -1,4 +1,5 @@
-"""Interval layer: hull, the four total operations, predicates, syntax."""
+"""Interval layer: hull, the four total operations through `apply_op` and the
+operators that spell it, predicates, syntax."""
 
 import operator
 import random
@@ -6,21 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from intervalfp import BINARY64, Fp, OpKind, parse_interval
-from intervalfp.interval import (
-    ExtInterval,
-    NEG_INF,
-    POS_INF,
-    add,
-    apply_op,
-    div,
-    hull,
-    member,
-    mul,
-    negate,
-    sub,
-    subset,
-)
+from intervalfp import BINARY64, Fp, OpKind, parse_format, parse_interval
+from intervalfp.interval import (ExtInterval, NEG_INF, POS_INF, apply_op, hull, member, negate,
+                                 subset)
 
 
 def iv(text, fmt):
@@ -84,6 +73,11 @@ def test_ext_interval_is_an_immutable_unordered_value(toy):
             compare(x, x)
     with pytest.raises(TypeError):
         2 * x
+    # the operators take intervals only, not a number or a float value
+    for other in (2, Fp.from_exact(BINARY64, 2)):
+        for spelled in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                spelled(x, other)
     # + and * are interval arithmetic, not the tuple's
     assert x + x == iv("[2, 4]", BINARY64) and x * x == iv("[1, 4]", BINARY64)
     assert repr(x) == "ExtInterval('[1, 2]', 'b64')"
@@ -105,7 +99,7 @@ def test_equal_intervals_from_every_path_are_equal_and_hash_alike(toy):
     one, two = Fp.from_exact(toy, 1), Fp.from_exact(toy, 2)
     half = iv("[0.5, 1]", toy)
     paths = [iv("[1, 2]", toy), ExtInterval.make(one, two), ExtInterval.unchecked(one, two),
-             add(half, half), hull(F(1), F(2), toy)]
+             half + half, hull(F(1), F(2), toy)]
     assert all(x == paths[0] for x in paths), paths
     assert len({hash(x) for x in paths}) == 1, paths
     zero_lo = [iv("[0, 1]", toy), ExtInterval.make(Fp.zero(toy, negative=True), one)]
@@ -200,6 +194,58 @@ def test_member_examples(toy):
     assert not member(F(1), ExtInterval.empty(toy))
 
 
+def test_operands_of_two_formats_are_refused(toy, toy4):
+    """Every op and `subset` check the format before the empty test, so no
+    pair of formats passes, not even two empty sets."""
+    def kinds(fmt):
+        point = ExtInterval.point(Fp.from_exact(fmt, 1))
+        return [point, iv("[1, 2]", fmt), iv("[0, 0]", fmt), ExtInterval.empty(fmt)]
+
+    for x in kinds(toy):
+        for y in kinds(toy4) + kinds(BINARY64):
+            for a, b in ((x, y), (y, x)):
+                for op in OpKind:
+                    with pytest.raises(ValueError, match="operands use different formats"):
+                        apply_op(op, a, b)
+                with pytest.raises(ValueError, match="operands use different formats"):
+                    subset(a, b)
+    # an equal format built apart is the same format
+    same = parse_format(toy.descriptor())
+    assert same is not toy
+    assert apply_op(OpKind.ADD, iv("[1, 2]", toy), iv("[1, 1]", same)) == iv("[2, 3]", toy)
+
+
+def test_apply_op_sends_points_and_only_points_to_point_op(toy, monkeypatch):
+    """Two point operands reach `point_op` once and an exact result comes
+    back as a point (lo is hi); a zero point divisor and wide operands take
+    the bound recipes and never reach it."""
+    import intervalfp.interval as interval_mod
+
+    calls = []
+    real = interval_mod.point_op
+
+    def spy(op, a, b):
+        calls.append((op, a, b))
+        return real(op, a, b)
+
+    monkeypatch.setattr(interval_mod, "point_op", spy)
+    zero, one, two = (ExtInterval.point(Fp.from_exact(toy, v)) for v in (0, 1, 2))
+    for op in OpKind:
+        for x, y in ((one, two), (zero, two), (two, two)):
+            calls.clear()
+            got = apply_op(op, x, y)
+            assert calls == [(op, x.lo, y.lo)], (op, x, y)
+            assert got.lo is got.hi and got == real(op, x.lo, y.lo), (op, x, y)
+    calls.clear()
+    wide = iv("[1, 2]", toy)
+    for op in OpKind:
+        for x, y in ((wide, two), (two, wide), (wide, wide)):
+            apply_op(op, x, y)
+    assert apply_op(OpKind.DIV, one, zero) == ExtInterval.empty(toy)
+    assert apply_op(OpKind.DIV, zero, zero) == ExtInterval.full_line(toy)
+    assert calls == []
+
+
 def test_subset_examples(toy):
     assert subset(iv("[1, 2]", toy), iv("[0, 3]", toy))
     assert subset(ExtInterval.empty(toy), ExtInterval.empty(toy))
@@ -230,8 +276,8 @@ def test_commutativity(toy):
     values = toy.enumerate()
     for _ in range(400):
         x, y = rand_interval(rng, toy, values), rand_interval(rng, toy, values)
-        assert add(x, y) == add(y, x)
-        assert mul(x, y) == mul(y, x)
+        assert x + y == y + x
+        assert x * y == y * x
 
 
 def test_negation_symmetry(toy):
@@ -239,13 +285,13 @@ def test_negation_symmetry(toy):
     values = toy.enumerate()
     for _ in range(400):
         x, y = rand_interval(rng, toy, values), rand_interval(rng, toy, values)
-        assert negate(add(x, y)) == add(negate(x), negate(y))
-        assert mul(negate(x), negate(y)) == mul(x, y)
-        assert div(negate(x), y) == negate(div(x, y))
+        assert negate(x + y) == negate(x) + negate(y)
+        assert negate(x) * negate(y) == x * y
+        assert negate(x) / y == negate(x / y)
 
 
 def test_sub_is_add_of_the_mirror_without_negate(toy, monkeypatch):
-    """x - y equals x + (-y), but sub never builds the interval -y."""
+    """x - y equals x + (-y), but subtraction never builds the interval -y."""
     import intervalfp.interval as interval_mod
 
     rng = random.Random(22)
@@ -256,14 +302,14 @@ def test_sub_is_add_of_the_mirror_without_negate(toy, monkeypatch):
     pairs += [(x, y) for x in points[::3] for y in points[::3]]
     pairs += [(x, rand_interval(rng, toy, values)) for x in points]
     pairs += [(rand_interval(rng, toy, values), y) for y in points]
-    expected = [add(x, negate(y)) for x, y in pairs]
+    expected = [x + negate(y) for x, y in pairs]
 
     def refused(*args):
-        raise AssertionError("sub built -y")
+        raise AssertionError("subtraction built -y")
 
     monkeypatch.setattr(interval_mod, "negate", refused)
     for (x, y), want in zip(pairs, expected):
-        got = sub(x, y)
+        got = x - y
         assert got == want, (x, y)
         assert (got.lo is got.hi) == (want.lo is want.hi), (x, y)
 

@@ -71,3 +71,37 @@ def test_the_oracle_imports_construction_and_what_it_checks():
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert used & borrowed == set(), name
+
+
+# (module, name) imported without a use: roundflag re-exports the word demo's
+# last step, which bench/workloads.py reads as `roundflag.recover_bounds`
+RE_EXPORTS = {("roundflag", "recover_bounds")}
+
+
+def unused_imports(tree: ast.AST, module: str) -> list[str]:
+    """'module.name (line n)' for every name an import binds and the module
+    never reads, `from __future__` aside."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{module}.{name} (line {line})" for name, line in bound.items()
+            if name not in read and (module, name) not in RE_EXPORTS]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = []
+    for name in LAYERS:
+        found += unused_imports(ast.parse((PACKAGE / f"{name}.py").read_text()), name)
+    assert found == []
+
+
+def test_the_unused_import_check_sees_leftovers():
+    tree = ast.parse("from functools import partial\nfrom .interval import _OPS, apply_op\n"
+                     "import os.path\n\ndef f(x):\n    return apply_op(x)\n")
+    assert unused_imports(tree, "m") == ["m.partial (line 1)", "m._OPS (line 2)", "m.os (line 3)"]
+    assert unused_imports(ast.parse("from .fpformat import recover_bounds\n"), "roundflag") == []
