@@ -27,6 +27,12 @@ positive value down.  Literals are read as integers (`decode_literal`) and
 rounded to nearest once (`round_literal`), so a huge exponent costs no more
 than its digits.
 
+A warning is a record, not text: `eval_expr` hands its callback a
+`RoundedLiteral` holding the literal, its nearest value and the paper's
+rounding flag, from which `recover_bounds` gives the literal's bracket.
+`eval` and `repl` print ``warning: `` and `str` of the record; the
+sentence is built only then.
+
 Subcommands: ``eval`` an expression, ``check`` a format against the
 independent oracle and the directed-rounding conformance suite, ``report``
 the special-operand identity table (exit 1 if a record's interval is not the
@@ -51,7 +57,9 @@ from .fpformat import (
     Fp,
     FpKind,
     NUMBER_PATTERN,
+    RoundFlag,
     RoundingDirection,
+    _EXACT,
     decode_literal,
     literal_text,
     parse_format,
@@ -82,6 +90,27 @@ class Lit(NamedTuple):
     sig: int = 0
     exp2: int = 0
     exp10: int = 0
+
+
+class RoundedLiteral(NamedTuple):
+    """An inexact literal as `eval_expr` rounded it: the format, the
+    literal, its nearest value and the rounding flag, which says on which
+    side of nearest the literal lies.  `recover_bounds(nearest, flag)` is
+    the bracket of adjacent format values around the literal ([M, +inf) or
+    [0, m] beyond the range, mirrored for a negative literal), and `str`
+    is the command line's warning sentence, built only when it is asked
+    for."""
+
+    fmt: FloatFormat
+    literal: Lit
+    nearest: Fp
+    flag: RoundFlag
+
+    def __str__(self) -> str:
+        e = self.literal
+        text = short_literal(self.fmt, e.negative, e.sig, e.exp2, e.exp10)
+        return (f"literal {text} is not representable in "
+                f"{self.fmt.descriptor()}; rounded to nearest = {self.nearest}")
 
 
 NEG = "neg"  # a unary minus that does not fold into a literal
@@ -246,12 +275,17 @@ def eval_expr(
     program: Program,
     fmt: FloatFormat,
     mode: ZeroMode,
-    warn: Optional[Callable[[str], None]] = None,
+    warn: Optional[Callable[[RoundedLiteral], None]] = None,
 ) -> ExtInterval:
     """Evaluate under the set semantics in one loop over a stack of
     intervals: a literal pushes its meaning, NEG negates the top, and an
-    operator replaces the top two with its result.  Literals that the format
-    cannot hold exactly are rounded to nearest with a warning."""
+    operator replaces the top two with its result.
+
+    Literals that the format cannot hold exactly are rounded to nearest,
+    and warn, when given, receives one `RoundedLiteral` per such literal,
+    in program order.  A caller reads the nearest value, the flag and the
+    bracket from it without parsing text; `str` of it is the sentence the
+    command line prints, and no text is built unless someone asks."""
     stack: list = []
     for item in program:
         if isinstance(item, Lit):
@@ -267,13 +301,9 @@ def eval_expr(
 def _literal_fp(e: Lit, fmt: FloatFormat, warn) -> Fp:
     if e.kind is not FpKind.FINITE:
         return Fp(fmt, e.kind, e.negative)
-    rounded, exact = round_literal(fmt, e.negative, e.sig, e.exp2, e.exp10)
-    if not exact and warn is not None:
-        text = short_literal(fmt, e.negative, e.sig, e.exp2, e.exp10)
-        warn(
-            f"literal {text} is not representable in "
-            f"{fmt.descriptor()}; rounded to nearest = {rounded}"
-        )
+    rounded, flag = round_literal(fmt, e.negative, e.sig, e.exp2, e.exp10)
+    if flag is not _EXACT and warn is not None:
+        warn(tuple.__new__(RoundedLiteral, (fmt, e, rounded, flag)))
     return rounded
 
 

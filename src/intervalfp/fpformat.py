@@ -114,8 +114,17 @@ class FloatFormat:
     def round_flagged(self, q: RationalLike) -> tuple["Fp", RoundFlag]:
         """(nearest, flag): q rounded to nearest with ties to the even
         significand, and how its magnitude was rounded; `recover_bounds`
-        turns the pair into the bracket of adjacent format values around q."""
-        return _nearest(self, q.numerator, q.denominator)
+        turns the pair into the bracket of adjacent format values around q.
+        q is a Fraction or an int; a float, or any other number without an
+        exact numerator and denominator, raises TypeError here, in `round`,
+        `round_both` and `Fp.from_exact`."""
+        try:
+            num, den = q.numerator, q.denominator
+        except AttributeError:
+            raise TypeError(
+                f"expected a Fraction or an int, not {type(q).__name__} {q!r}"
+            ) from None
+        return _nearest(self, num, den)
 
     def round(self, q: RationalLike, direction: RoundingDirection) -> "Fp":
         """Round an exact rational to the format: nearest, or one side of
@@ -125,7 +134,7 @@ class FloatFormat:
         nearer zero.  Total: overflow saturates to the greatest finite value
         or to an infinity depending on direction, and an exact zero comes
         out as +0 (a negative value collapsing to zero yields -0)."""
-        nearest, flag = _nearest(self, q.numerator, q.denominator)
+        nearest, flag = self.round_flagged(q)
         if direction is RoundingDirection.NEAREST:
             return nearest
         upper = direction is RoundingDirection.TO_POS_INF or (
@@ -299,8 +308,8 @@ class Fp(_FpFields):
         if body == "nan":
             return Fp.nan(fmt)
         parts = decode_literal(text)
-        nearest, exact = round_literal(fmt, *parts)
-        if not exact:
+        nearest, flag = round_literal(fmt, *parts)
+        if flag is not _EXACT:
             raise ValueError(
                 f"{short_literal(fmt, *parts)} is not representable in {fmt.descriptor()}"
             )
@@ -706,17 +715,18 @@ def _literal_ratio(fmt: FloatFormat, sig: int, exp2: int, exp10: int) -> tuple[i
 
 def round_literal(
     fmt: FloatFormat, negative: bool, sig: int, exp2: int, exp10: int
-) -> tuple[Fp, bool]:
-    """(nearest, exact): the literal ``(-1)**negative * sig * 2**exp2 *
-    10**exp10`` rounded to nearest in the format, and whether it is
-    representable.  A zero keeps its sign; a literal beyond the range gives
-    what nearest rounding gives, an infinity or a zero.  One rounding,
-    whatever the exponents."""
+) -> tuple[Fp, RoundFlag]:
+    """(nearest, flag): the literal ``(-1)**negative * sig * 2**exp2 *
+    10**exp10`` rounded to nearest in the format, and how its magnitude was
+    rounded, as `round_flagged` gives them, so `recover_bounds` of the pair
+    is the bracket around the literal.  A zero keeps its sign; a literal
+    beyond the range gives what nearest rounding gives, an infinity or a
+    zero, flagged as the tail it lies in.  One rounding, whatever the
+    exponents."""
     if sig == 0:
-        return Fp.zero(fmt, negative), True
+        return Fp.zero(fmt, negative), _EXACT
     num, den, _ = _literal_ratio(fmt, sig, exp2, exp10)
-    nearest, flag = _nearest(fmt, -num if negative else num, den)
-    return nearest, flag is _EXACT
+    return _nearest(fmt, -num if negative else num, den)
 
 
 def literal_text(negative: bool, sig: int, exp2: int, exp10: int) -> str:

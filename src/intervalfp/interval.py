@@ -94,15 +94,21 @@ class ExtInterval(_ExtIntervalFields):
     @staticmethod
     def make(lo: Fp, hi: Fp) -> "ExtInterval":
         """Build a non-empty interval from outside input: the bounds are
-        checked, and zero bounds are normalised to +0."""
+        checked, zero bounds are normalised to +0, and equal bounds become
+        one object, so a point built here is a point (lo is hi) as
+        `apply_op` reads it."""
         if lo.fmt is not hi.fmt and lo.fmt != hi.fmt:
             raise ValueError("mismatched bound formats")
         if lo.is_nan or hi.is_nan:
             raise ValueError("NaN cannot be an interval bound")
         if (lo.is_inf and not lo.negative) or (hi.is_inf and hi.negative):
             raise ValueError("bounds leave no reals in the set")
-        if lo is not hi and value_cmp(lo, hi) > 0:
-            raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+        if lo is not hi:
+            order = value_cmp(lo, hi)
+            if order > 0:
+                raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+            if order == 0:  # one finite value, or two zeros that become +0
+                lo = hi
         return ExtInterval.unchecked(lo, hi)
 
     @staticmethod

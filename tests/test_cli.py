@@ -198,7 +198,7 @@ def test_eval_literal_rounding_warns(toy):
     warnings = []
     out = eval_expr(parse("0.3"), toy, ZeroMode.FINITE, warn=warnings.append)
     assert out == parse_interval("[0.3125, 0.3125]", toy)
-    assert len(warnings) == 1 and "0.3" in warnings[0]
+    assert len(warnings) == 1 and "0.3" in str(warnings[0])
 
 
 def test_eval_nan_literal(toy):
@@ -216,6 +216,31 @@ def test_cmd_eval(capsys):
     assert main(["eval", "1/3", "--format", "p3e-2:3", "--round", "both"]) == 0
     out = capsys.readouterr().out
     assert "down: 0.3125" in out and "up: 0.375" in out
+
+
+# one inexact literal, one overflow and one underflow: the interval on
+# stdout and the warning on stderr, byte for byte
+PINNED_WARNINGS = [
+    (["--format", "p3e-2:3", "0.3"], "[0.3125, 0.3125]",
+     "literal 0.3 is not representable in p3e-2:3; rounded to nearest = 0.3125"),
+    (["--", "1e400"], "[0x1.fffffffffffffp+1023, +inf)",
+     "literal 1e400 is not representable in b64; rounded to nearest = +inf"),
+    (["--", "-1e-400"], "[-0x0.0000000000001p-1022, 0]",
+     "literal -1e-400 is not representable in b64; rounded to nearest = -0"),
+]
+
+
+@pytest.mark.parametrize("args, out, warning", PINNED_WARNINGS, ids=["inexact", "over", "under"])
+def test_eval_prints_the_warning_byte_for_byte(args, out, warning, capsys):
+    assert main(["eval", *args]) == 0
+    assert capsys.readouterr() == (f"{out}\n", f"warning: {warning}\n")
+
+
+def test_repl_prints_the_warnings_byte_for_byte(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.3\n:format b64\n1e400\n-1e-400\n"))
+    assert main(["repl", "--format", "p3e-2:3"]) == 0
+    want = "".join(f"warning: {warning}\n{out}\n" for _, out, warning in PINNED_WARNINGS)
+    assert capsys.readouterr() == (want, "")
 
 
 def test_python_m_runs_the_command_line():

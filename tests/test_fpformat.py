@@ -404,6 +404,18 @@ def test_from_exact_rejects_unrepresentable(toy):
         Fp.from_exact(toy, F(15))
 
 
+@pytest.mark.parametrize("q", [0.75, 1e300, float("nan"), "3/4", complex(1, 0)],
+                         ids=["float", "huge float", "nan", "str", "complex"])
+def test_rounding_refuses_a_value_that_is_not_a_rational(toy, q):
+    entries = [toy.round_flagged, lambda q: toy.round(q, RD.NEAREST),
+               lambda q: toy.round(q, RD.TO_ZERO), toy.round_both, lambda q: Fp.from_exact(toy, q)]
+    for entry in entries:
+        with pytest.raises(TypeError, match="expected a Fraction or an int, not "):
+            entry(q)
+    # a float reaches the exact rounding through from_float
+    assert Fp.from_float(toy, 0.75) == Fp.from_exact(toy, F(3, 4)) == toy.round_flagged(F(3, 4))[0]
+
+
 def test_float_bridge_binary64():
     rng = random.Random(13)
     for _ in range(2000):

@@ -246,6 +246,32 @@ def test_apply_op_sends_points_and_only_points_to_point_op(toy, monkeypatch):
     assert calls == []
 
 
+def test_equal_bounds_from_outside_input_make_a_point(toy, monkeypatch):
+    """make returns one object for equal bounds, so a point read from text
+    reaches `point_op` and its exact result comes back as a point."""
+    import intervalfp.interval as interval_mod
+
+    calls = []
+    real = interval_mod.point_op
+
+    def spy(op, a, b):
+        calls.append(op)
+        return real(op, a, b)
+
+    monkeypatch.setattr(interval_mod, "point_op", spy)
+    one, two = iv("[1, 1]", toy), iv("[2, 2]", toy)
+    assert one.lo is one.hi and two.lo is two.hi
+    got = one + two
+    assert calls == [OpKind.ADD]
+    assert got == iv("[3, 3]", toy) and got.lo is got.hi
+    a, b = Fp.from_exact(toy, F(3, 2)), Fp.from_exact(toy, F(3, 2))
+    for x in (iv("[-0, 0]", toy), ExtInterval.make(a, b)):
+        assert x.lo is x.hi, x
+    assert a is not b
+    wide = iv("[1, 2]", toy)
+    assert wide.lo is not wide.hi
+
+
 def test_subset_examples(toy):
     assert subset(iv("[1, 2]", toy), iv("[0, 3]", toy))
     assert subset(ExtInterval.empty(toy), ExtInterval.empty(toy))

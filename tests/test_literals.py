@@ -16,11 +16,13 @@ from intervalfp import (
     BINARY64,
     Fp,
     OpKind,
+    RoundFlag,
     RoundingDirection,
     ZeroMode,
     interpret,
     parse_format,
     parse_interval,
+    recover_bounds,
 )
 from intervalfp.interval import apply_op, negate
 from intervalfp.cli import _TOKEN_RE, ExprSyntaxError, eval_expr, main, parse, unparse
@@ -134,8 +136,8 @@ def test_decoder_reads_digit_strings_past_the_int_limit():
     digits = "7" * 5000
     negative, sig, exp2, exp10 = decode_literal(f"{digits}e-5000")
     assert (negative, sig, exp2, exp10) == (False, int(Decimal(digits)), 0, -5000)
-    nearest, exact = round_literal(BINARY64, negative, sig, exp2, exp10)
-    assert nearest == host_nearest(f"{digits}e-5000") and not exact
+    nearest, flag = round_literal(BINARY64, negative, sig, exp2, exp10)
+    assert nearest == host_nearest(f"{digits}e-5000") and flag is not RoundFlag.EXACT
 
 
 # -- the one rounding entry, against the host and the exact rounder -----------------
@@ -146,10 +148,10 @@ def test_decimal_literals_round_like_the_host():
     kinds = set()
     for text in texts:
         want = host_nearest(text)
-        nearest, exact = round_literal(BINARY64, *decode_literal(text))
+        nearest, flag = round_literal(BINARY64, *decode_literal(text))
         assert nearest == want, text
         if want.is_finite:
-            assert exact == (exact_value(text) == want.to_rational()), text
+            assert (flag is RoundFlag.EXACT) == (exact_value(text) == want.to_rational()), text
         kinds.add((want.kind, want.negative))
         for mode in ZeroMode:
             assert eval_expr(parse(text), BINARY64, mode) == interpret(want, mode), text
@@ -160,10 +162,10 @@ def test_decimal_literals_round_like_the_host():
 def test_hex_literals_round_like_the_host():
     for text in list(hex_literals(20261, 4000)) + [t for t in EDGE_LITERALS if "x" in t]:
         want = host_nearest(text)
-        nearest, exact = round_literal(BINARY64, *decode_literal(text))
+        nearest, flag = round_literal(BINARY64, *decode_literal(text))
         assert nearest == want, text
         if want.is_finite:
-            assert exact == (exact_value(text) == want.to_rational()), text
+            assert (flag is RoundFlag.EXACT) == (exact_value(text) == want.to_rational()), text
 
 
 @pytest.mark.parametrize(
@@ -183,9 +185,9 @@ def test_round_literal_matches_exact_rounding(descriptor):
         exp2 = rng.choice(span) - sig.bit_length() - round(exp10 * 3.32)
         q = F(sig) * F(2) ** exp2 * F(10) ** exp10
         want = fmt.round(-q if negative else q, RoundingDirection.NEAREST)
-        nearest, exact = round_literal(fmt, negative, sig, exp2, exp10)
+        nearest, flag = round_literal(fmt, negative, sig, exp2, exp10)
         assert nearest == want, (negative, sig, exp2, exp10)
-        assert exact == (want.is_finite and abs(want.to_rational()) == q)
+        assert (flag is RoundFlag.EXACT) == (want.is_finite and abs(want.to_rational()) == q)
 
 
 # -- the warning ---------------------------------------------------------------------
@@ -210,10 +212,89 @@ def test_warning_text_matches_the_rational_formula_within_the_range():
         if nearest.is_finite and nearest.to_rational() == q:
             assert warnings == []
             continue
-        assert warnings == [f"literal {old_short_decimal(q)} is not representable in "
-                            f"{fmt.descriptor()}; rounded to nearest = {nearest}"], text
+        want = (f"literal {old_short_decimal(q)} is not representable in "
+                f"{fmt.descriptor()}; rounded to nearest = {nearest}")
+        assert [str(w) for w in warnings] == [want], text
         checked += 1
     assert checked > 1500
+
+
+def test_warning_text_is_built_only_when_printed(monkeypatch):
+    """eval_expr hands its callback records and builds no text; str of each
+    record is the sentence the command line prints."""
+    import intervalfp.cli as cli_mod
+
+    calls = []
+    real_short, real_str = cli_mod.short_literal, Fp.__str__
+
+    def short_spy(*args):
+        calls.append("short_literal")
+        return real_short(*args)
+
+    def str_spy(self):
+        calls.append("Fp.__str__")
+        return real_str(self)
+
+    monkeypatch.setattr(cli_mod, "short_literal", short_spy)
+    monkeypatch.setattr(Fp, "__str__", str_spy)
+    warnings = []
+    eval_expr(parse("0.1 + 0.2 - 1e400 * -1e-400 / 0.3 + 0x1p-3 + 2.5"), BINARY64,
+              ZeroMode.FINITE, warn=warnings.append)
+    assert calls == []
+    assert [str(w) for w in warnings] == [
+        "literal 0.1 is not representable in b64; rounded to nearest = 0x1.999999999999ap-4",
+        "literal 0.2 is not representable in b64; rounded to nearest = 0x1.999999999999ap-3",
+        "literal 1e400 is not representable in b64; rounded to nearest = +inf",
+        "literal -1e-400 is not representable in b64; rounded to nearest = -0",
+        "literal 0.3 is not representable in b64; rounded to nearest = 0x1.3333333333333p-2",
+    ]
+    assert calls.count("short_literal") == 5  # the spies were live
+
+
+BEYOND = ["1e400", "-1e400", "1e-400", "1e5000", "-1e-20000000"]
+
+
+@pytest.mark.parametrize("fmt", [TOY, BINARY64], ids=["p3e-2:3", "b64"])
+def test_the_record_gives_the_literal_bracket(fmt):
+    """recover_bounds of a record's nearest value and flag is the format's
+    round-down and round-up of the exact literal; beyond the range that is
+    [M, +inf) or [0, m], mirrored for a negative literal."""
+    rng = random.Random(20265)
+    if fmt is BINARY64:
+        texts = list(decimal_literals(20266, 600)) + list(hex_literals(20267, 200)) + EDGE_LITERALS
+    else:
+        texts = [f"{rng.choice(('', '-'))}{rng.randrange(1, 10**rng.randint(1, 5))}"
+                 f"e{rng.randint(-6, 3)}" for _ in range(600)]
+        texts += [f"{rng.choice(('', '-'))}0x{rng.getrandbits(rng.randint(1, 8)):x}"
+                  f"p{rng.randint(-12, 8)}" for _ in range(200)]
+    M, m = fmt.max_finite(), fmt.min_pos()
+    tails = {False: {True: (M, Fp.inf(fmt)), False: (Fp.zero(fmt), m)},
+             True: {True: (Fp.inf(fmt, True), -M), False: (-m, Fp.zero(fmt, True))}}
+    records = beyond = 0
+    for text in dict.fromkeys(texts + BEYOND):
+        warnings = []
+        eval_expr(parse(text), fmt, ZeroMode.FINITE, warn=warnings.append)
+        negative, sig, exp2, exp10 = decode_literal(text)
+        if not sig:
+            assert warnings == [], text
+            continue
+        if abs(exp10) <= 10_000:
+            q = exact_value(text)
+            want = fmt.round_both(q)
+            if want[0] == want[1]:
+                assert warnings == [], text
+                continue
+            assert [w.nearest for w in warnings] == [fmt.round(q, RoundingDirection.NEAREST)]
+        (w,) = warnings
+        assert w.fmt is fmt and w.literal == parse(text)[0], text
+        got = recover_bounds(w.nearest, w.flag)
+        if abs(exp10) <= 10_000:
+            assert got == want, text
+        if text in BEYOND:
+            assert got == tails[negative][exp10 > 0], text
+            beyond += 1
+        records += 1
+    assert beyond == len(BEYOND) and records > 500
 
 
 # -- hostile exponents -----------------------------------------------------------------
