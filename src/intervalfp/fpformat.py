@@ -140,7 +140,11 @@ class FloatFormat:
         upper = direction is RoundingDirection.TO_POS_INF or (
             direction is RoundingDirection.TO_ZERO and q.numerator < 0
         )
-        return _bracket_side(nearest, flag, upper)
+        # the nearest value when it lies on the side asked for, else the
+        # neighbour `recover_bounds` would pair it with
+        if flag is _EXACT or (flag is _ROUNDED_UP) == (upper != nearest.negative):
+            return nearest
+        return nearest.toward_zero() if flag is _ROUNDED_UP else nearest.away_from_zero()
 
     def round_both(self, q: RationalLike) -> tuple["Fp", "Fp"]:
         """(round down, round up): both sides of the one bracket."""
@@ -499,7 +503,11 @@ def _value_key(x: Fp) -> tuple[int, int, int]:
 
 
 def value_cmp(a: Fp, b: Fp) -> int:
-    """Three-way compare by real value; zeros compare equal, NaN is an error."""
+    """Three-way compare by real value; zeros compare equal, NaN is an error.
+    The key is read from the encoding, so a and b must share a format:
+    values of two formats raise ValueError."""
+    if a.fmt is not b.fmt and a.fmt != b.fmt:
+        raise ValueError("operands use different formats")
     ka, kb = _value_key(a), _value_key(b)
     return (ka > kb) - (ka < kb)
 
@@ -574,14 +582,6 @@ def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
     other = nearest.toward_zero() if up else nearest.away_from_zero()
     # the exact value lies below a positive result rounded up
     return (other, nearest) if up != nearest.negative else (nearest, other)
-
-
-def _bracket_side(nearest: Fp, flag: RoundFlag, upper: bool) -> Fp:
-    """The upper (or lower) side of the bracket of `recover_bounds`: the
-    nearest result when it lies there, else the neighbour it builds."""
-    if flag is _EXACT or (flag is _ROUNDED_UP) == (upper != nearest.negative):
-        return nearest
-    return recover_bounds(nearest, flag)[upper]
 
 
 # -- literals -----------------------------------------------------------------------

@@ -13,11 +13,11 @@ computes the exact bounds of the relational solution set (for division:
 all z with y*z = x) on plain integers and then takes the format hull,
 rounding the lower bound down and the upper bound up.  An exact bound is a
 pair (num, den) of ints: the rational num/den, unreduced, when den > 0, and
-the infinity signed like num when den == 0 (the infinity flag).  The pair
-is rounded to nearest on integers with the paper's rounding flag.  A bound
-is the nearest value when it lies on the bound's side, and otherwise its
-neighbour, which `fpformat.recover_bounds` builds; no operation builds a
-Fraction.
+the infinity signed like num when den == 0 (the infinity flag).  The exact
+core encloses a pair by truncation toward zero and one integer step away
+from it (`_enclose`), building only the sides it keeps; no operation
+builds a Fraction.  Nearest rounding with the paper's rounding flag belongs
+to literals, `FloatFormat.round` and the binary64 kernel below.
 `hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
 for callers outside the operations.
 
@@ -37,8 +37,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .fpformat import (BINARY64, FloatFormat, Fp, _FINITE, _INF, _ZERO, _bracket_side, _max_finite,
-                       _min_pos, _nearest, _refused, _unsupported, recover_bounds, value_cmp)
+from .fpformat import (BINARY64, FloatFormat, Fp, _FINITE, _INF, _ZERO, _max_finite, _min_pos,
+                       _refused, _unsupported, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -286,29 +286,69 @@ def _round_corners(corners: list[Bound], fmt: FloatFormat) -> ExtInterval:
 
 
 def _round_point(p: Bound, fmt: FloatFormat) -> ExtInterval:
-    """Least format interval containing the finite value p: both sides of
-    its one rounding bracket."""
-    return ExtInterval.unchecked(*recover_bounds(*_nearest(fmt, *p)))
+    """Least format interval containing the finite value p: its enclosure,
+    one object when p is exact."""
+    return tuple.__new__(ExtInterval, (fmt, *_enclose(fmt, *p)))
 
 
 def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
     """Least format interval containing [lo, hi]: the lower bound is rounded
     down and the upper bound up, so bounds beyond the finite range become
-    infinite (unbounded) sides; an infinite bound stays infinite."""
-    lo_fp = Fp.inf(fmt, negative=True) if lo[1] == 0 else _bracket_side(*_nearest(fmt, *lo), False)
-    if hi[1] == 0:
-        hi_fp = Fp.inf(fmt)
-    elif hi[0] < 0 and _below_min_pos(-hi[0], hi[1], fmt):
-        hi_fp = Fp(fmt, _ZERO)  # nothing lies in (-min_pos, 0): a zero, stored as +0
+    infinite (unbounded) sides; an infinite bound stays infinite.  Only the
+    kept side of each enclosure is built, and one exact value (the zero of
+    a product with a zero point) is one object."""
+    if lo == hi:
+        return _round_point(lo, fmt)
+    lo_fp = Fp(fmt, _INF, True) if lo[1] == 0 else _enclose(fmt, *lo, True, False)[0]
+    hi_fp = Fp(fmt, _INF) if hi[1] == 0 else _enclose(fmt, *hi, False, True)[1]
+    return tuple.__new__(ExtInterval, (fmt, lo_fp, hi_fp))
+
+
+def _enclose(fmt: FloatFormat, num: int, den: int, lower: bool = True,
+             upper: bool = True) -> tuple[Optional[Fp], Optional[Fp]]:
+    """(lo, hi): the least format interval around num/den (den > 0).
+
+    The magnitude is truncated toward zero at the ulp of its binade, found
+    from floor(log2) by one divmod.  With no remainder the value is exact,
+    and one object is both bounds.  Otherwise the other side is one unit
+    further from zero, carrying into the next binade at 2**p and past M to
+    the infinity.  A zero side is +0.  Beyond M the sides are M and the
+    infinity; without subnormals, below the least normal they are 0 and the
+    least normal.  A side not asked for (`lower`, `upper`) is None and is
+    never built."""
+    if not num:
+        zero = Fp(fmt, _ZERO)
+        return zero, zero
+    negative = num < 0
+    if negative:  # on the magnitude, the lower side is the one toward zero
+        num, lower, upper = -num, upper, lower
+    p, e_min, e_max = fmt.precision, fmt.e_min, fmt.e_max
+    e = num.bit_length() - den.bit_length()  # floor(log2(num/den)) is e or e - 1
+    if (num < den << e) if e >= 0 else (num << -e < den):
+        e -= 1
+    if e > e_max:  # M, and one unit on, the infinity
+        c, e = (1 << p) - 1, e_max
+    elif e >= e_min or fmt.subnormals:
+        if e < e_min:
+            e = e_min
+        shift = p - 1 - e  # the ulp of the binade is 2**-shift
+        c, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+        if not r:
+            x = Fp(fmt, _FINITE, negative, c, e)
+            return x, x
     else:
-        hi_fp = _bracket_side(*_nearest(fmt, *hi), True)
-    return ExtInterval.unchecked(lo_fp, hi_fp)
-
-
-def _below_min_pos(num: int, den: int, fmt: FloatFormat) -> bool:
-    """num/den (both > 0) lies below the least positive format value 2**k."""
-    k = fmt.e_min - fmt.precision + 1 if fmt.subnormals else fmt.e_min
-    return (num << -k) < den if k < 0 else num < (den << k)
+        toward = Fp(fmt, _ZERO) if lower else None
+        away = Fp(fmt, _FINITE, negative, 1 << (p - 1), e_min) if upper else None
+        return (away, toward) if negative else (toward, away)
+    toward = away = None
+    if lower:
+        toward = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO)
+    if upper:
+        c += 1
+        if c >> p:
+            c, e = c >> 1, e + 1
+        away = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+    return (away, toward) if negative else (toward, away)
 
 
 def hull(lo: ExtReal, hi: ExtReal, fmt: FloatFormat) -> ExtInterval:
@@ -331,10 +371,10 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     """Hull of a op b for finite a and b of one format (b nonzero for
     division): the exact result as a point (lo is hi), or both sides of its
     rounding bracket.  `apply_op` sends two point operands here, and
-    `semantics.fp_interval_op` two finite values.  Both bounds come from the
-    nearest result and the paper's flag: for binary64 the host kernel
-    `_point_op64` returns the interval itself, and every other format takes
-    `_round_point` of the exact result."""
+    `semantics.fp_interval_op` two finite values.  For binary64 the host
+    kernel `_point_op64` returns the interval itself, from the nearest
+    result and the paper's flag; every other format takes `_round_point` of
+    the exact result."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")

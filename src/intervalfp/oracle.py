@@ -30,7 +30,10 @@ Endpoint = Union[int, Fraction, float]  # float only as one of the two infinitie
 
 _NEG = -math.inf
 _POS = math.inf
+# module names for the enum members read on every pair (a member read
+# through its class costs a lookup each time)
 _FINITE, _ZERO, _INF, _NAN = FpKind.FINITE, FpKind.ZERO, FpKind.INF, FpKind.NAN
+_ADD, _SUB, _MUL, _DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
 
 
 def _inf(v: Endpoint) -> bool:
@@ -46,10 +49,6 @@ class RealSet(NamedTuple):
     scale: int = 0
 
     @staticmethod
-    def empty(scale: int = 0) -> "RealSet":
-        return RealSet((), scale)
-
-    @staticmethod
     def full() -> "RealSet":
         return RealSet(((_NEG, _POS),))
 
@@ -62,9 +61,8 @@ class RealSet(NamedTuple):
     @staticmethod
     def union(pieces, scale: int = 0) -> "RealSet":
         """Normalise a collection of (lo, hi) pieces."""
-        items = sorted(pieces, key=lambda p: (p[0], p[1]))
         merged: list[tuple[Endpoint, Endpoint]] = []
-        for lo, hi in items:
+        for lo, hi in sorted(pieces):  # by lo, then hi
             if merged and lo <= merged[-1][1]:
                 last_lo, last_hi = merged[-1]
                 merged[-1] = (last_lo, max(last_hi, hi))
@@ -95,33 +93,42 @@ def exact_relational_set(x: RealSet, y: RealSet, op: OpKind) -> RealSet:
     operands: for division that is every z with y*z = x, including what the
     zero divisors contribute.  A sum keeps the unit the operands share, a
     product's scale is the sum of theirs and a quotient's the difference."""
-    if len(x.parts) > 1 or len(y.parts) > 1:
+    (x_parts, x_scale), (y_parts, y_scale) = x, y
+    if len(x_parts) > 1 or len(y_parts) > 1:
         raise ValueError("operands must be single intervals")
-    if (op is OpKind.ADD or op is OpKind.SUB) and x.scale != y.scale:
-        raise ValueError(f"operands in units of 2**{x.scale} and 2**{y.scale}")
-    scale = (x.scale + y.scale if op is OpKind.MUL else
-             x.scale - y.scale if op is OpKind.DIV else x.scale)
-    if x.is_empty or y.is_empty:
-        return RealSet.empty(scale)
-    (xl, xh), (yl, yh) = x.parts[0], y.parts[0]
-    if op is OpKind.ADD:
-        return RealSet.interval(_sum(xl, yl, _NEG), _sum(xh, yh, _POS), scale)
-    if op is OpKind.SUB:
-        return RealSet.interval(_sum(xl, -yh, _NEG), _sum(xh, -yl, _POS), scale)
-    if op is OpKind.MUL:
+    if op is _MUL:
+        scale = x_scale + y_scale
+    elif op is _DIV:
+        scale = x_scale - y_scale
+    elif x_scale != y_scale:
+        raise ValueError(f"operands in units of 2**{x_scale} and 2**{y_scale}")
+    else:
+        scale = x_scale
+    if not x_parts or not y_parts:
+        return RealSet((), scale)
+    (xl, xh), = x_parts
+    (yl, yh), = y_parts
+    if op is _ADD or op is _SUB:
+        if op is _SUB:
+            yl, yh = -yh, -yl
+        # an infinite end of either operand leaves that side unbounded
+        lo = _NEG if isinstance(xl, float) or isinstance(yl, float) else xl + yl
+        hi = _POS if isinstance(xh, float) or isinstance(yh, float) else xh + yh
+        return RealSet(((lo, hi),), scale)
+    if op is _MUL:
+        if xl == xh and yl == yh:  # two points: their one product
+            p = _prod(xl, yl)
+            return RealSet(((p, p),), scale)
         return RealSet.union(_mul_pieces(xl, xh, yl, yh), scale)
     return RealSet.union(_div_pieces(xl, xh, yl, yh), scale)
 
 
-def _sum(a: Endpoint, b: Endpoint, unbounded: float) -> Endpoint:
-    return unbounded if _inf(a) or _inf(b) else a + b
-
-
 def _prod(a: Endpoint, b: Endpoint) -> Endpoint:
-    # only called on sign-pure factors, where a zero factor pins the product
+    # only called on sign-pure factors (a point is one), where a zero factor
+    # pins the product
     if a == 0 or b == 0:
         return 0
-    if _inf(a) or _inf(b):
+    if isinstance(a, float) or isinstance(b, float):
         return _POS if (a > 0) == (b > 0) else _NEG
     return a * b
 
@@ -146,9 +153,9 @@ def _mul_pieces(xl, xh, yl, yh) -> list:
 def _quot(a: Endpoint, b: Endpoint) -> Endpoint:
     # b is a positive divisor bound; finite dividends over an unbounded
     # divisor range approach zero
-    if _inf(b):
+    if isinstance(b, float):
         return 0
-    if _inf(a):
+    if isinstance(a, float):
         return _POS if a > 0 else _NEG
     return Fraction(a, b)
 
@@ -159,6 +166,9 @@ def _div_by_positive(xl, xh, yl, yh) -> Optional[tuple[Endpoint, Endpoint]]:
     is zero, which is what sends quotients to an infinity."""
     if yh <= 0:
         return None
+    if xl == xh and yl == yh:  # a point over a positive point: one quotient
+        q = _quot(xl, yl) if xl else 0
+        return q, q
     open_at_zero = yl <= 0
     hi = (_POS if open_at_zero else _quot(xh, yl)) if xh > 0 else _quot(xh, yh) if xh < 0 else 0
     lo = (_NEG if open_at_zero else _quot(xl, yl)) if xl < 0 else _quot(xl, yh) if xl > 0 else 0
@@ -169,8 +179,9 @@ def _div_pieces(xl, xh, yl, yh) -> list:
     if yl <= 0 <= yh and xl <= 0 <= xh:
         # witness y = 0, x = 0 admits every z
         return [(_NEG, _POS)]
-    pos, neg = _div_by_positive(xl, xh, yl, yh), _div_by_positive(xl, xh, -yh, -yl)
-    return ([pos] if pos else []) + ([(-neg[1], -neg[0])] if neg else [])
+    # over the negative divisors, x / y is (-x) / (-y)
+    pieces = _div_by_positive(xl, xh, yl, yh), _div_by_positive(-xh, -xl, -yh, -yl)
+    return [piece for piece in pieces if piece]
 
 
 # -- values, meanings and rounding in units of the least step -----------------
@@ -274,25 +285,30 @@ def oracle_op(x: Union[RealSet, ExtInterval], y: Union[RealSet, ExtInterval], op
     Each operand is a `RealSet`, or an `ExtInterval` that is converted here.
     `hulls`, when given, is the caller's table of hulls in this format, keyed
     by the set's least and greatest endpoint and its scale (all the hull
-    reads of the set): a set whose key is there is not rounded again."""
-    x = _to_real_set(x) if isinstance(x, ExtInterval) else x
-    y = _to_real_set(y) if isinstance(y, ExtInterval) else y
-    solution = exact_relational_set(x, y, op)
-    if solution.is_empty:
+    reads of the set), or by its one value and scale for a point: a set
+    whose key is there is not rounded again."""
+    if isinstance(x, ExtInterval):
+        x = _to_real_set(x)
+    if isinstance(y, ExtInterval):
+        y = _to_real_set(y)
+    parts, scale = exact_relational_set(x, y, op)
+    if not parts:
         return ExtInterval.empty(fmt)
-    key = solution.parts[0][0], solution.parts[-1][1], solution.scale
+    lo, hi = parts[0][0], parts[-1][1]
     if hulls is None:
-        return _hull(*key, fmt)
+        return _hull(lo, hi, scale, fmt)
+    # one value in the key hashes a point quotient's Fraction once, not twice
+    key = (lo, scale) if lo is hi or lo == hi else (lo, hi, scale)
     hull = hulls.get(key)
     if hull is None:
-        hull = hulls[key] = _hull(*key, fmt)
+        hull = hulls[key] = _hull(lo, hi, scale, fmt)
     return hull
 
 
 def _hull(lo: Endpoint, hi: Endpoint, s: int, fmt: FloatFormat) -> ExtInterval:
     """[lo * 2**s, hi * 2**s] rounded outward to the format."""
-    lo_fp = Fp(fmt, _INF, True) if _inf(lo) else round_scaled(lo, s, fmt, False)
-    hi_fp = Fp(fmt, _INF) if _inf(hi) else round_scaled(hi, s, fmt, True)
+    lo_fp = Fp(fmt, _INF, True) if isinstance(lo, float) else round_scaled(lo, s, fmt, False)
+    hi_fp = Fp(fmt, _INF) if isinstance(hi, float) else round_scaled(hi, s, fmt, True)
     return ExtInterval.make(lo_fp, hi_fp)
 
 

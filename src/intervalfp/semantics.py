@@ -39,9 +39,13 @@ from .fpformat import (
     Fp,
     RoundingDirection,
     _FINITE,
-    value_cmp,
+    _NAN,
+    _ZERO,
 )
 from .interval import ExtInterval, OpKind, apply_op, point_op
+
+
+_DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
 
 
 class ZeroMode(Enum):
@@ -130,16 +134,16 @@ def extract_bound(result: ExtInterval, direction: RoundingDirection) -> Fp:
     the lower for TO_NEG_INF.  Empty extracts as NaN.  A bound that is real
     zero carries sign +0, except an upper bound reached from negative
     values, which carries -0, mirroring the usual sign conventions."""
-    if direction not in (RoundingDirection.TO_POS_INF, RoundingDirection.TO_NEG_INF):
-        raise ValueError("bound extraction is defined for the two directed roundings")
-    if result.is_empty:
-        return Fp.nan(result.fmt)
-    if direction is RoundingDirection.TO_POS_INF:
-        bound = result.hi
-        if bound.is_zero and result.lo.negative:
-            return Fp.zero(result.fmt, negative=True)
-        return bound
-    return result.lo
+    fmt, lo, hi = result
+    if direction is _UP:
+        if lo is None:
+            return Fp(fmt, _NAN)
+        if hi.kind is _ZERO and lo.negative:
+            return Fp(fmt, _ZERO, True)
+        return hi
+    if direction is _DOWN:
+        return Fp(fmt, _NAN) if lo is None else lo
+    raise ValueError("bound extraction is defined for the two directed roundings")
 
 
 def fp_scalar_op(
@@ -153,10 +157,16 @@ def fp_scalar_op(
 
 
 def same_value(a: Fp, b: Fp) -> bool:
-    """Numeric equality: zeros compare equal regardless of sign, NaN equals NaN."""
-    if a.is_nan or b.is_nan:
-        return a.is_nan and b.is_nan
-    return value_cmp(a, b) == 0
+    """Numeric equality: zeros compare equal regardless of sign, NaN equals
+    NaN.  Values of two formats raise ValueError, as `value_cmp` does; within
+    one format equal fields are equal values (the encoding is canonical), so
+    only the two zeros differ in fields and not in value."""
+    if a.fmt is not b.fmt and a.fmt != b.fmt:
+        raise ValueError("operands use different formats")
+    if a == b:
+        return True
+    kind = a.kind
+    return kind is b.kind and (kind is _ZERO or kind is _NAN)
 
 
 # -- identity catalog ----------------------------------------------------------------
@@ -270,9 +280,6 @@ class IdentityRecord:
                 except ValueError:
                     pass
         return values
-
-
-_DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
 
 
 def _ext_value(x: Fp) -> Fraction | float:

@@ -330,8 +330,10 @@ def test_round_is_nearest_or_one_side_of_round_both(descriptor):
 
 @pytest.mark.parametrize("descriptor", ["p3e-2:3", "b64"])
 def test_directed_rounding_builds_no_neighbour_it_drops(descriptor, built):
-    # the nearest value is built first; its neighbour only when the nearest
-    # lies on the other side of q, and then the nearest is all that is dropped
+    # `round` builds the nearest value first; its neighbour only when the
+    # nearest lies on the other side of q, and then the nearest is all that
+    # is dropped.  `_round_out` builds the two bounds it returns and nothing
+    # else: the infinity and the one side of q it keeps
     from intervalfp.interval import _MINUS_INF, _PLUS_INF, _round_out
 
     fmt = parse_format(descriptor)
@@ -355,12 +357,10 @@ def test_directed_rounding_builds_no_neighbour_it_drops(descriptor, built):
         for upper in (False, True):
             built.clear()
             out = _round_out(*((_MINUS_INF, bound) if upper else (bound, _PLUS_INF)), fmt)
+            assert len(built) == 2 and built[0] is not built[1], (q, upper)
+            assert all(x is out.lo or x is out.hi for x in built), (q, upper)
             side = out.hi if upper else out.lo
-            assert recorded(out.lo) and recorded(out.hi), (q, upper)
-            dropped = [x for x in built if x is not out.lo and x is not out.hi]
-            on_side = value_cmp(side, nearest) == 0
-            assert dropped == ([] if on_side else dropped[:1]), (q, upper)
-            assert all(x == nearest for x in dropped), (q, upper)
+            assert value_cmp(side, fmt.round_both(q)[upper]) == 0, (q, upper)
 
 
 # -- conversions and text -----------------------------------------------------------

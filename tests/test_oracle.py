@@ -388,17 +388,21 @@ def test_rounding_against_bisection(descriptor):
 
 
 def _skip_a_neighbour(monkeypatch):
-    """Mutation (a), as below: `toward_zero` skips 2*half - 1."""
-    original = Fp.toward_zero
+    """Mutation (a), as below: the exact core's step away from zero, on a
+    carry into the next binade, lands on half + 1 instead of half."""
+    original = iv_mod._enclose
 
-    def skipping(self):
-        fmt, kind, negative, c, e = self
+    def carrying(fmt, num, den, lower=True, upper=True):
+        lo, hi = original(fmt, num, den, lower, upper)
+        away = hi if num > 0 else lo  # the side further from zero
         half = 1 << (fmt.precision - 1)
-        if kind is FpKind.FINITE and c == half and e > fmt.e_min:
-            return Fp(fmt, kind, negative, 2 * half - 2, e - 1)
-        return original(self)
+        if (lo is not hi and away is not None and away.kind is FpKind.FINITE
+                and away.c == half and away.e > fmt.e_min):
+            away = Fp(fmt, FpKind.FINITE, away.negative, half + 1, away.e)
+            return (lo, away) if num > 0 else (away, hi)
+        return lo, hi
 
-    monkeypatch.setattr(Fp, "toward_zero", skipping)
+    monkeypatch.setattr(iv_mod, "_enclose", carrying)
 
 
 def _corrupt_zero_times_inf(monkeypatch):
@@ -434,23 +438,18 @@ def test_the_hull_table_changes_no_verdict(toy, monkeypatch, mutate):
 
 
 def test_a_wrong_neighbour_is_caught_by_the_suites(toy, monkeypatch):
-    """Mutation (a): from the least significand of a binade, `toward_zero`
-    steps to 2*half - 2 instead of 2*half - 1, so a lower bound just below
-    a power of two skips a value."""
-    original = Fp.toward_zero
-
-    def skipping(self):
-        fmt, kind, negative, c, e = self
-        half = 1 << (fmt.precision - 1)
-        if kind is FpKind.FINITE and c == half and e > fmt.e_min:
-            return Fp(fmt, kind, negative, 2 * half - 2, e - 1)
-        return original(self)
-
-    monkeypatch.setattr(Fp, "toward_zero", skipping)
+    """Mutation (a): when the step away from zero carries at 2**p, the
+    exact core lands on half + 1 instead of half, so a bound just above a
+    power of two skips a value.  Both suites see it, the compare as operation
+    mismatches only."""
+    _skip_a_neighbour(monkeypatch)
+    counts = {}
     for mode in ZeroMode:
         report = exhaustive_compare(toy, mode)
-        assert report and all(isinstance(m, Mismatch) for m in report), mode
-    assert not run_theorem_suite(toy).ok
+        assert all(isinstance(m, Mismatch) for m in report), mode
+        counts[mode] = len(report)
+    assert counts == {ZeroMode.FINITE: 768, ZeroMode.INFINITE: 736}
+    assert len(run_theorem_suite(toy).mismatches) == 736
 
 
 def test_a_widened_zero_is_caught_by_the_suites(toy, monkeypatch):

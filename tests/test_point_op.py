@@ -1,10 +1,12 @@
-"""The binary64 point kernel against the exact core, the oracle and the FPU.
+"""The binary64 point kernel against the exact core, the oracle and the FPU,
+and the exact core against `round_both`.
 
 `interval.point_op` decides binary64 point ops on host floats: the nearest
 result r plus the exact sign of its error.  Its hard cases are built here
 on purpose: exact results, ties and values one unit either side, exact
 cancellation, results around M + half an ulp and around 2**-1022, operands
 at 2**1022 +- one ulp, subnormal operands, and the adversarial block.
+Every other format encloses the exact result in `interval._enclose`.
 """
 
 import math
@@ -17,14 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intervalfp import (BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, interval,
-                        oracle_op)
+from intervalfp import (BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, fpformat,
+                        interval, oracle_op, parse_format)
 from intervalfp.harness import adversarial_binary64, ieee_reference_native, native_rounding_available
 from intervalfp.fpformat import RoundFlag, _nearest
 from intervalfp.interval import _point_op64, _round_point, apply_op, point_op
 from intervalfp.semantics import interpret, same_value
 
 M = sys.float_info.max
+# the catalog formats of tests/test_semantics.py: with and without
+# subnormals, p = 2, m > 1, M < 1, and m * M on both sides of 1
+CATALOG_FORMATS = ("p3e-2:3", "p4e-3:3", "p2e0:0ns", "p2e-6:-6", "p3e-4:-1", "p2e-1:-1ns",
+                   "p2e2:4ns", "p3e0:2", "p3e-2:3ns")
 TINY = 2.0**-1022  # least normal
 SUB = 5e-324  # least subnormal
 EXACT = {
@@ -154,10 +160,11 @@ def test_point_op_equals_exact_core_oracle_and_fpu(op, monkeypatch):
     native = native_rounding_available()
     seen = dict.fromkeys(("host", "exact", "tie", "subnormal", "overflow", "underflow"), 0)
     checked = 0
-    # a pair that point_op rounds without the exact core's `_nearest` is
+    # a pair that point_op rounds without the exact core's `_enclose` is
     # decided on the host
     calls = []
-    monkeypatch.setattr(interval, "_nearest", lambda *args: calls.append(args) or _nearest(*args))
+    enclose = interval._enclose
+    monkeypatch.setattr(interval, "_enclose", lambda *args: calls.append(args) or enclose(*args))
     for a, b in hard_pairs(op):
         if op is OpKind.DIV and b.is_zero:
             continue
@@ -236,47 +243,131 @@ def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
     assert overflowed >= 20 and underflowed >= 20
 
 
-@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
-def test_binary64_point_op_builds_only_its_bounds(op, built, monkeypatch):
-    # the kernel reads r's fields inline and steps them for the neighbour:
-    # every Fp it builds is a bound of its result, one for a point, and the
-    # old route through a decoded r and `recover_bounds` is never taken
-    pairs = [(a, b) for a, b in hard_pairs(op) if not (op is OpKind.DIV and b.is_zero)]
-    # the only bounds it may return without building them
-    cached = (BINARY64.max_finite(), BINARY64.min_pos())
+def _recorded_calls(monkeypatch, names=()):
+    """The list that records each call of nearest rounding, `recover_bounds`,
+    the neighbour steps, `Fp.from_float`, `ExtInterval.unchecked` and the
+    interval module's functions in `names`."""
     calls = []
 
     def recorded(name, f):
         return lambda *args: calls.append(name) or f(*args)
 
-    for owner, name in ((interval, "_nearest"), (interval, "recover_bounds")):
+    for owner, name in ((fpformat, "_nearest"), (fpformat, "recover_bounds"),
+                        *((interval, name) for name in names)):
         monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
     for owner, name in ((Fp, "from_float"), (interval.ExtInterval, "unchecked")):
         monkeypatch.setattr(owner, name, staticmethod(recorded(name, getattr(owner, name))))
     for name in ("toward_zero", "away_from_zero"):
         monkeypatch.setattr(Fp, name, recorded(name, getattr(Fp, name)))
+    return calls
+
+
+def _builds_only_its_bounds(got, built, cached=()):
+    """built holds each bound of got not in cached once, and nothing else."""
+    bounds = () if got.is_empty else (got.lo,) if got.lo is got.hi else (got.lo, got.hi)
+    fresh = [x for x in bounds if not any(x is y for y in cached)]
+    return len(built) == len(fresh) and all(any(x is y for y in built) for x in fresh)
+
+
+@pytest.mark.parametrize("op", list(OpKind), ids=lambda op: op.name.lower())
+def test_binary64_point_op_builds_only_its_bounds(op, built, monkeypatch):
+    # the kernel reads r's fields inline and steps them for the neighbour:
+    # every Fp it builds is a bound of its result, one for a point, and
+    # neither the exact core nor a decoded r and `recover_bounds` is used
+    pairs = [(a, b) for a, b in hard_pairs(op) if not (op is OpKind.DIV and b.is_zero)]
+    # the only bounds it may return without building them
+    cached = (BINARY64.max_finite(), BINARY64.min_pos())
+    calls = _recorded_calls(monkeypatch, ("_enclose",))
     for a, b in pairs:
         built.clear()
         got = point_op(op, a, b)
-        bounds = (got.lo,) if got.lo is got.hi else (got.lo, got.hi)
-        fresh = [x for x in bounds if not any(x is y for y in cached)]
-        # built holds each fresh bound once, and nothing else
-        assert len(built) == len(fresh), (a, op, b, built)
-        assert all(any(x is y for y in built) for x in fresh), (a, op, b, built)
+        assert _builds_only_its_bounds(got, built, cached), (a, op, b, built)
     assert calls == []
+
+
+@pytest.mark.parametrize("descriptor", CATALOG_FORMATS)
+def test_the_exact_core_builds_only_its_bounds(descriptor, built, monkeypatch):
+    """Every Fp that a point op or a wide bound builds is a bound of its
+    result, and nearest rounding, `recover_bounds`, the neighbour steps and
+    `ExtInterval.unchecked` are never called: over every pair of meanings
+    in both zero modes, and seeded wide intervals."""
+    fmt = parse_format(descriptor)
+    rng = random.Random(23)
+    values = fmt.enumerate()
+    operands = []
+    for mode in ZeroMode:
+        meanings = [interpret(v, mode) for v in values]
+        operands.append([(x, y) for x in meanings for y in meanings])
+    wide = [interval.ExtInterval.make(*sorted(rng.sample(values, 2), key=Fp.to_float))
+            for _ in range(400)]
+    operands.append(list(zip(wide[::2], wide[1::2])))
+    calls = _recorded_calls(monkeypatch)
+    for pairs in operands:
+        for op in OpKind:
+            for x, y in pairs:
+                built.clear()
+                got = apply_op(op, x, y)
+                assert _builds_only_its_bounds(got, built), (x, op, y, built)
+    assert calls == []
+
+
+def _binary32_sample(rng, n):
+    """n seeded finite nonzero binary32 values, subnormals and the extremes
+    of the exponent range included."""
+    fmt = parse_format("p24e-126:127")
+    out = []
+    for _ in range(n):
+        c, e = rng.randrange(1, 1 << 24), rng.choice((-126, 127, rng.randint(-126, 127)))
+        if c >> 23 == 0:
+            e = -126  # a significand of fewer than 24 bits is subnormal
+        out.append(Fp(fmt, FpKind.FINITE, rng.random() < 0.5, c, e))
+    return fmt, out
+
+
+@pytest.mark.parametrize("descriptor", [*CATALOG_FORMATS, "binary32 sample"])
+def test_the_enclosure_is_round_both(descriptor):
+    """`_enclose` of every exact +, -, * and / result is `round_both`'s
+    bracket with zeros as +0, one object exactly when the result is exact,
+    and each side asked for alone is that side."""
+    if descriptor == "binary32 sample":
+        fmt, values = _binary32_sample(random.Random(32), 150)
+    else:
+        fmt = parse_format(descriptor)
+        values = [v for v in fmt.enumerate() if v.is_finite]
+    exact = inexact = 0
+    for a in values:
+        for b in values:
+            for op in OpKind:
+                if op is OpKind.DIV and b.is_zero:
+                    continue
+                q = EXACT[op](a.to_rational(), b.to_rational())
+                n, d = q.numerator, q.denominator
+                lo, hi = interval._enclose(fmt, n, d)
+                assert interval.ExtInterval(fmt, lo, hi) == interval.ExtInterval.unchecked(
+                    *fmt.round_both(q)), (a, op, b)
+                assert (lo is hi) == (fmt.round_flagged(q)[1] is RoundFlag.EXACT), (a, op, b)
+                alone = (interval._enclose(fmt, n, d, True, False),
+                         interval._enclose(fmt, n, d, False, True))
+                if lo is hi:
+                    exact += 1
+                    assert all(side[0] is side[1] == lo for side in alone), (a, op, b)
+                else:
+                    inexact += 1
+                    assert alone == ((lo, None), (None, hi)), (a, op, b)
+    assert exact and inexact
 
 
 def _host_decides(op, a, b):
     """point_op of a and b, and the interval op of their points, call the
     exact core's rounding not once and give the exact result's hull."""
     calls = []
-    core = interval._nearest
-    interval._nearest = lambda *args: calls.append(args) or core(*args)
+    core = interval._enclose
+    interval._enclose = lambda *args: calls.append(args) or core(*args)
     try:
         x, y = interpret(a, ZeroMode.INFINITE), interpret(b, ZeroMode.INFINITE)
         results = point_op(op, a, b), apply_op(op, x, y)
     finally:
-        interval._nearest = core
+        interval._enclose = core
     assert not calls, (a, op, b)
     q = EXACT[op](a.to_rational(), b.to_rational())
     for got in results:

@@ -9,6 +9,7 @@ from intervalfp import (
     Classification,
     DomainError,
     ExtInterval,
+    FloatFormat,
     Fp,
     OpKind,
     RoundingDirection,
@@ -21,7 +22,9 @@ from intervalfp import (
     parse_format,
     parse_interval,
     represent,
+    value_cmp,
 )
+from intervalfp.semantics import same_value
 
 RD = RoundingDirection
 FIN, INF = ZeroMode.FINITE, ZeroMode.INFINITE
@@ -145,6 +148,35 @@ def test_scalar_zero_signs(toy):
     )
     # lower bound of [0, +inf) extracts as +0
     assert fp_scalar_op(inf, inf, OpKind.DIV, RD.TO_NEG_INF, FIN) == Fp.zero(toy)
+
+
+# -- value comparison --------------------------------------------------------------
+
+
+def test_values_of_two_formats_are_refused_by_the_comparisons(toy, toy4):
+    """value_cmp and same_value read the encoding, which depends on the
+    format: 1 in p3e-2:3 and 1 in p4e-3:3 are refused, not compared by
+    their fields, while a format built again field by field is the same
+    format."""
+    one3, one4 = Fp.from_exact(toy, 1), Fp.from_exact(toy4, 1)
+    for compare in (value_cmp, same_value):
+        with pytest.raises(ValueError, match="operands use different formats"):
+            compare(one3, one4)
+    again = Fp.from_exact(FloatFormat(3, -2, 3), 1)
+    assert again.fmt is not toy and value_cmp(one3, again) == 0 and same_value(one3, again)
+
+
+def test_same_value_is_equality_by_value(toy):
+    """Field equality first, then the two zeros: the same answer as the
+    three-way value compare on every pair, NaN equal only to NaN."""
+    values = list(toy.enumerate()) + [Fp.nan(toy)]
+    for a in values:
+        for b in values:
+            if a.is_nan or b.is_nan:
+                want = a.is_nan and b.is_nan
+            else:
+                want = value_cmp(a, b) == 0
+            assert same_value(a, b) is want, (a, b)
 
 
 # -- identity catalog --------------------------------------------------------------------
