@@ -5,13 +5,16 @@ hidden bit), an exponent range, and a subnormal toggle.  Values are kept
 in an exact canonical encoding with one sign bit on every datum except NaN,
 so every finite number converts to a `fractions.Fraction` without loss.
 
-Rounding follows the paper's hardware: a rational is rounded once, to
-nearest, with a flag saying whether its magnitude was rounded up, not up,
-or was exact (`round_flagged`), on integers only.  From the two,
-`recover_bounds` builds the bracket of adjacent format values around the
-rational, and every directed rounding is one side of it.  Tiny formats
-can be enumerated exhaustively, which is what the verification suites
-rely on; binary64 is just another instance of the same machinery.
+Rounding follows the paper's reading: the effect of rounding is one bound
+of the result's interval.  One core (`_enclose`), on integers only, gives
+the bracket of adjacent format values around a rational and the paper's
+flag, which says whether the nearest value is the side away from zero
+(rounded up), the side toward it (not up), or both (exact).  Nearest and
+each directed rounding is one side of that bracket, and only the side
+asked for is built.  `recover_bounds` is the hardware's view of the same
+pair: from a nearest value and its flag it rebuilds the bracket.  Tiny
+formats can be enumerated exhaustively, which is what the verification
+suites rely on; binary64 is just another instance of the same machinery.
 
 Literal text is read as integers, a sign, a significand and powers of two
 and ten (`decode_literal`), and rounded to nearest once (`round_literal`).
@@ -29,7 +32,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -74,6 +77,8 @@ class RoundFlag(Enum):
 # so the code reads these module names instead.
 _FINITE, _ZERO, _INF, _NAN = FpKind.FINITE, FpKind.ZERO, FpKind.INF, FpKind.NAN
 _ROUNDED_UP, _NOT_ROUNDED_UP, _EXACT = RoundFlag.ROUNDED_UP, RoundFlag.NOT_ROUNDED_UP, RoundFlag.EXACT
+_DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
+_TO_ZERO, _NEAREST = RoundingDirection.TO_ZERO, RoundingDirection.NEAREST
 
 
 @dataclass(frozen=True)
@@ -113,42 +118,33 @@ class FloatFormat:
 
     def round_flagged(self, q: RationalLike) -> tuple["Fp", RoundFlag]:
         """(nearest, flag): q rounded to nearest with ties to the even
-        significand, and how its magnitude was rounded; `recover_bounds`
-        turns the pair into the bracket of adjacent format values around q.
-        q is a Fraction or an int; a float, or any other number without an
-        exact numerator and denominator, raises TypeError here, in `round`,
-        `round_both` and `Fp.from_exact`."""
-        try:
-            num, den = q.numerator, q.denominator
-        except AttributeError:
-            raise TypeError(
-                f"expected a Fraction or an int, not {type(q).__name__} {q!r}"
-            ) from None
-        return _nearest(self, num, den)
+        significand, and the paper's flag, which says whether nearest is
+        the side of the bracket away from zero.  Only nearest is built; a
+        value that rounds to zero keeps its sign.  q is a Fraction or an
+        int; a float, or any other number without an exact numerator and
+        denominator, raises TypeError here, in `round`, `round_both` and
+        `Fp.from_exact`."""
+        lo, hi, flag = _enclose(self, *_ratio(q), _NEAREST, True)
+        return (hi if lo is None else lo), flag
 
     def round(self, q: RationalLike, direction: RoundingDirection) -> "Fp":
-        """Round an exact rational to the format: nearest, or one side of
-        the bracket around q.
+        """Round an exact rational to the format: the one side of the
+        bracket around q that the direction names, and only that side is
+        built.
 
-        Down takes the lower side, up the upper and toward zero the side
-        nearer zero.  Total: overflow saturates to the greatest finite value
-        or to an infinity depending on direction, and an exact zero comes
-        out as +0 (a negative value collapsing to zero yields -0)."""
-        nearest, flag = self.round_flagged(q)
-        if direction is RoundingDirection.NEAREST:
-            return nearest
-        upper = direction is RoundingDirection.TO_POS_INF or (
-            direction is RoundingDirection.TO_ZERO and q.numerator < 0
-        )
-        # the nearest value when it lies on the side asked for, else the
-        # neighbour `recover_bounds` would pair it with
-        if flag is _EXACT or (flag is _ROUNDED_UP) == (upper != nearest.negative):
-            return nearest
-        return nearest.toward_zero() if flag is _ROUNDED_UP else nearest.away_from_zero()
+        Down takes the lower side, up the upper, toward zero the side
+        nearer zero and nearest the side `round_flagged` names.  Total:
+        overflow saturates to the greatest finite value or to an infinity
+        depending on direction, and an exact zero comes out as +0 (a
+        negative value collapsing to zero yields -0)."""
+        lo, hi, _ = _enclose(self, *_ratio(q), direction, True)
+        return hi if lo is None else lo
 
     def round_both(self, q: RationalLike) -> tuple["Fp", "Fp"]:
-        """(round down, round up): both sides of the one bracket."""
-        return recover_bounds(*self.round_flagged(q))
+        """(round down, round up): both sides of the one bracket, one
+        object when q is exact; a zero side of a negative q is -0."""
+        lo, hi, _ = _enclose(self, *_ratio(q), None, True)
+        return lo, hi
 
     # -- enumeration ---------------------------------------------------------
 
@@ -274,15 +270,13 @@ class Fp(_FpFields):
 
     @staticmethod
     def from_exact(fmt: FloatFormat, q: RationalLike) -> "Fp":
-        """Encode a rational that is exactly representable (nearest rounding
-        flags it exact); raise otherwise."""
-        nearest, flag = fmt.round_flagged(q)
-        if flag is not _EXACT:
-            raise ValueError(
-                f"{short_decimal(q.numerator, q.denominator)} is not representable in "
-                f"{fmt.descriptor()}"
-            )
-        return nearest
+        """Encode a rational that is exactly representable (its bracket is
+        one value, lo is hi); raise otherwise."""
+        num, den = _ratio(q)
+        lo, hi, _ = _enclose(fmt, num, den, _TO_ZERO, True)
+        if lo is not hi:
+            raise ValueError(f"{short_decimal(num, den)} is not representable in {fmt.descriptor()}")
+        return lo
 
     @staticmethod
     def from_float(fmt: FloatFormat, x: float) -> "Fp":
@@ -512,58 +506,80 @@ def value_cmp(a: Fp, b: Fp) -> int:
     return (ka > kb) - (ka < kb)
 
 
-# -- rounding to nearest, and the bracket from the flag ---------------------------
+# -- the one rounding of a rational, and the bracket from the flag ------------------
 
 
-def _nearest(fmt: FloatFormat, num: int, den: int) -> tuple[Fp, RoundFlag]:
-    """(nearest, flag) for the rational num/den (den > 0): the format value
-    nearest to it, and how its magnitude was rounded.
+def _ratio(q: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of a Fraction or an int; a float, or any
+    other number without them, raises TypeError."""
+    try:
+        return q.numerator, q.denominator
+    except AttributeError:
+        raise TypeError(f"expected a Fraction or an int, not {type(q).__name__} {q!r}") from None
 
-    0 gives +0, and a value that rounds to zero keeps its sign.  Nearest
-    compares the remainder of |q| against half the step between the format
-    values around it, so the threshold for overflow is M plus half an ulp,
-    and a tie goes to the even significand, where a zero or an infinity
-    counts as even (without subnormals the step from zero to the least
-    normal is one unit, so zero is the even side)."""
-    if num == 0:
-        return Fp.zero(fmt), _EXACT
+
+def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirection] = None,
+             signed_zero: bool = False) -> tuple[Optional[Fp], Optional[Fp], RoundFlag]:
+    """(lo, hi, flag): the least format interval around num/den (den > 0)
+    and the paper's rounding flag of its nearest value.  Every rounding of
+    a rational to a format is read from here.
+
+    The magnitude is truncated toward zero at the ulp of its binade, found
+    from floor(log2) by one divmod.  With no remainder the value is exact:
+    one object is both sides, and the flag is EXACT.  Otherwise the side
+    away from zero is one unit further on, carrying into the next binade at
+    2**p and past M to the infinity.  Twice the remainder against the unit
+    says which side is nearest: ROUNDED_UP flags the side away from zero,
+    NOT_ROUNDED_UP the side toward it, and a tie goes to the even
+    significand, where a zero or an infinity counts as even.  Two regimes
+    set their sides apart: beyond M they are M and the infinity, which is
+    nearest; without subnormals, below the least normal they are 0 and the
+    least normal, which is nearest only past half of itself.
+
+    `side` names the one side to build, by rounding direction (nearest is
+    the side the flag names), and the other side is None; with no side both
+    are built.  A zero side is +0, or with `signed_zero` signed like
+    num/den, and 0 itself is +0."""
+    if not num:
+        zero = Fp(fmt, _ZERO)
+        return zero, zero, _EXACT
     negative = num < 0
     if negative:
         num = -num
-    p = fmt.precision
-    # e = floor(log2(num/den))
-    e = num.bit_length() - den.bit_length()
-    if e >= 0:
-        if num < (den << e):
-            e -= 1
-    elif (num << -e) < den:
+    p, e_min, e_max = fmt.precision, fmt.e_min, fmt.e_max
+    e = num.bit_length() - den.bit_length()  # floor(log2(num/den)) is e or e - 1
+    if (num < den << e) if e >= 0 else (num << -e < den):
         e -= 1
-    if e > fmt.e_max:
-        return Fp.inf(fmt, negative), _ROUNDED_UP
-    no_subnormal = e < fmt.e_min and not fmt.subnormals
-    # the step between the format values around q is 2**scale
-    scale = fmt.e_min if no_subnormal else max(e, fmt.e_min) - (p - 1)
-    if scale >= 0:
-        step = den << scale
-        c, rem = divmod(num, step)
+    if e > e_max:  # M, and one unit on the infinity
+        c, e, up = (1 << p) - 1, e_max, True
     else:
-        step = den
-        c, rem = divmod(num << -scale, den)
-    if rem == 0:
-        flag = _EXACT
-    elif 2 * rem > step or (2 * rem == step and c & 1):
-        if no_subnormal:  # up from zero to the least normal
-            return (-_min_pos(fmt) if negative else _min_pos(fmt)), _ROUNDED_UP
-        c, flag = c + 1, _ROUNDED_UP
-    else:
-        flag = _NOT_ROUNDED_UP
-    if c == 0:
-        return Fp.zero(fmt, negative), flag
-    if c >> p:  # carried into the next binade, or past M into the infinity
-        c, scale = c >> 1, scale + 1
-        if scale + p - 1 > fmt.e_max:
-            return Fp.inf(fmt, negative), flag
-    return Fp(fmt, _FINITE, negative, c, scale + p - 1), flag
+        if e >= e_min:
+            shift = p - 1 - e  # the ulp of the binade is 2**-shift
+        else:  # the subnormal ulp, or without subnormals the least normal (c is 0)
+            shift = p - 1 - e_min if fmt.subnormals else -e_min
+            e = e_min
+        unit = den if shift >= 0 else den << -shift  # one ulp, on the shifted num's scale
+        c, r = divmod(num << shift if shift >= 0 else num, unit)
+        if not r:
+            x = Fp(fmt, _FINITE, negative, c, e)
+            return x, x, _EXACT
+        r <<= 1
+        up = r > unit or (r == unit and c & 1 == 1)
+    # the upper side of a positive value is the one away from zero
+    keep_away = side is None or (
+        up if side is _NEAREST else side is not _TO_ZERO and (side is _UP) is not negative)
+    keep_toward = side is None or not keep_away
+    toward = away = None
+    if keep_toward:
+        toward = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
+    if keep_away:
+        # one unit on; from zero without subnormals, the least normal
+        c = c + 1 if c or fmt.subnormals else 1 << (p - 1)
+        if c >> p:
+            c, e = c >> 1, e + 1
+        away = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+    flag = _ROUNDED_UP if up else _NOT_ROUNDED_UP
+    return (away, toward, flag) if negative else (toward, away, flag)
 
 
 def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
@@ -717,16 +733,17 @@ def round_literal(
     fmt: FloatFormat, negative: bool, sig: int, exp2: int, exp10: int
 ) -> tuple[Fp, RoundFlag]:
     """(nearest, flag): the literal ``(-1)**negative * sig * 2**exp2 *
-    10**exp10`` rounded to nearest in the format, and how its magnitude was
-    rounded, as `round_flagged` gives them, so `recover_bounds` of the pair
-    is the bracket around the literal.  A zero keeps its sign; a literal
-    beyond the range gives what nearest rounding gives, an infinity or a
-    zero, flagged as the tail it lies in.  One rounding, whatever the
-    exponents."""
+    10**exp10`` rounded to nearest in the format, and the paper's flag, as
+    `round_flagged` gives them, so `recover_bounds` of the pair is the
+    bracket around the literal.  Only nearest is built.  A zero keeps its
+    sign; a literal beyond the range gives what nearest rounding gives, an
+    infinity or a zero, flagged as the tail it lies in.  One rounding,
+    whatever the exponents."""
     if sig == 0:
         return Fp.zero(fmt, negative), _EXACT
     num, den, _ = _literal_ratio(fmt, sig, exp2, exp10)
-    return _nearest(fmt, -num if negative else num, den)
+    lo, hi, flag = _enclose(fmt, -num if negative else num, den, _NEAREST, True)
+    return (hi if lo is None else lo), flag
 
 
 def literal_text(negative: bool, sig: int, exp2: int, exp10: int) -> str:

@@ -13,13 +13,14 @@ computes the exact bounds of the relational solution set (for division:
 all z with y*z = x) on plain integers and then takes the format hull,
 rounding the lower bound down and the upper bound up.  An exact bound is a
 pair (num, den) of ints: the rational num/den, unreduced, when den > 0, and
-the infinity signed like num when den == 0 (the infinity flag).  The exact
-core encloses a pair by truncation toward zero and one integer step away
-from it (`_enclose`), building only the sides it keeps; no operation
-builds a Fraction.  Nearest rounding with the paper's rounding flag belongs
-to literals, `FloatFormat.round` and the binary64 kernel below.
-`hull`, `lo_ext`, `hi_ext`, `member` and `subset` keep the Fraction view
-for callers outside the operations.
+the infinity signed like num when den == 0 (the infinity flag).  The
+format layer's one rounding core, `fpformat._enclose`, encloses a pair by
+truncation toward zero and one integer step away from it, building only
+the sides asked for; this module has no rounding of its own, and no
+operation builds a Fraction.  The core's flag, which side is nearest, is
+for literals and `FloatFormat`'s entries; the interval operations keep
+sides, not nearest values.  `hull`, `lo_ext`, `hi_ext`, `member` and
+`subset` keep the Fraction view for callers outside the operations.
 
 Point operands share one corner, and `point_op` rounds it.  Every format
 but binary64 rounds it on the exact core.  Binary64 does as the paper's
@@ -37,8 +38,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .fpformat import (BINARY64, FloatFormat, Fp, _FINITE, _INF, _ZERO, _max_finite, _min_pos,
-                       _refused, _unsupported, value_cmp)
+from .fpformat import (BINARY64, FloatFormat, Fp, _DOWN, _FINITE, _INF, _UP, _ZERO, _enclose,
+                       _max_finite, _min_pos, _refused, _unsupported, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -286,9 +287,10 @@ def _round_corners(corners: list[Bound], fmt: FloatFormat) -> ExtInterval:
 
 
 def _round_point(p: Bound, fmt: FloatFormat) -> ExtInterval:
-    """Least format interval containing the finite value p: its enclosure,
-    one object when p is exact."""
-    return tuple.__new__(ExtInterval, (fmt, *_enclose(fmt, *p)))
+    """Least format interval containing the finite value p: both sides of
+    the rounding core, one object when p is exact, zero sides +0."""
+    lo, hi, _ = _enclose(fmt, *p)
+    return tuple.__new__(ExtInterval, (fmt, lo, hi))
 
 
 def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
@@ -299,56 +301,9 @@ def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
     a product with a zero point) is one object."""
     if lo == hi:
         return _round_point(lo, fmt)
-    lo_fp = Fp(fmt, _INF, True) if lo[1] == 0 else _enclose(fmt, *lo, True, False)[0]
-    hi_fp = Fp(fmt, _INF) if hi[1] == 0 else _enclose(fmt, *hi, False, True)[1]
+    lo_fp = Fp(fmt, _INF, True) if lo[1] == 0 else _enclose(fmt, *lo, _DOWN)[0]
+    hi_fp = Fp(fmt, _INF) if hi[1] == 0 else _enclose(fmt, *hi, _UP)[1]
     return tuple.__new__(ExtInterval, (fmt, lo_fp, hi_fp))
-
-
-def _enclose(fmt: FloatFormat, num: int, den: int, lower: bool = True,
-             upper: bool = True) -> tuple[Optional[Fp], Optional[Fp]]:
-    """(lo, hi): the least format interval around num/den (den > 0).
-
-    The magnitude is truncated toward zero at the ulp of its binade, found
-    from floor(log2) by one divmod.  With no remainder the value is exact,
-    and one object is both bounds.  Otherwise the other side is one unit
-    further from zero, carrying into the next binade at 2**p and past M to
-    the infinity.  A zero side is +0.  Beyond M the sides are M and the
-    infinity; without subnormals, below the least normal they are 0 and the
-    least normal.  A side not asked for (`lower`, `upper`) is None and is
-    never built."""
-    if not num:
-        zero = Fp(fmt, _ZERO)
-        return zero, zero
-    negative = num < 0
-    if negative:  # on the magnitude, the lower side is the one toward zero
-        num, lower, upper = -num, upper, lower
-    p, e_min, e_max = fmt.precision, fmt.e_min, fmt.e_max
-    e = num.bit_length() - den.bit_length()  # floor(log2(num/den)) is e or e - 1
-    if (num < den << e) if e >= 0 else (num << -e < den):
-        e -= 1
-    if e > e_max:  # M, and one unit on, the infinity
-        c, e = (1 << p) - 1, e_max
-    elif e >= e_min or fmt.subnormals:
-        if e < e_min:
-            e = e_min
-        shift = p - 1 - e  # the ulp of the binade is 2**-shift
-        c, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
-        if not r:
-            x = Fp(fmt, _FINITE, negative, c, e)
-            return x, x
-    else:
-        toward = Fp(fmt, _ZERO) if lower else None
-        away = Fp(fmt, _FINITE, negative, 1 << (p - 1), e_min) if upper else None
-        return (away, toward) if negative else (toward, away)
-    toward = away = None
-    if lower:
-        toward = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO)
-    if upper:
-        c += 1
-        if c >> p:
-            c, e = c >> 1, e + 1
-        away = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
-    return (away, toward) if negative else (toward, away)
 
 
 def hull(lo: ExtReal, hi: ExtReal, fmt: FloatFormat) -> ExtInterval:

@@ -5,9 +5,10 @@ is cut after bit r.  Rounding it to r fraction bits while latching one
 flag -- did the word round up, truncate, or come out exact -- is enough to
 rebuild both directed-rounding bounds from the single rounded result: the
 true value lies between it and its neighbour on the side the flag names.
-The library rounds the same way (`RoundFlag` and `recover_bounds` live in
-`fpformat`); this module is the word-level demonstration, on masks and
-shifts.
+The library reads the bracket and the flag from one rounding core on
+integers (`fpformat._enclose`); `recover_bounds`, there too, is the
+hardware's view of that pair, the bracket rebuilt from nearest and its
+flag.  This module is the word-level demonstration, on masks and shifts.
 
 The up/truncate rule is a pure table on (b_r, b_{r+1}): the word rounds up
 exactly when the first discarded bit is set, i.e. ties round up.  That tie

@@ -18,8 +18,11 @@ from intervalfp import (
     RoundFlag,
     RoundingDirection,
     parse_format,
+    recover_bounds,
     value_cmp,
 )
+
+from formats import CATALOG_FORMATS
 
 RD = RoundingDirection
 
@@ -30,7 +33,8 @@ def _is_even(v):
 
 def brute_round(fmt, q, direction):
     """Reference rounder: scan the full enumeration.  Independent of the
-    arithmetic in FloatFormat.round.
+    arithmetic in FloatFormat.round, and so the one reference here for
+    nearest that does not read the rounding core.
 
     A zero result carries the sign of q.  Nearest overflows from M plus half
     an ulp on, and a tie goes to the even significand (a zero counts as even
@@ -202,17 +206,21 @@ def test_round_nearest_overflow_threshold(toy):
     assert toy.round(F(15), RD.NEAREST) == Fp.inf(toy)
 
 
-def test_round_against_brute_force(toy, tiny):
-    for fmt in (toy, tiny):
+def test_round_against_brute_force():
+    # the catalog formats: M < 1, m > 1, with and without subnormals
+    for fmt in map(parse_format, CATALOG_FORMATS):
         finite = [v.to_rational() for v in fmt.enumerate() if v.is_finite]
         M = fmt.max_finite().to_rational()
         half_ulp = (M - fmt.max_finite().next_down().to_rational()) / 2
         eps = half_ulp / 64
+        half_normal = F(2) ** fmt.e_min / 2
         probes = set()
         for a, b in zip(finite, finite[1:]):
             # the tie (a + b) / 2 and a point on each side of it
             probes.update((a, (a + b) / 2, a + (b - a) / 7, b - (b - a) / 7, b))
-        for t in (M + half_ulp, M + half_ulp - eps, M + half_ulp + eps, M + 3):
+        for t in (M + half_ulp, M + half_ulp - eps, M + half_ulp + eps, M + 3,
+                  # without subnormals, where nearest leaves zero for the least normal
+                  half_normal, half_normal * F(63, 64), half_normal * F(65, 64)):
             probes.update((t, -t))  # the overflow threshold of nearest
         for q in probes:
             for rd in RD:
@@ -330,29 +338,26 @@ def test_round_is_nearest_or_one_side_of_round_both(descriptor):
 
 @pytest.mark.parametrize("descriptor", ["p3e-2:3", "b64"])
 def test_directed_rounding_builds_no_neighbour_it_drops(descriptor, built):
-    # `round` builds the nearest value first; its neighbour only when the
-    # nearest lies on the other side of q, and then the nearest is all that
-    # is dropped.  `_round_out` builds the two bounds it returns and nothing
-    # else: the infinity and the one side of q it keeps
+    # `round` builds the one value it returns and nothing else (a -0 is
+    # built as -0, not negated from a +0), `round_flagged` its nearest
+    # value and `round_both` its two sides, one object when q is exact.
+    # `_round_out` builds the two bounds it returns and nothing else: the
+    # infinity and the one side of q it keeps
     from intervalfp.interval import _MINUS_INF, _PLUS_INF, _round_out
 
     fmt = parse_format(descriptor)
-    # the only values a rounding may return without building them
-    cached = (fmt.max_finite(), fmt.min_pos())
-
-    def recorded(x):
-        # so a path that builds an Fp without Fp.__init__ fails here
-        return any(y is x for y in built) or any(y is x for y in cached)
-
     for q in _exact_results(fmt):
-        nearest = fmt.round_flagged(q)[0]
-        for rd in (RD.TO_NEG_INF, RD.TO_POS_INF, RD.TO_ZERO):
+        for rd in RD:
             built.clear()
             got = fmt.round(q, rd)
-            assert recorded(got), (q, rd)
-            dropped = [x for x in built if x is not got]
-            assert dropped == ([] if got == nearest else dropped[:1]), (q, rd)
-            assert all(x == nearest for x in dropped), (q, rd)
+            assert len(built) == 1 and built[0] is got, (q, rd, built)
+        built.clear()
+        nearest = fmt.round_flagged(q)[0]
+        assert len(built) == 1 and built[0] is nearest, (q, built)
+        built.clear()
+        lo, hi = fmt.round_both(q)
+        assert len(built) == 2 - (lo is hi), (q, built)
+        assert all(any(x is y for y in built) for x in (lo, hi)), (q, built)
         bound = (q.numerator, q.denominator)
         for upper in (False, True):
             built.clear()
@@ -360,7 +365,28 @@ def test_directed_rounding_builds_no_neighbour_it_drops(descriptor, built):
             assert len(built) == 2 and built[0] is not built[1], (q, upper)
             assert all(x is out.lo or x is out.hi for x in built), (q, upper)
             side = out.hi if upper else out.lo
-            assert value_cmp(side, fmt.round_both(q)[upper]) == 0, (q, upper)
+            assert value_cmp(side, (lo, hi)[upper]) == 0, (q, upper)
+
+
+def _same_fields(x, y):
+    """x and y are one datum, field for field: a -0 differs from a +0."""
+    return x.kind is y.kind and x.negative == y.negative and x.c == y.c and x.e == y.e
+
+
+@pytest.mark.parametrize("descriptor", [*CATALOG_FORMATS, "b64"])
+def test_the_flag_recovers_the_bracket(descriptor):
+    """The paper's claim: the nearest value and its rounding flag give both
+    directed roundings.  `recover_bounds` steps from nearest to its
+    neighbour, and `round_both` reads both sides from the rounding core, so
+    the two paths agree field for field, signed zeros included, on every
+    exact +, -, * and / result (a seeded stream for binary64)."""
+    fmt = parse_format(descriptor)
+    zeros = 0
+    for q in _exact_results(fmt):
+        got, want = recover_bounds(*fmt.round_flagged(q)), fmt.round_both(q)
+        assert all(map(_same_fields, got, want)), (q, got, want)
+        zeros += any(x.is_zero and x.negative for x in want)
+    assert zeros or fmt is BINARY64, "no negative q rounds to -0"
 
 
 # -- conversions and text -----------------------------------------------------------

@@ -105,3 +105,19 @@ def test_the_unused_import_check_sees_leftovers():
                      "import os.path\n\ndef f(x):\n    return apply_op(x)\n")
     assert unused_imports(tree, "m") == ["m.partial (line 1)", "m._OPS (line 2)", "m.os (line 3)"]
     assert unused_imports(ast.parse("from .fpformat import recover_bounds\n"), "roundflag") == []
+
+
+def test_the_interval_layer_has_no_rounding_of_its_own():
+    """interval.py rounds through the format layer's one core: `_enclose` is
+    imported from fpformat, and interval defines no rounding function and
+    divides no integer at an ulp (no divmod)."""
+    tree = ast.parse((PACKAGE / "interval.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "fpformat"
+                for alias in node.names}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_enclose" in imported
+    assert defined & {"_enclose", "_nearest"} == set()
+    assert "divmod" not in called

@@ -27,10 +27,7 @@ from intervalfp import semantics
 from intervalfp.oracle import (_NEG, _POS, MeaningMismatch, Mismatch, _to_real_set, least_step,
                                round_scaled)
 
-# Formats for the rounding and oracle checks: with and without subnormals,
-# one binade, negative and positive exponent ranges.
-NINE_FORMATS = ("p2e0:0ns", "p3e-2:3", "p3e-2:3ns", "p4e-3:3", "p2e-6:-6", "p3e-4:-1",
-                "p2e-1:-1ns", "p2e2:4ns", "p3e0:2")
+from formats import CATALOG_FORMATS
 
 
 def rs(lo, hi):
@@ -360,7 +357,7 @@ def _probe_points(fmt):
     return sorted(points | {-q for q in points})
 
 
-@pytest.mark.parametrize("descriptor", NINE_FORMATS)
+@pytest.mark.parametrize("descriptor", CATALOG_FORMATS)
 def test_rounding_against_bisection(descriptor):
     """round_scaled against bisection over enumerate(), in all four
     directions, with each point as a Fraction at scale 0 and, where it is
@@ -392,15 +389,15 @@ def _skip_a_neighbour(monkeypatch):
     carry into the next binade, lands on half + 1 instead of half."""
     original = iv_mod._enclose
 
-    def carrying(fmt, num, den, lower=True, upper=True):
-        lo, hi = original(fmt, num, den, lower, upper)
+    def carrying(fmt, num, den, side=None, signed_zero=False):
+        lo, hi, flag = original(fmt, num, den, side, signed_zero)
         away = hi if num > 0 else lo  # the side further from zero
         half = 1 << (fmt.precision - 1)
         if (lo is not hi and away is not None and away.kind is FpKind.FINITE
                 and away.c == half and away.e > fmt.e_min):
             away = Fp(fmt, FpKind.FINITE, away.negative, half + 1, away.e)
-            return (lo, away) if num > 0 else (away, hi)
-        return lo, hi
+            return ((lo, away) if num > 0 else (away, hi)) + (flag,)
+        return lo, hi, flag
 
     monkeypatch.setattr(iv_mod, "_enclose", carrying)
 

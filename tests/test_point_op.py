@@ -6,7 +6,8 @@ result r plus the exact sign of its error.  Its hard cases are built here
 on purpose: exact results, ties and values one unit either side, exact
 cancellation, results around M + half an ulp and around 2**-1022, operands
 at 2**1022 +- one ulp, subnormal operands, and the adversarial block.
-Every other format encloses the exact result in `interval._enclose`.
+Every other format encloses the exact result in the format layer's one
+rounding core, `fpformat._enclose`, which `interval` imports.
 """
 
 import math
@@ -22,15 +23,13 @@ from hypothesis import strategies as st
 from intervalfp import (BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMode, fpformat,
                         interval, oracle_op, parse_format)
 from intervalfp.harness import adversarial_binary64, ieee_reference_native, native_rounding_available
-from intervalfp.fpformat import RoundFlag, _nearest
+from intervalfp.fpformat import FloatFormat, RoundFlag
 from intervalfp.interval import _point_op64, _round_point, apply_op, point_op
 from intervalfp.semantics import interpret, same_value
 
+from formats import CATALOG_FORMATS
+
 M = sys.float_info.max
-# the catalog formats of tests/test_semantics.py: with and without
-# subnormals, p = 2, m > 1, M < 1, and m * M on both sides of 1
-CATALOG_FORMATS = ("p3e-2:3", "p4e-3:3", "p2e0:0ns", "p2e-6:-6", "p3e-4:-1", "p2e-1:-1ns",
-                   "p2e2:4ns", "p3e0:2", "p3e-2:3ns")
 TINY = 2.0**-1022  # least normal
 SUB = 5e-324  # least subnormal
 EXACT = {
@@ -208,7 +207,7 @@ def test_host_nearest_and_flag_equal_the_exact_core(op):
         q = EXACT[op](a.to_rational(), b.to_rational())
         got = _point_op64(op, a, b)
         assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
-        nearest, flag = _nearest(BINARY64, q.numerator, q.denominator)
+        nearest, flag = BINARY64.round_flagged(q)
         assert (got.lo is got.hi) == (flag is RoundFlag.EXACT), (a, op, b)
         if flag is not RoundFlag.EXACT:
             # a magnitude rounded up lies beyond q, away from zero
@@ -230,7 +229,7 @@ def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
             continue
         q = EXACT[op](a.to_rational(), b.to_rational())
         got = _point_op64(op, a, b)
-        nearest, flag = _nearest(BINARY64, q.numerator, q.denominator)
+        nearest, flag = BINARY64.round_flagged(q)
         if 0 < abs(q) < F(TINY):
             assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
             underflowed += 1
@@ -244,16 +243,28 @@ def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
 
 
 def _recorded_calls(monkeypatch, names=()):
-    """The list that records each call of nearest rounding, `recover_bounds`,
-    the neighbour steps, `Fp.from_float`, `ExtInterval.unchecked` and the
-    interval module's functions in `names`."""
+    """The list that records each nearest rounding (the rounding core asked
+    for its nearest side, in either module, or a `FloatFormat` entry),
+    `recover_bounds`, the neighbour steps, `Fp.from_float`,
+    `ExtInterval.unchecked` and the interval module's functions in
+    `names`."""
     calls = []
 
     def recorded(name, f):
         return lambda *args: calls.append(name) or f(*args)
 
-    for owner, name in ((fpformat, "_nearest"), (fpformat, "recover_bounds"),
-                        *((interval, name) for name in names)):
+    def nearest_recorded(core):
+        def spy(fmt, num, den, side=None, signed_zero=False):
+            if side is RoundingDirection.NEAREST:
+                calls.append("nearest")
+            return core(fmt, num, den, side, signed_zero)
+        return spy
+
+    for owner in (fpformat, interval):
+        monkeypatch.setattr(owner, "_enclose", nearest_recorded(owner._enclose))
+    for name in ("round", "round_both", "round_flagged"):
+        monkeypatch.setattr(FloatFormat, name, recorded(name, getattr(FloatFormat, name)))
+    for owner, name in ((fpformat, "recover_bounds"), *((interval, name) for name in names)):
         monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
     for owner, name in ((Fp, "from_float"), (interval.ExtInterval, "unchecked")):
         monkeypatch.setattr(owner, name, staticmethod(recorded(name, getattr(owner, name))))
@@ -328,7 +339,8 @@ def _binary32_sample(rng, n):
 def test_the_enclosure_is_round_both(descriptor):
     """`_enclose` of every exact +, -, * and / result is `round_both`'s
     bracket with zeros as +0, one object exactly when the result is exact,
-    and each side asked for alone is that side."""
+    with `round_flagged`'s flag, and each side asked for alone is that
+    side."""
     if descriptor == "binary32 sample":
         fmt, values = _binary32_sample(random.Random(32), 150)
     else:
@@ -342,18 +354,19 @@ def test_the_enclosure_is_round_both(descriptor):
                     continue
                 q = EXACT[op](a.to_rational(), b.to_rational())
                 n, d = q.numerator, q.denominator
-                lo, hi = interval._enclose(fmt, n, d)
+                lo, hi, flag = interval._enclose(fmt, n, d)
                 assert interval.ExtInterval(fmt, lo, hi) == interval.ExtInterval.unchecked(
                     *fmt.round_both(q)), (a, op, b)
-                assert (lo is hi) == (fmt.round_flagged(q)[1] is RoundFlag.EXACT), (a, op, b)
-                alone = (interval._enclose(fmt, n, d, True, False),
-                         interval._enclose(fmt, n, d, False, True))
+                assert flag is fmt.round_flagged(q)[1], (a, op, b)
+                assert (lo is hi) == (flag is RoundFlag.EXACT), (a, op, b)
+                alone = (interval._enclose(fmt, n, d, RoundingDirection.TO_NEG_INF),
+                         interval._enclose(fmt, n, d, RoundingDirection.TO_POS_INF))
                 if lo is hi:
                     exact += 1
                     assert all(side[0] is side[1] == lo for side in alone), (a, op, b)
                 else:
                     inexact += 1
-                    assert alone == ((lo, None), (None, hi)), (a, op, b)
+                    assert alone == ((lo, None, flag), (None, hi, flag)), (a, op, b)
     assert exact and inexact
 
 

@@ -26,6 +26,8 @@ from intervalfp import (
 )
 from intervalfp.semantics import same_value
 
+from formats import CATALOG_FORMATS
+
 RD = RoundingDirection
 FIN, INF = ZeroMode.FINITE, ZeroMode.INFINITE
 
@@ -192,14 +194,6 @@ def test_catalog_shape():
     assert len({rec.name for rec in cat}) == 23
     assert all(rec.mode is INF for rec in cat if rec.group == "exact-zeros")
     assert {rec.operand_class for rec in cat} == {None, "pos", "pos<1", "pos>=1", "nonzero"}
-
-
-# Formats on which the catalog's formulas change character: the greatest
-# finite value M below one, the least positive value m above one, m*M on
-# either side of one (m*M = (2**p - 1) * 2**k is never 1), precision 2, and
-# formats with and without subnormals.
-CATALOG_FORMATS = ["p3e-2:3", "p4e-3:3", "p2e0:0ns", "p2e-6:-6", "p3e-4:-1",
-                   "p2e-1:-1ns", "p2e2:4ns", "p3e0:2", "p3e-2:3ns"]
 
 
 def _shapes(fmt):
