@@ -11,8 +11,11 @@ the bracket of adjacent format values around a rational and the paper's
 flag, which says whether the nearest value is the side away from zero
 (rounded up), the side toward it (not up), or both (exact).  Nearest and
 each directed rounding is one side of that bracket, and only the side
-asked for is built.  `recover_bounds` is the hardware's view of the same
-pair: from a nearest value and its flag it rebuilds the bracket.  Tiny
+asked for is built.  The step from a value to its neighbour, on the
+integer fields (c, e), is stated once (`_away`, `_toward`): the core, `Fp`'s
+neighbours and the interval layer's host kernel take it.  `recover_bounds`
+is the hardware's view of the same pair: from a nearest value and its flag
+it rebuilds the bracket.  Tiny
 formats can be enumerated exhaustively, which is what the verification
 suites rely on; binary64 is just another instance of the same machinery.
 
@@ -27,11 +30,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[Fraction, int]
@@ -83,18 +85,25 @@ _TO_ZERO, _NEAREST = RoundingDirection.TO_ZERO, RoundingDirection.NEAREST
 
 @dataclass(frozen=True)
 class FloatFormat:
-    """A binary float format: precision bits, exponent range, subnormal toggle."""
+    """A binary float format: precision bits, exponent range, subnormal toggle.
+
+    `host`, derived, says whether binary64 holds every value of the format
+    (p <= 53, no ulp below 2**-1074, no binade above 2**1023), as it holds
+    binary32's and every small format's but not binary128's."""
 
     precision: int
     e_min: int
     e_max: int
     subnormals: bool = True
+    host: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.precision < 2:
             raise ValueError("precision must be at least 2")
         if self.e_min > self.e_max:
             raise ValueError("e_min must not exceed e_max")
+        host = self.precision <= 53 and self.e_min - self.precision >= -1075 and self.e_max <= 1023
+        object.__setattr__(self, "host", host)
 
     # -- derived constants -------------------------------------------------
 
@@ -108,11 +117,11 @@ class FloatFormat:
 
     def max_finite(self) -> "Fp":
         """Greatest finite value of the format."""
-        return _max_finite(self)
+        return Fp(self, _FINITE, False, (1 << self.precision) - 1, self.e_max)
 
     def min_pos(self) -> "Fp":
         """Least value strictly greater than zero (subnormal when enabled)."""
-        return _min_pos(self)
+        return Fp(self, _FINITE, False, *_away(self, 0, self.e_min))
 
     # -- rounding ----------------------------------------------------------
 
@@ -377,41 +386,30 @@ class Fp(_FpFields):
         return -(-self).next_up()
 
     def away_from_zero(self) -> "Fp":
-        """The neighbour one unit further from zero, with the same sign:
-        past M comes the infinity and past a zero the least positive value.
-        Nothing lies past an infinity, so an infinity (or NaN) is returned
-        as it is."""
+        """The neighbour one unit further from zero, with the same sign
+        (`_away`): past M comes the infinity and past a zero the least
+        positive value.  Nothing lies past an infinity, so an infinity (or
+        NaN) is returned as it is."""
         fmt, kind, negative, c, e = self
-        if kind is not _FINITE:
-            if kind is _ZERO:
-                return -_min_pos(fmt) if negative else _min_pos(fmt)
+        if kind is _ZERO:
+            e = fmt.e_min
+        elif kind is not _FINITE:
             return self
-        c += 1
-        if c == 1 << fmt.precision:
-            c, e = 1 << (fmt.precision - 1), e + 1
-            if e > fmt.e_max:
-                return Fp(fmt, _INF, negative)
-        return Fp(fmt, _FINITE, negative, c, e)
+        c, e = _away(fmt, c, e)
+        return Fp(fmt, _FINITE, negative, c, e) if e <= fmt.e_max else Fp(fmt, _INF, negative)
 
     def toward_zero(self) -> "Fp":
-        """The neighbour one unit nearer zero, with the same sign: below the
-        least positive value comes the zero and below an infinity M.
-        Nothing lies nearer zero than a zero, so a zero (or NaN) is
-        returned as it is."""
+        """The neighbour one unit nearer zero, with the same sign
+        (`_toward`): below the least positive value comes the zero and
+        below an infinity M.  Nothing lies nearer zero than a zero, so a
+        zero (or NaN) is returned as it is."""
         fmt, kind, negative, c, e = self
-        if kind is not _FINITE:
-            if kind is _INF:
-                return -_max_finite(fmt) if negative else _max_finite(fmt)
+        if kind is _INF:  # as `_away` writes it: 2**(p - 1) at e_max + 1
+            c, e = 1 << (fmt.precision - 1), fmt.e_max + 1
+        elif kind is not _FINITE:
             return self
-        half = 1 << (fmt.precision - 1)
-        c -= 1
-        if c >= half:
-            return Fp(fmt, _FINITE, negative, c, e)
-        if e > fmt.e_min:
-            return Fp(fmt, _FINITE, negative, 2 * half - 1, e - 1)
-        if fmt.subnormals and c >= 1:
-            return Fp(fmt, _FINITE, negative, c, e)
-        return Fp(fmt, _ZERO, negative)
+        c, e = _toward(fmt, c, e)
+        return Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative)
 
     # -- arithmetic-free helpers ------------------------------------------------------
 
@@ -467,18 +465,6 @@ class Fp(_FpFields):
 BINARY64 = FloatFormat(precision=53, e_min=-1022, e_max=1023, subnormals=True)
 
 
-@lru_cache(maxsize=None)
-def _max_finite(fmt: FloatFormat) -> Fp:
-    return Fp(fmt, _FINITE, False, (1 << fmt.precision) - 1, fmt.e_max)
-
-
-@lru_cache(maxsize=None)
-def _min_pos(fmt: FloatFormat) -> Fp:
-    if fmt.subnormals:
-        return Fp(fmt, _FINITE, False, 1, fmt.e_min)
-    return Fp(fmt, _FINITE, False, 1 << (fmt.precision - 1), fmt.e_min)
-
-
 # -- value-order comparison ------------------------------------------------------
 
 
@@ -518,20 +504,42 @@ def _ratio(q: RationalLike) -> tuple[int, int]:
         raise TypeError(f"expected a Fraction or an int, not {type(q).__name__} {q!r}") from None
 
 
+def _away(fmt: FloatFormat, c: int, e: int) -> tuple[int, int]:
+    """(c, e) of the value one unit further from zero than significand c
+    at exponent e, where c = 0 at e_min is a zero: at 2**p the carry into
+    the binade above, where e past e_max stands for the infinity, and from
+    a zero without subnormals the least normal."""
+    if not c and not fmt.subnormals:
+        return 1 << (fmt.precision - 1), e
+    c += 1
+    return (c >> 1, e + 1) if c >> fmt.precision else (c, e)
+
+
+def _toward(fmt: FloatFormat, c: int, e: int) -> tuple[int, int]:
+    """(c, e) of the value one unit nearer zero than the nonzero c at e, or
+    than the infinity as `_away` writes it: below 2**(p - 1) the borrow
+    from the binade below, and below the least positive value c = 0, the
+    zero."""
+    c -= 1
+    if c >> (fmt.precision - 1) or e == fmt.e_min and fmt.subnormals:
+        return c, e
+    return ((1 << fmt.precision) - 1, e - 1) if e > fmt.e_min else (0, e)
+
+
 def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirection] = None,
-             signed_zero: bool = False) -> tuple[Optional[Fp], Optional[Fp], RoundFlag]:
+             signed_zero: bool = False) -> tuple[Optional[Fp], Optional[Fp], Optional[RoundFlag]]:
     """(lo, hi, flag): the least format interval around num/den (den > 0)
-    and the paper's rounding flag of its nearest value.  Every rounding of
-    a rational to a format is read from here.
+    and, when `side` is NEAREST, the paper's rounding flag of its nearest
+    value.  Every rounding of a rational to a format is read from here.
 
     The magnitude is truncated toward zero at the ulp of its binade, found
     from floor(log2) by one divmod.  With no remainder the value is exact:
     one object is both sides, and the flag is EXACT.  Otherwise the side
-    away from zero is one unit further on, carrying into the next binade at
-    2**p and past M to the infinity.  Twice the remainder against the unit
-    says which side is nearest: ROUNDED_UP flags the side away from zero,
-    NOT_ROUNDED_UP the side toward it, and a tie goes to the even
-    significand, where a zero or an infinity counts as even.  Two regimes
+    away from zero is one unit on (`_away`).  Asked for nearest, twice the
+    remainder against the unit says which side it is: ROUNDED_UP flags the
+    side away from zero, NOT_ROUNDED_UP the side toward it, and a tie goes
+    to the even significand, where a zero or an infinity counts as even;
+    asked for anything else, an inexact value's flag is None.  Two regimes
     set their sides apart: beyond M they are M and the infinity, which is
     nearest; without subnormals, below the least normal they are 0 and the
     least normal, which is nearest only past half of itself.
@@ -563,8 +571,7 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
         if not r:
             x = Fp(fmt, _FINITE, negative, c, e)
             return x, x, _EXACT
-        r <<= 1
-        up = r > unit or (r == unit and c & 1 == 1)
+        up = side is _NEAREST and (r << 1 > unit or (r << 1 == unit and c & 1 == 1))
     # the upper side of a positive value is the one away from zero
     keep_away = side is None or (
         up if side is _NEAREST else side is not _TO_ZERO and (side is _UP) is not negative)
@@ -573,12 +580,9 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
     if keep_toward:
         toward = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
     if keep_away:
-        # one unit on; from zero without subnormals, the least normal
-        c = c + 1 if c or fmt.subnormals else 1 << (p - 1)
-        if c >> p:
-            c, e = c >> 1, e + 1
+        c, e = _away(fmt, c, e)
         away = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
-    flag = _ROUNDED_UP if up else _NOT_ROUNDED_UP
+    flag = (_ROUNDED_UP if up else _NOT_ROUNDED_UP) if side is _NEAREST else None
     return (away, toward, flag) if negative else (toward, away, flag)
 
 

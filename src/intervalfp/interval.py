@@ -8,7 +8,7 @@ set-theoretic meaning inside an interval.
 The four arithmetic operations are total, and `apply_op` is their one
 entry: the operators of `ExtInterval` are its spelling.  It checks that the
 operands share a format, passes an empty operand through and sends two
-points to `point_op`.  Every other pair takes its op's recipe, which
+host-format points to `point_op`.  Every other pair takes its recipe, which
 computes the exact bounds of the relational solution set (for division:
 all z with y*z = x) on plain integers and then takes the format hull,
 rounding the lower bound down and the upper bound up.  An exact bound is a
@@ -16,37 +16,35 @@ pair (num, den) of ints: the rational num/den, unreduced, when den > 0, and
 the infinity signed like num when den == 0 (the infinity flag).  The
 format layer's one rounding core, `fpformat._enclose`, encloses a pair by
 truncation toward zero and one integer step away from it, building only
-the sides asked for; this module has no rounding of its own, and no
+the sides asked for; the recipes round nothing of their own, and no
 operation builds a Fraction.  The core's flag, which side is nearest, is
 for literals and `FloatFormat`'s entries; the interval operations keep
 sides, not nearest values.  `hull`, `lo_ext`, `hi_ext`, `member` and
 `subset` keep the Fraction view for callers outside the operations.
 
-Point operands share one corner, and `point_op` rounds it.  Every format
-but binary64 rounds it on the exact core.  Binary64 does as the paper's
-hardware would: one host float op gives the nearest result r, an integer
-comparison gives the flag, and the kernel `_point_op64` builds the bracket
-from the two in place.  It reads r's significand and exponent once, and
-takes one integer step on them for the other side: toward zero when the
-flag says rounded up, away from zero otherwise.
+Point operands share one corner, and in every format binary64 holds
+(`FloatFormat.host`: binary64, binary32, every small format) `point_op`
+decides it as the paper's hardware would: one host float op, rounded once
+more to the format, gives the nearest value and the flag, and one step
+(`fpformat._away` or `_toward`) the other side.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
+from math import frexp, inf, ldexp
 from typing import NamedTuple, Optional, Union
 
-from .fpformat import (BINARY64, FloatFormat, Fp, _DOWN, _FINITE, _INF, _UP, _ZERO, _enclose,
-                       _max_finite, _min_pos, _refused, _unsupported, value_cmp)
+from .fpformat import (FloatFormat, Fp, _DOWN, _FINITE, _INF, _UP, _ZERO, _away, _enclose,
+                       _refused, _toward, _unsupported, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
 ExtReal = Union[Fraction, float]
 
-NEG_INF: float = -math.inf
-POS_INF: float = math.inf
+NEG_INF: float = -inf
+POS_INF: float = inf
 
 
 class OpKind(Enum):
@@ -58,8 +56,6 @@ class OpKind(Enum):
 
 # module names for the members `apply_op` and `point_op` test (see `fpformat._FINITE`)
 _ADD, _SUB, _MUL, _DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
-# the least and greatest significands of a normal binary64 value
-_C_HALF, _C_MAX = 1 << 52, (1 << 53) - 1
 
 
 def _operator(op: OpKind):
@@ -275,8 +271,11 @@ def _less(a: Bound, b: Bound) -> bool:
     return an < bn
 
 
-def _round_corners(corners: list[Bound], fmt: FloatFormat) -> ExtInterval:
-    """Least format interval containing every corner."""
+def _round_corners(f, xl: Bound, xh: Bound, yl: Bound, yh: Bound, fmt: FloatFormat) -> ExtInterval:
+    """Least format interval containing f(a, b) for every end a of [xl, xh]
+    and b of [yl, yh]; a point (xl is xh) has one end."""
+    corners = [f(a, b) for a in ((xl,) if xl is xh else (xl, xh))
+               for b in ((yl,) if yl is yh else (yl, yh))]
     low = high = corners[0]
     for b in corners[1:]:
         if _less(b, low):
@@ -325,94 +324,86 @@ def hull(lo: ExtReal, hi: ExtReal, fmt: FloatFormat) -> ExtInterval:
 def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     """Hull of a op b for finite a and b of one format (b nonzero for
     division): the exact result as a point (lo is hi), or both sides of its
-    rounding bracket.  `apply_op` sends two point operands here, and
-    `semantics.fp_interval_op` two finite values.  For binary64 the host
-    kernel `_point_op64` returns the interval itself, from the nearest
-    result and the paper's flag; every other format takes `_round_point` of
-    the exact result."""
-    fmt = a.fmt
-    if fmt is not b.fmt and fmt != b.fmt:
-        raise ValueError("operands use different formats")
-    # one field read spares other formats the dataclass __eq__
-    if fmt is BINARY64 or (fmt.precision == 53 and fmt == BINARY64):
-        return _point_op64(op, a, b)
-    pa, pb = _bound(a), _bound(b)
-    if op is _ADD:
-        p = _add_bound(pa, pb)
-    elif op is _SUB:
-        p = _add_bound(pa, (-pb[0], pb[1]))
-    elif op is _MUL:
-        p = _mul_bound(pa, pb)
-    else:
-        p = _div_bound(pa, pb)
-    return _round_point(p, fmt)
-
-
-def _point_op64(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
-    """`point_op` of binary64 a and b, on host floats: r is the FPU's
-    nearest result (only `harness._native_mode` leaves round-to-nearest,
-    around its own float ops), and an integer comparison gives the paper's
-    flag, rounded up when |a op b| < |r|.  The other side of the bracket
-    is r's neighbour toward zero when r was rounded up and away from zero
-    otherwise, one step on r's integer fields."""
-    # one unpacking costs less than five field reads; an operand on the host
-    # is c * 2**(e - 52), and a zero has c = 0
+    rounding bracket.  A format binary64 does not hold (`FloatFormat.host`)
+    takes the bound recipes.  Every other is decided as the paper's hardware
+    would: one host float op gives r, binary64's nearest a op b (only
+    `harness._native_mode` leaves round-to-nearest, around its own float
+    ops), rounded once more to the format.  Dropped bits give the flag, and
+    a op b lies in r's gap of the format, as host rounding is monotone and
+    the format's values are host floats; with none dropped, an integer
+    comparison of |a op b| with |r| gives it, or says r is exact.  The other
+    side is one step (`fpformat._toward`, `_away`) from the nearest value,
+    even where the cut r is that side, so every host format takes binary64's
+    steps and the small formats' exhaustive suites check them.  Binary64's
+    own overflow and underflow read as an r beyond M or below the least ulp."""
     fmt, _, na, ca, ea = a
-    _, _, nb, cb, eb = b
+    b_fmt, _, nb, cb, eb = b
+    if fmt is not b_fmt and fmt != b_fmt:
+        raise ValueError("operands use different formats")
+    if not fmt.host:
+        return apply_op(op, ExtInterval.unchecked(a, a), ExtInterval.unchecked(b, b))
+    p, e_min, e_max = fmt.precision, fmt.e_min, fmt.e_max
     if op is _SUB:
         nb = not nb
-    xa, xb = math.ldexp(-ca if na else ca, ea - 52), math.ldexp(-cb if nb else cb, eb - 52)
+    # an operand on the host is c * 2**(e + s), and a zero has c = 0
+    s = 1 - p
+    xa, xb = ldexp(-ca if na else ca, ea + s), ldexp(-cb if nb else cb, eb + s)
     is_sum = op is _ADD or op is _SUB
     r = xa + xb if is_sum else xa * xb if op is _MUL else xa / xb
-    if not r:  # exact for a sum (subnormals) or a zero operand, else underflow
-        zero = Fp(fmt, _ZERO)
-        if is_sum or not (ca and cb):
-            return tuple.__new__(ExtInterval, (fmt, zero, zero))
-        if na != nb:  # strictly between -m and 0
-            return tuple.__new__(ExtInterval, (fmt, Fp(fmt, _FINITE, True, 1, -1022), zero))
-        return tuple.__new__(ExtInterval, (fmt, zero, _min_pos(fmt)))
     negative = r < 0
-    if abs(r) == math.inf:  # a finite result beyond M + half an ulp
-        if negative:
-            return tuple.__new__(ExtInterval, (fmt, Fp(fmt, _INF, True),
-                                               Fp(fmt, _FINITE, True, _C_MAX, 1023)))
-        return tuple.__new__(ExtInterval, (fmt, _max_finite(fmt), Fp(fmt, _INF)))
-    # r = cr * 2**(er - 52), read as `Fp.from_float` reads it
-    m, er = math.frexp(abs(r))
-    cr, er = int(m * 9007199254740992.0), er - 1  # m * 2**53 is exact
-    if er < -1022:  # subnormal: the same value at the least exponent
-        cr, er = cr >> (-1022 - er), -1022
-    # |a op b| against |r|, on integers
-    if is_sum:  # at the least of the three exponents
-        low = min(ea, eb, er)
-        exact = abs(((-ca if na else ca) << (ea - low)) + ((-cb if nb else cb) << (eb - low)))
-        rounded, shift = cr, low - er
-    elif op is _MUL:
-        exact, rounded, shift = ca * cb, cr, ea + eb - 52 - er
+    mag = abs(r)
+    if 0.0 < mag < inf:  # r = c * 2**(e - 52), read as `Fp.from_float` reads it
+        m, e = frexp(mag)
+        c, e = int(m * 9007199254740992.0), e - 1  # m * 2**53 is exact
+    elif r:  # binary64 overflowed: a op b lies beyond M
+        c, e = 1, e_max + 1
+    elif is_sum or not (ca and cb):  # exact for a sum (subnormals) or a zero operand
+        zero = Fp(fmt, _ZERO)
+        return tuple.__new__(ExtInterval, (fmt, zero, zero))
+    else:  # binary64 underflowed: a op b lies below the least value's ulp
+        c, e, negative = 1, e_min - 53, na != nb
+    if e > e_max:  # beyond M, where the infinity, one unit on, is nearest
+        c, e, rest, half = (1 << p) - 1, e_max, 1, 0
+    else:  # cut r at the binade's ulp, or below e_min the subnormal ulp or the least normal
+        drop = 53 - p
+        if e < e_min:
+            drop += e_min - e if fmt.subnormals else e_min - e + p - 1
+            e = e_min
+        rest = 0
+        if drop:
+            rest, half = c & ((1 << drop) - 1), 1 << (drop - 1)
+            c >>= drop
+    if rest:  # the dropped bits round r to nearest, ties to even, and give the flag
+        up = rest > half or (rest == half and c & 1 == 1)
+        if up:
+            c, e = _away(fmt, c, e)
+    else:  # |a op b| against |r|, on integers
+        if is_sum:  # at the least of the three exponents
+            low = min(ea, eb, e)
+            exact = abs(((-ca if na else ca) << (ea - low)) + ((-cb if nb else cb) << (eb - low)))
+            rounded, shift = c, low - e
+        elif op is _MUL:
+            exact, rounded, shift = ca * cb, c, ea + eb + s - e
+        else:
+            exact, rounded, shift = ca, c * cb, ea - eb - e - s
+        if shift >= 0:
+            exact <<= shift
+        else:
+            rounded <<= -shift
+        if exact == rounded:
+            near = Fp(fmt, _FINITE, negative, c, e)
+            return tuple.__new__(ExtInterval, (fmt, near, near))
+        up = exact < rounded
+    # the nearest value rounded up is the side away from zero, else the side toward it
+    if up:
+        away = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+        c, e = _toward(fmt, c, e)
+        toward = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO)
     else:
-        exact, rounded, shift = ca, cr * cb, ea - eb - er + 52
-    if shift >= 0:
-        exact <<= shift
-    else:
-        rounded <<= -shift
-    near = Fp(fmt, _FINITE, negative, cr, er)
-    if exact == rounded:
-        return tuple.__new__(ExtInterval, (fmt, near, near))
-    up = exact < rounded
-    if up:  # toward zero: below 2**52 borrow from the binade below, and 0 is +0
-        c, e = cr - 1, er
-        if c < _C_HALF and e > -1022:
-            c, e = _C_MAX, e - 1
-        other = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO)
-    else:  # away from zero: at 2**53 carry into the binade above, past M +-inf
-        c, e = cr + 1, er
-        if c > _C_MAX:
-            c, e = _C_HALF, e + 1
-        other = Fp(fmt, _FINITE, negative, c, e) if e <= 1023 else Fp(fmt, _INF, negative)
-    # the exact value lies below a positive result rounded up
-    if up != negative:
-        return tuple.__new__(ExtInterval, (fmt, other, near))
-    return tuple.__new__(ExtInterval, (fmt, near, other))
+        toward = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO)
+        c, e = _away(fmt, c, e)
+        away = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+    return tuple.__new__(ExtInterval, (fmt, away, toward) if negative else (fmt, toward, away))
 
 
 # -- the one entry ---------------------------------------------------------------
@@ -431,15 +422,17 @@ def apply_op(op: OpKind, x: ExtInterval, y: ExtInterval) -> ExtInterval:
         raise ValueError("operands use different formats")
     if xlo is None or ylo is None:
         return ExtInterval.empty(fmt)
-    if xlo is xhi and ylo is yhi and (op is not _DIV or ylo.kind is not _ZERO):
+    if xlo is xhi and ylo is yhi and fmt.host and (op is not _DIV or ylo.kind is not _ZERO):
         return point_op(op, xlo, ylo)
-    xl, xh, yl, yh = _bound(xlo), _bound(xhi), _bound(ylo), _bound(yhi)
+    # a point's bounds are one object, and so are its exact ends
+    xl, yl = _bound(xlo), _bound(ylo)
+    xh, yh = xl if xhi is xlo else _bound(xhi), yl if yhi is ylo else _bound(yhi)
     if op is _ADD:
         return _round_out(_add_bound(xl, yl), _add_bound(xh, yh), fmt)
     if op is _SUB:  # [x.lo - y.hi, x.hi - y.lo]
         return _round_out(_add_bound(xl, (-yh[0], yh[1])), _add_bound(xh, (-yl[0], yl[1])), fmt)
     if op is _MUL:
-        return _round_corners([_mul_bound(a, b) for a in (xl, xh) for b in (yl, yh)], fmt)
+        return _round_corners(_mul_bound, xl, xh, yl, yh, fmt)
     return _quotient(xl, xh, yl, yh, fmt)
 
 
@@ -454,7 +447,7 @@ def _quotient(xl: Bound, xh: Bound, yl: Bound, yh: Bound, fmt: FloatFormat) -> E
     divisor with zero as one end gives one half-line."""
     # a bound's sign is the sign of its numerator
     if not yl[0] <= 0 <= yh[0]:
-        return _round_corners([_div_bound(a, b) for a in (xl, xh) for b in (yl, yh)], fmt)
+        return _round_corners(_div_bound, xl, xh, yl, yh, fmt)
     if xl[0] <= 0 <= xh[0] or yl[0] < 0 < yh[0]:
         return ExtInterval.full_line(fmt)
     if yl[0] == 0 == yh[0]:

@@ -119,9 +119,10 @@ def fp_interval_op(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> ExtInterval:
     and total outright in INFINITE mode (NaN reads as the empty set).
 
     Two finite nonzero operands are points in either zero mode, so they go
-    straight to `interval.point_op` without building their intervals:
-    binary64 to the host kernel, which returns the interval from one float
-    op and its flag, and every other format to the exact core.  Zeros,
+    straight to `interval.point_op` without building their intervals: a
+    format that binary64 holds (`FloatFormat.host`) to the host kernel,
+    which returns the interval from one float op and the paper's flag, and
+    any other format to the bound recipes on the exact core.  Zeros,
     infinities and NaN take their mode's meaning through `interpret`, and
     the two intervals go to `apply_op`, the interval operations' one entry."""
     if a.kind is _FINITE and b.kind is _FINITE:

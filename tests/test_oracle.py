@@ -21,6 +21,7 @@ from intervalfp import (
     parse_interval,
     run_theorem_suite,
 )
+from intervalfp import fpformat
 from intervalfp import interval as iv_mod
 from intervalfp import oracle
 from intervalfp import semantics
@@ -384,22 +385,24 @@ def test_rounding_against_bisection(descriptor):
 # -- the suites catch what they check ---------------------------------------------------
 
 
+def _patch_step(monkeypatch, name, mutant):
+    """Put mutant in place of the neighbour step `fpformat.<name>` under
+    both module names, so the exact core, `Fp`'s neighbours and the point
+    kernel all take it."""
+    for owner in (fpformat, iv_mod):
+        monkeypatch.setattr(owner, name, mutant)
+
+
 def _skip_a_neighbour(monkeypatch):
-    """Mutation (a), as below: the exact core's step away from zero, on a
-    carry into the next binade, lands on half + 1 instead of half."""
-    original = iv_mod._enclose
+    """Mutation (a), as below: the step away from zero, on a carry into the
+    next binade, lands on half + 1 instead of half."""
+    original = fpformat._away
 
-    def carrying(fmt, num, den, side=None, signed_zero=False):
-        lo, hi, flag = original(fmt, num, den, side, signed_zero)
-        away = hi if num > 0 else lo  # the side further from zero
-        half = 1 << (fmt.precision - 1)
-        if (lo is not hi and away is not None and away.kind is FpKind.FINITE
-                and away.c == half and away.e > fmt.e_min):
-            away = Fp(fmt, FpKind.FINITE, away.negative, half + 1, away.e)
-            return ((lo, away) if num > 0 else (away, hi)) + (flag,)
-        return lo, hi, flag
+    def carrying(fmt, c, e):
+        c, e_next = original(fmt, c, e)
+        return (c + 1 if e_next > e else c), e_next
 
-    monkeypatch.setattr(iv_mod, "_enclose", carrying)
+    _patch_step(monkeypatch, "_away", carrying)
 
 
 def _corrupt_zero_times_inf(monkeypatch):
@@ -435,18 +438,59 @@ def test_the_hull_table_changes_no_verdict(toy, monkeypatch, mutate):
 
 
 def test_a_wrong_neighbour_is_caught_by_the_suites(toy, monkeypatch):
-    """Mutation (a): when the step away from zero carries at 2**p, the
-    exact core lands on half + 1 instead of half, so a bound just above a
-    power of two skips a value.  Both suites see it, the compare as operation
-    mismatches only."""
+    """Mutation (a): when the step away from zero carries at 2**p, it
+    lands on half + 1 instead of half, so a bound just above a power of two
+    skips a value.  Both suites see it, the compare as operation mismatches
+    only."""
     _skip_a_neighbour(monkeypatch)
     counts = {}
     for mode in ZeroMode:
         report = exhaustive_compare(toy, mode)
         assert all(isinstance(m, Mismatch) for m in report), mode
         counts[mode] = len(report)
-    assert counts == {ZeroMode.FINITE: 768, ZeroMode.INFINITE: 736}
-    assert len(run_theorem_suite(toy).mismatches) == 736
+    assert counts == {ZeroMode.FINITE: 1816, ZeroMode.INFINITE: 1784}
+    assert len(run_theorem_suite(toy).mismatches) == 2352
+
+
+_TOWARD, _AWAY = fpformat._toward, fpformat._away
+
+
+def _borrow_at_e_min(fmt, c, e):
+    """The step toward zero borrows from below e_min too, onto 2**p - 1 at
+    e_min - 1, where it should stay subnormal or reach zero."""
+    half = 1 << (fmt.precision - 1)
+    if e == fmt.e_min and c - 1 < half:
+        return 2 * half - 1, e - 1
+    return _TOWARD(fmt, c, e)
+
+
+def _borrow_too_far(fmt, c, e):
+    """A borrow from the binade below lands on 2**p - 2, not 2**p - 1."""
+    c_next, e_next = _TOWARD(fmt, c, e)
+    return (c_next - 1 if e_next < e else c_next), e_next
+
+
+def _carry_early(fmt, c, e):
+    """A carry into the top binade, e_max, is read as past it: the
+    infinity."""
+    c_next, e_next = _AWAY(fmt, c, e)
+    return c_next, (e_next + 1 if e < e_next == fmt.e_max else e_next)
+
+
+@pytest.mark.parametrize("name, mutant, counts", [
+    ("_toward", _borrow_at_e_min, (456, 456)),
+    ("_toward", _borrow_too_far, (1616, 1616)),
+    ("_away", _carry_early, (272, 264)),
+], ids=["borrow-at-e-min", "borrow-to-2p-2", "carry-early"])
+def test_a_wrong_step_is_caught_by_the_compare(toy, monkeypatch, name, mutant, counts):
+    """The neighbour steps' mutants, each in place of its step under both
+    module names: the point kernel of a small format takes the same steps
+    as binary64's, so the exhaustive compare sees each in both zero modes.
+    (An underflow to 2m stays binary64's own: a small format's ops never
+    underflow on the host, and `test_point_op.hard_pairs` catches it.)"""
+    _patch_step(monkeypatch, name, mutant)
+    got = tuple(len(exhaustive_compare(toy, mode)) for mode in (ZeroMode.FINITE, ZeroMode.INFINITE))
+    assert got == counts
 
 
 def test_a_widened_zero_is_caught_by_the_suites(toy, monkeypatch):

@@ -1,13 +1,16 @@
-"""The binary64 point kernel against the exact core, the oracle and the FPU,
-and the exact core against `round_both`.
+"""The point kernel against the exact core, the oracle and the FPU, and
+the exact core against `round_both`.
 
-`interval.point_op` decides binary64 point ops on host floats: the nearest
-result r plus the exact sign of its error.  Its hard cases are built here
-on purpose: exact results, ties and values one unit either side, exact
-cancellation, results around M + half an ulp and around 2**-1022, operands
-at 2**1022 +- one ulp, subnormal operands, and the adversarial block.
-Every other format encloses the exact result in the format layer's one
-rounding core, `fpformat._enclose`, which `interval` imports.
+`interval.point_op` decides the point ops of every format that binary64
+holds (`FloatFormat.host`) on host floats: the binary64 result r, rounded
+once more to the format, plus the exact sign of its error.  Its binary64
+hard cases are built here on purpose: exact results, ties and values one
+unit either side, exact cancellation, results around M + half an ulp and
+around 2**-1022, operands at 2**1022 +- one ulp, subnormal operands, and
+the adversarial block.  The small host formats are checked on every pair,
+binary32 and the wider host formats on seeded samples.  A format binary64
+does not hold encloses the exact result in the format layer's one rounding
+core, `fpformat._enclose`, which `interval` imports.
 """
 
 import math
@@ -24,10 +27,10 @@ from intervalfp import (BINARY64, Fp, FpKind, OpKind, RoundingDirection, ZeroMod
                         interval, oracle_op, parse_format)
 from intervalfp.harness import adversarial_binary64, ieee_reference_native, native_rounding_available
 from intervalfp.fpformat import FloatFormat, RoundFlag
-from intervalfp.interval import _point_op64, _round_point, apply_op, point_op
-from intervalfp.semantics import interpret, same_value
+from intervalfp.interval import _round_point, apply_op, point_op
+from intervalfp.semantics import fp_interval_op, interpret, same_value
 
-from formats import CATALOG_FORMATS
+from formats import CATALOG_FORMATS, HOST_FORMATS
 
 M = sys.float_info.max
 TINY = 2.0**-1022  # least normal
@@ -205,7 +208,7 @@ def test_host_nearest_and_flag_equal_the_exact_core(op):
             continue
         pairs += 1
         q = EXACT[op](a.to_rational(), b.to_rational())
-        got = _point_op64(op, a, b)
+        got = point_op(op, a, b)
         assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
         nearest, flag = BINARY64.round_flagged(q)
         assert (got.lo is got.hi) == (flag is RoundFlag.EXACT), (a, op, b)
@@ -228,7 +231,7 @@ def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
         if b.is_zero:
             continue
         q = EXACT[op](a.to_rational(), b.to_rational())
-        got = _point_op64(op, a, b)
+        got = point_op(op, a, b)
         nearest, flag = BINARY64.round_flagged(q)
         if 0 < abs(q) < F(TINY):
             assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
@@ -298,10 +301,11 @@ def test_binary64_point_op_builds_only_its_bounds(op, built, monkeypatch):
 
 @pytest.mark.parametrize("descriptor", CATALOG_FORMATS)
 def test_the_exact_core_builds_only_its_bounds(descriptor, built, monkeypatch):
-    """Every Fp that a point op or a wide bound builds is a bound of its
-    result, and nearest rounding, `recover_bounds`, the neighbour steps and
-    `ExtInterval.unchecked` are never called: over every pair of meanings
-    in both zero modes, and seeded wide intervals."""
+    """Every Fp that a point op (on the host kernel) or a wide bound (on the
+    exact core) builds is a bound of its result, and nearest rounding,
+    `recover_bounds`, `Fp`'s neighbour methods and `ExtInterval.unchecked`
+    are never called: over every pair of meanings in both zero modes, and
+    seeded wide intervals."""
     fmt = parse_format(descriptor)
     rng = random.Random(23)
     values = fmt.enumerate()
@@ -322,27 +326,30 @@ def test_the_exact_core_builds_only_its_bounds(descriptor, built, monkeypatch):
     assert calls == []
 
 
-def _binary32_sample(rng, n):
-    """n seeded finite nonzero binary32 values, subnormals and the extremes
+def _sample(fmt, rng, n):
+    """n seeded finite nonzero values of fmt, subnormals and the extremes
     of the exponent range included."""
-    fmt = parse_format("p24e-126:127")
     out = []
     for _ in range(n):
-        c, e = rng.randrange(1, 1 << 24), rng.choice((-126, 127, rng.randint(-126, 127)))
-        if c >> 23 == 0:
-            e = -126  # a significand of fewer than 24 bits is subnormal
+        c = rng.randrange(1, 1 << fmt.precision)
+        e = rng.choice((fmt.e_min, fmt.e_max, rng.randint(fmt.e_min, fmt.e_max)))
+        if c >> (fmt.precision - 1) == 0:  # a significand of fewer than p bits
+            c, e = (c, fmt.e_min) if fmt.subnormals else (c | 1 << (fmt.precision - 1), e)
         out.append(Fp(fmt, FpKind.FINITE, rng.random() < 0.5, c, e))
-    return fmt, out
+    return out
 
 
 @pytest.mark.parametrize("descriptor", [*CATALOG_FORMATS, "binary32 sample"])
 def test_the_enclosure_is_round_both(descriptor):
     """`_enclose` of every exact +, -, * and / result is `round_both`'s
     bracket with zeros as +0, one object exactly when the result is exact,
-    with `round_flagged`'s flag, and each side asked for alone is that
-    side."""
+    and each side asked for alone is that side.  Only a nearest call reads
+    the remainder for the flag: it gives `round_flagged`'s flag and builds
+    the side the flag names, and an inexact value asked for a directed side
+    or both sides has no flag (None); an exact one is EXACT however asked."""
     if descriptor == "binary32 sample":
-        fmt, values = _binary32_sample(random.Random(32), 150)
+        fmt = parse_format("p24e-126:127")
+        values = _sample(fmt, random.Random(32), 150)
     else:
         fmt = parse_format(descriptor)
         values = [v for v in fmt.enumerate() if v.is_finite]
@@ -357,22 +364,29 @@ def test_the_enclosure_is_round_both(descriptor):
                 lo, hi, flag = interval._enclose(fmt, n, d)
                 assert interval.ExtInterval(fmt, lo, hi) == interval.ExtInterval.unchecked(
                     *fmt.round_both(q)), (a, op, b)
-                assert flag is fmt.round_flagged(q)[1], (a, op, b)
-                assert (lo is hi) == (flag is RoundFlag.EXACT), (a, op, b)
+                nearest = interval._enclose(fmt, n, d, RoundingDirection.NEAREST)
+                assert nearest[2] is fmt.round_flagged(q)[1], (a, op, b)
                 alone = (interval._enclose(fmt, n, d, RoundingDirection.TO_NEG_INF),
                          interval._enclose(fmt, n, d, RoundingDirection.TO_POS_INF))
                 if lo is hi:
                     exact += 1
-                    assert all(side[0] is side[1] == lo for side in alone), (a, op, b)
+                    assert flag is nearest[2] is RoundFlag.EXACT, (a, op, b)
+                    assert all(side[0] is side[1] == lo and side[2] is flag
+                               for side in alone), (a, op, b)
                 else:
                     inexact += 1
-                    assert alone == ((lo, None, flag), (None, hi, flag)), (a, op, b)
+                    assert flag is None, (a, op, b)
+                    assert alone == ((lo, None, None), (None, hi, None)), (a, op, b)
+                    # a magnitude rounded up is the side away from zero
+                    upper = (nearest[2] is RoundFlag.ROUNDED_UP) != (q < 0)
+                    assert nearest[:2] == ((None, hi) if upper else (lo, None)), (a, op, b)
     assert exact and inexact
 
 
 def _host_decides(op, a, b):
     """point_op of a and b, and the interval op of their points, call the
     exact core's rounding not once and give the exact result's hull."""
+    fmt = a.fmt
     calls = []
     core = interval._enclose
     interval._enclose = lambda *args: calls.append(args) or core(*args)
@@ -384,7 +398,7 @@ def _host_decides(op, a, b):
     assert not calls, (a, op, b)
     q = EXACT[op](a.to_rational(), b.to_rational())
     for got in results:
-        assert got == _round_point((q.numerator, q.denominator), BINARY64), (a, op, b)
+        assert got == _round_point((q.numerator, q.denominator), fmt), (a, op, b)
         # an exact result is one object, as a point interval is
         assert (got.lo is got.hi) == (got.lo.is_finite and got.lo.to_rational() == q), (a, op, b)
 
@@ -412,6 +426,76 @@ def test_no_binary64_point_op_reaches_the_exact_core():
     bit_patterns()
 
 
+@pytest.mark.parametrize("descriptor", HOST_FORMATS)
+def test_no_host_point_op_reaches_the_exact_core(descriptor):
+    """Every pair of a small host format, and of 100 seeded binary32 values
+    and both zeros, is decided by the kernel alone, through `point_op` and
+    through `apply_op`, as the exact result's enclosure."""
+    fmt = parse_format(descriptor)
+    if fmt.value_count() > 1000:
+        values = _sample(fmt, random.Random(24), 100) + [Fp.zero(fmt), Fp.zero(fmt, True)]
+    else:
+        values = [v for v in fmt.enumerate() if v.is_finite]
+    assert fmt.host
+    for a in values:
+        for b in values:
+            for op in OpKind:
+                if not (op is OpKind.DIV and b.is_zero):
+                    _host_decides(op, a, b)
+
+
+@pytest.mark.parametrize("descriptor, host", [
+    ("b64", True), ("p24e-126:127", True), *((d, True) for d in CATALOG_FORMATS),
+    ("p25e-10:10", True), ("p26e-10:10", True), ("p24e-600:600", True),
+    ("p53e-1022:1023ns", True), ("p2e-1073:-1073", True), ("p53e-1021:1023", True),
+    ("p54e-10:10", False), ("p113e-16382:16383", False), ("p24e-1052:10", False),
+    ("p24e0:1024", False), ("p53e-1023:1023", False),
+])
+def test_host_is_whether_binary64_holds_every_value(descriptor, host):
+    """A format is a host format when every value is a binary64 value: at
+    most 53 bits, no ulp below 2**-1074 and no binade above 2**1023."""
+    fmt = parse_format(descriptor)
+    assert fmt.host is host
+    if host:  # M and the least positive value are host floats
+        for x in (fmt.max_finite(), fmt.min_pos()):
+            assert Fp.from_float(fmt, x.to_float()) == x
+
+
+def _binary64_in(fmt, pairs):
+    """The binary64 pairs of nonzero values that fmt holds, moved into fmt."""
+    def moved(x):
+        fits = x.kind is FpKind.FINITE and (x.c >> 52 or fmt.subnormals)
+        return Fp(fmt, FpKind.FINITE, x.negative, x.c, x.e) if fits else None
+    return [(a2, b2) for a2, b2 in (map(moved, pair) for pair in pairs) if a2 and b2]
+
+
+@pytest.mark.parametrize("descriptor", ["p30e-20:20", "p26e-10:10", "p24e-600:600",
+                                        "p53e-1022:1023ns", "p60e-20:20", "p113e-16382:16383"])
+def test_point_ops_of_wide_formats_are_the_exact_results_enclosure(descriptor):
+    """`fp_interval_op` of point pairs is `_round_point` of the exact
+    result: on the kernel in the host formats beyond binary32's precision or
+    range and in binary64 without subnormals (on `hard_pairs`), and on the
+    bound recipes in p60 and binary128, which binary64 does not hold."""
+    fmt = parse_format(descriptor)
+    values = _sample(fmt, random.Random(30), 80)
+    pairs = [(a, b) for a in values[:40] for b in values[40:]]
+    if fmt.precision == 53:
+        pairs += _binary64_in(fmt, [pair for op in OpKind for pair in hard_pairs(op)[::4]])
+    core, calls = interval._enclose, []
+    for a, b in pairs:
+        for op in OpKind:
+            q = EXACT[op](a.to_rational(), b.to_rational())
+            interval._enclose = lambda *args: calls.append(args) or core(*args)
+            try:
+                got = fp_interval_op(a, b, op, ZeroMode.FINITE)
+            finally:
+                interval._enclose = core
+            want = _round_point((q.numerator, q.denominator), fmt)
+            assert got == want and (got.lo is got.hi) == (want.lo is want.hi), (a, op, b)
+    # the kernel decides host formats without the exact core
+    assert (calls == []) is fmt.host and len(pairs) >= 1600
+
+
 def test_point_op_rejects_mixed_formats(toy):
     with pytest.raises(ValueError, match="different formats"):
         point_op(OpKind.ADD, Fp.from_float(BINARY64, 1.0), Fp.from_float(toy, 1.0))
@@ -419,9 +503,10 @@ def test_point_op_rejects_mixed_formats(toy):
 
 
 def test_point_op_decides_binary64_by_a_field_before_comparing_formats(toy):
-    """A format of another precision never reaches FloatFormat.__eq__, a
-    binary64 built field by field still takes the host path, and its
-    descriptor parses to BINARY64 itself."""
+    """The kernel is chosen by the derived field `host`: a format of another
+    precision never reaches FloatFormat.__eq__, a binary64 built field by
+    field still takes the host path, and its descriptor parses to BINARY64
+    itself."""
     from intervalfp import FloatFormat, parse_format
 
     calls = []
