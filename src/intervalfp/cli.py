@@ -42,8 +42,6 @@ line-oriented ``repl``.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import re
 import sys
 from collections import deque
@@ -75,8 +73,8 @@ from .harness import DEFAULT_SEED, deviation_report, run_theorem_suite
 
 # -- programs -------------------------------------------------------------------
 
-# A program lists literals, NEG and operators in postfix order.  Literals are
-# NamedTuples: immutable, compared by value, and cheap to build.
+# A program lists literals, NEG and operators in postfix order; literals are
+# records, NamedTuples as everywhere in the package (see `fpformat`).
 
 
 class Lit(NamedTuple):
@@ -407,6 +405,8 @@ def _cmd_report(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
         for r in rows
     ]
     if args.csv:
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(table)
@@ -484,6 +484,9 @@ def _cmd_repl(args, fmt: FloatFormat, mode: ZeroMode, _seed: int) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # loaded here, so `parse`, `eval_expr` and `unparse` load no argument parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="intervalfp",
         description="Total floating-point arithmetic over sets of reals.",
@@ -522,9 +525,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # argparse reads a word that starts with '-' as an option unless its
     # negative-number pattern matches; here a word that names no option is
     # the expression or the word when it has one leading '-' (-inf, -(1),
-    # -1.11|1), or two followed by a digit, '.', '(', inf or nan (--1, --inf)
+    # -1.11|1), or a run of them followed by a digit, '.', '(', inf or nan
+    # (--1, ---1, --inf)
     for p in (p_eval, p_flag):
-        p._negative_number_matcher = re.compile(r"-[^-]|--(?:[\d.(]|inf|nan)")
+        p._negative_number_matcher = re.compile(r"-[^-]|-+(?:[\d.(]|inf|nan)")
 
     p_repl = sub.add_parser("repl", help="line-oriented read-eval loop")
     p_repl.add_argument("--format", help="format descriptor")

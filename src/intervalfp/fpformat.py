@@ -24,13 +24,20 @@ and ten (`decode_literal`), and rounded to nearest once (`round_literal`).
 A literal beyond the range is replaced by a power of two in the same
 bracket before any power is built, so hostile exponents cost only their
 digits.
+
+Every record of the package is a NamedTuple: immutable, compared and
+hashed by value, and cheap to build (a suite's running tally,
+`harness.SuiteResult`, is the one mutable class).  A record whose
+constructor validates (`FloatFormat`, `roundflag.PreRoundedWord`)
+subclasses a NamedTuple of its fields and checks them in `__new__`; like
+`Fp`, it refuses the tuple's ordering and arithmetic, and the `_make` and
+`_replace` that would skip the check.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
@@ -83,27 +90,47 @@ _DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
 _TO_ZERO, _NEAREST = RoundingDirection.TO_ZERO, RoundingDirection.NEAREST
 
 
-@dataclass(frozen=True)
-class FloatFormat:
+def _unsupported(self, other):
+    """An operator the tuple underneath would otherwise apply (<, +, *)."""
+    return NotImplemented
+
+
+def _refused(*args, **kwargs):
+    """A namedtuple helper (`_make`, `_replace`) that would skip the class's
+    constructor."""
+    raise TypeError("a value is built by calling its class, not by _make or _replace")
+
+
+class _FloatFormatFields(NamedTuple):
+    precision: int
+    e_min: int
+    e_max: int
+    subnormals: bool = True
+    host: bool = False
+
+
+class FloatFormat(_FloatFormatFields):
     """A binary float format: precision bits, exponent range, subnormal toggle.
 
     `host`, derived, says whether binary64 holds every value of the format
     (p <= 53, no ulp below 2**-1074, no binade above 2**1023), as it holds
     binary32's and every small format's but not binary128's."""
 
-    precision: int
-    e_min: int
-    e_max: int
-    subnormals: bool = True
-    host: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
+    _make = _replace = _refused
 
-    def __post_init__(self):
-        if self.precision < 2:
+    def __new__(cls, precision: int, e_min: int, e_max: int, subnormals: bool = True):
+        if precision < 2:
             raise ValueError("precision must be at least 2")
-        if self.e_min > self.e_max:
+        if e_min > e_max:
             raise ValueError("e_min must not exceed e_max")
-        host = self.precision <= 53 and self.e_min - self.precision >= -1075 and self.e_max <= 1023
-        object.__setattr__(self, "host", host)
+        host = precision <= 53 and e_min - precision >= -1075 and e_max <= 1023
+        return tuple.__new__(cls, (precision, e_min, e_max, subnormals, host))
+
+    def __getnewargs__(self):
+        """Copies and pickles pass the four given fields; `host` is derived again."""
+        return tuple(self[:4])
 
     # -- derived constants -------------------------------------------------
 
@@ -228,16 +255,6 @@ class _FpFields(NamedTuple):
     negative: bool = False
     c: int = 0
     e: int = 0
-
-
-def _unsupported(self, other):
-    """An operator the tuple underneath would otherwise apply (<, +, *)."""
-    return NotImplemented
-
-
-def _refused(*args, **kwargs):
-    """A namedtuple helper (`_make`, `_replace`) that would skip `__init__`."""
-    raise TypeError("a value is built by calling its class, not by _make or _replace")
 
 
 class Fp(_FpFields):
@@ -761,9 +778,10 @@ def literal_text(negative: bool, sig: int, exp2: int, exp10: int) -> str:
     sign = "-" if negative else ""
     if exp10 < 0 or abs(exp2) <= max(exp10, 64):
         digits, exp = (sig << exp2, exp10) if exp2 >= 0 else (sig * 5**-exp2, exp10 + exp2)
-        text = format(Decimal(digits), "f")  # str(int) stops at the digit limit
-        return f"{sign}{text}e{exp}" if exp else sign + text
-    return f"{sign}0x{sig * 5**exp10:x}p{exp2 + exp10:+d}"
+        # str(int) stops at the digit limit, for the digits and an exponent alike
+        text = format(Decimal(digits), "f")
+        return f"{sign}{text}e{Decimal(exp):f}" if exp else sign + text
+    return f"{sign}0x{sig * 5**exp10:x}p{Decimal(exp2 + exp10):+f}"
 
 
 def short_literal(fmt: FloatFormat, negative: bool, sig: int, exp2: int, exp10: int) -> str:

@@ -33,12 +33,11 @@ import math
 import random
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .fpformat import (
     BINARY64,
@@ -235,9 +234,11 @@ def ieee_reference_native(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection
 
 def adversarial_binary64() -> list[Fp]:
     """Fixed stress operands: zeros, subnormal and normal boundaries, units,
-    powers of two, extremes, infinities."""
+    powers of two, extremes, infinities, and the greatest value below the
+    top binade, which 2**900 added to it carries into."""
     specials = [0.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 1.0, 2.0, 0.5,
-                2.0**52, 2.0**-52, 1.7976931348623157e308, math.inf]
+                2.0**52, 2.0**-52, 2.0**900, 2.0**1023 - 2.0**970, 1.7976931348623157e308,
+                math.inf]
     out = []
     for v in specials:
         out.append(Fp.from_float(BINARY64, v))
@@ -279,8 +280,7 @@ def binary64_pairs(n: int, seed: int, finite_only: bool = False) -> Iterator[tup
 # -- conformance suite ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffCase:
+class DiffCase(NamedTuple):
     a: Fp
     b: Fp
     op: OpKind
@@ -295,15 +295,16 @@ class DiffCase:
         )
 
 
-@dataclass
 class SuiteResult:
     """What one suite found: comparisons made, the failing cases (printed
-    with `str`), and notes on what was covered or why nothing was."""
+    with `str`), and notes on what was covered or why nothing was.  The
+    suite fills it as it runs."""
 
-    name: str
-    checked: int = 0
-    mismatches: list = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.mismatches: list = []
+        self.notes: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -407,8 +408,7 @@ def classify_vs_ieee(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> Classification
     return Classification.CONFORMS if ok else Classification.DEVIATES
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     name: str
     pattern: str
     group: str

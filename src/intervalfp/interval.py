@@ -340,9 +340,9 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     b_fmt, _, nb, cb, eb = b
     if fmt is not b_fmt and fmt != b_fmt:
         raise ValueError("operands use different formats")
-    if not fmt.host:
+    p, e_min, e_max, subnormals, host = fmt  # one unpacking, cheaper than four reads by name
+    if not host:
         return apply_op(op, ExtInterval.unchecked(a, a), ExtInterval.unchecked(b, b))
-    p, e_min, e_max = fmt.precision, fmt.e_min, fmt.e_max
     if op is _SUB:
         nb = not nb
     # an operand on the host is c * 2**(e + s), and a zero has c = 0
@@ -367,7 +367,7 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     else:  # cut r at the binade's ulp, or below e_min the subnormal ulp or the least normal
         drop = 53 - p
         if e < e_min:
-            drop += e_min - e if fmt.subnormals else e_min - e + p - 1
+            drop += e_min - e if subnormals else e_min - e + p - 1
             e = e_min
         rest = 0
         if drop:

@@ -18,7 +18,6 @@ each distinct exact set is rounded once per run, however many pairs share it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -312,8 +311,7 @@ def _hull(lo: Endpoint, hi: Endpoint, s: int, fmt: FloatFormat) -> ExtInterval:
     return ExtInterval.make(lo_fp, hi_fp)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     fmt: FloatFormat
     op: OpKind
     a: Fp
@@ -327,8 +325,7 @@ class Mismatch:
                 f"{self.mode.value} {self.got} {self.expected}")
 
 
-@dataclass(frozen=True)
-class MeaningMismatch:
+class MeaningMismatch(NamedTuple):
     """A value whose `interpret` set is not the meaning the oracle states."""
 
     fmt: FloatFormat

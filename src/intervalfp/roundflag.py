@@ -22,31 +22,38 @@ requires, since an exact result must not be widened.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # recover_bounds is the word demo's last step, re-exported for its callers
-from .fpformat import FloatFormat, Fp, RoundFlag, _FINITE, recover_bounds, short_decimal
+from .fpformat import (FloatFormat, Fp, RoundFlag, _FINITE, _refused, _unsupported, recover_bounds,
+                       short_decimal)
 
 _WORD_RE = re.compile(r"^(-)?([01])\.([01]+)\|([01]+)$")
 
 
-@dataclass(frozen=True)
-class PreRoundedWord:
-    """A signed binary word b0.b1...bW with the retain/discard cut after bit r."""
-
+class _PreRoundedWordFields(NamedTuple):
     negative: bool
     sig: int  # the bits b0..bW
     width: int  # W
     r: int  # index of the last retained fraction bit
 
-    def __post_init__(self):
-        if self.r < 1:
+
+class PreRoundedWord(_PreRoundedWordFields):
+    """A signed binary word b0.b1...bW with the retain/discard cut after bit r."""
+
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
+    _make = _replace = _refused
+
+    def __new__(cls, negative: bool, sig: int, width: int, r: int):
+        if r < 1:
             raise ValueError("need at least one retained fraction bit")
-        if self.width < self.r + 1:
+        if width < r + 1:
             raise ValueError("need at least one discarded bit")
-        if not 0 <= self.sig >> self.width <= 1:
+        if not 0 <= sig >> width <= 1:
             raise ValueError("the word must be b0.b1...bW with b0 a 0 or a 1")
+        return tuple.__new__(cls, (negative, sig, width, r))
 
     @staticmethod
     def parse(text: str) -> "PreRoundedWord":
@@ -72,8 +79,7 @@ class PreRoundedWord:
         return f"{sign}{bits[0]}.{bits[1 : self.r + 1]}|{bits[self.r + 1 :]}"
 
 
-@dataclass(frozen=True)
-class RoundedWord:
+class RoundedWord(NamedTuple):
     """Result of flagged rounding: the word b0.b1...br and the flag.  A carry
     out of b0 means the significand overflowed one binary place and the
     caller owns the exponent adjustment."""

@@ -23,14 +23,12 @@ up), evaluated in exact rationals and rounded outward once.
 
 from __future__ import annotations
 
-import ast
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fpformat import (
     DomainError,
@@ -182,12 +180,11 @@ _CLASSES = {
     "finite nonzero a": ("nonzero", lambda q: q != 0, Fraction(2)),
 }
 
-_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-          ast.Div: operator.truediv}
+# keyed by the name of the `ast` operator class
+_ARITH = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul, "Div": operator.truediv}
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """One special-operand identity: an operand pattern, the zero mode it
     lives in, and the expected interval as a format-parametric text.
 
@@ -236,6 +233,8 @@ class IdentityRecord:
             "rd": lambda q: _ext_value(fmt.round(q, _DOWN)),
             "ru": lambda q: _ext_value(fmt.round(q, _UP)),
         }
+        import ast  # only the catalog's formulas are parsed, so only here
+
         lo, hi = ast.parse(self.expr_text[1:-1], mode="eval").body.elts
         return ExtInterval.make(
             _outward(fmt, _exact(lo, names), _DOWN), _outward(fmt, _exact(hi, names), _UP)
@@ -295,6 +294,8 @@ def _outward(fmt: FloatFormat, v: Fraction | float, direction: RoundingDirection
 
 def _exact(node: ast.AST, names: dict) -> Fraction | float:
     """Value of one side of a record's text, walked node by node."""
+    import ast  # the patterns below name its classes; see `IdentityRecord.expected`
+
     match node:
         case ast.Constant(value=int(n)):
             return Fraction(n)
@@ -304,8 +305,8 @@ def _exact(node: ast.AST, names: dict) -> Fraction | float:
             return -_exact(x, names)
         case ast.UnaryOp(op=ast.UAdd(), operand=x):
             return _exact(x, names)
-        case ast.BinOp(left=x, op=op, right=y) if type(op) in _ARITH:
-            return _ARITH[type(op)](_exact(x, names), _exact(y, names))
+        case ast.BinOp(left=x, op=op, right=y) if type(op).__name__ in _ARITH:
+            return _ARITH[type(op).__name__](_exact(x, names), _exact(y, names))
         case ast.Call(func=ast.Name(id=name), args=args, keywords=[]):
             return names[name](*(_exact(x, names) for x in args))
     raise ValueError(f"unsupported catalog syntax: {ast.unparse(node)}")

@@ -263,6 +263,35 @@ def test_python_m_check_runs_both_suites():
     assert "conformance p3e-2:3: 24864 comparisons, ok" in lines
 
 
+# What a fresh interpreter imports, then loads running one expression as
+# `intervalfp eval` does; it prints the heavy modules each step added.
+_FOOTPRINT = """
+import sys
+heavy = ("dataclasses", "inspect", "ast", "argparse", "gettext", "csv")
+bare = set(sys.modules)
+def added():
+    return " ".join(m for m in heavy if m in sys.modules and m not in bare)
+import intervalfp
+print(added())
+from intervalfp import BINARY64, ZeroMode
+from intervalfp.cli import eval_expr, parse
+print(str(eval_expr(parse("0.1 + 0.2"), BINARY64, ZeroMode.FINITE, warn=lambda m: None)))
+print(added())
+"""
+
+
+def test_an_expression_loads_no_record_or_argument_machinery():
+    """`import intervalfp` loads neither `dataclasses` nor what it brings
+    (`inspect`, `ast`), and parsing, evaluating and printing an expression
+    load no argument parser (`argparse`, `gettext`) and no `csv`."""
+    src = Path(intervalfp.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", _FOOTPRINT], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["", "[0x1.3333333333333p-2, 0x1.3333333333334p-2]", "", ""]
+
+
 def test_cmd_eval_syntax_error(capsys):
     assert main(["eval", "1 +", "--format", "p3e-2:3"]) == 1
     assert "position 3" in capsys.readouterr().err
@@ -279,6 +308,7 @@ def test_cmd_eval_syntax_error(capsys):
         (["flagdemo", "-1.11|1", "--format", "p3e-2:3", "--exp", "3"],
          "recovered bounds: [-inf, -14]"),
         (["eval", "--1"], "[1, 1]"),
+        (["eval", "---1"], "[-1, -1]"),
         (["eval", "--(1)", "--format", "p3e-2:3"], "[1, 1]"),
         (["eval", "--.5"], "[0.5, 0.5]"),
         (["eval", "--inf"], "[0x1.fffffffffffffp+1023, +inf)"),
@@ -372,14 +402,12 @@ def test_cmd_report_leaves_out_empty_operand_classes(capsys):
 def test_cmd_report_checks_each_record(capsys, monkeypatch):
     # a record restored to the old text [M, +inf) for +inf * +inf is wrong
     # where M < 1: on p2e-6:-6 the product of the tails reaches down to 0
-    from dataclasses import replace
-
     from intervalfp import semantics
 
     assert main(["report", "--format", "p2e-6:-6", "--csv"]) == 0
     capsys.readouterr()
     wrong = tuple(
-        replace(rec, expr_text="[M, +inf)") if rec.name == "inf-mul-inf" else rec
+        rec._replace(expr_text="[M, +inf)") if rec.name == "inf-mul-inf" else rec
         for rec in semantics.identity_catalog()
     )
     monkeypatch.setattr(semantics, "_CATALOG", wrong)
@@ -596,3 +624,28 @@ def test_eval_huge_exponent_literals(literal, want, capsys):
     warnings = out.err.strip().splitlines()
     assert len(warnings) == 1 and warnings[0].startswith("warning: literal ")
     assert len(warnings[0]) <= 120
+
+
+_NINES = "9" * 5000  # an exponent past int()'s limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "literal, want",
+    [
+        (f"1e{_NINES}", "[0x1.fffffffffffffp+1023, +inf)"),
+        (f"-1e{_NINES}", "(-inf, -0x1.fffffffffffffp+1023]"),
+        (f"1e-{_NINES}", "[0, 0x0.0000000000001p-1022]"),
+        (f"0x1p{_NINES}", "[0x1.fffffffffffffp+1023, +inf)"),
+        (f"-0x1p-{_NINES}", "[-0x0.0000000000001p-1022, 0]"),
+    ],
+)
+def test_eval_of_an_exponent_past_the_digit_limit(literal, want, capsys):
+    """A 5,000-digit exponent gives what an 11-digit one gives, and the
+    warning names the literal with its exponent in full."""
+    like = literal.replace(_NINES, "9" * 11)
+    assert main(["eval", "--", like]) == 0
+    short = capsys.readouterr()
+    assert main(["eval", "--", literal]) == 0
+    got = capsys.readouterr()
+    assert got.out == short.out == want + "\n"
+    assert got.err == short.err.replace("9" * 11, _NINES)

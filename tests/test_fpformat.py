@@ -1,7 +1,9 @@
 """Format layer: encoding, neighbours, directed rounding, enumeration."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 import struct
 from fractions import Fraction as F
@@ -121,6 +123,19 @@ def test_format_validation():
         FloatFormat(1, 0, 0)
     with pytest.raises(ValueError):
         FloatFormat(3, 2, 1)
+
+
+def test_a_format_is_a_value_built_through_its_checks(toy):
+    assert FloatFormat(3, -2, 3) == toy and hash(FloatFormat(3, -2, 3)) == hash(toy)
+    assert FloatFormat(3, -2, 3, subnormals=False) != toy
+    assert copy.deepcopy(BINARY64) == BINARY64 and pickle.loads(pickle.dumps(toy)) == toy
+    with pytest.raises(TypeError):
+        FloatFormat._make((1, 0, 0, True, True))
+    with pytest.raises(TypeError):
+        toy._replace(precision=1)
+    for combine in (lambda: toy < BINARY64, lambda: toy + toy, lambda: toy * 2):
+        with pytest.raises(TypeError):
+            combine()
 
 
 # -- neighbours ------------------------------------------------------------------

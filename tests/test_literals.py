@@ -358,6 +358,14 @@ def test_hostile_value_text_is_not_representable_in_bounded_time(text):
         assert len(str(info.value)) <= 120
 
 
+@pytest.mark.parametrize("text", ["1e" + "9" * 5000, "-1e-" + "9" * 5000, "0x1p" + "9" * 5000])
+def test_text_with_an_exponent_past_the_digit_limit_is_not_representable(text):
+    for build in (lambda: Fp.from_text(BINARY64, text),
+                  lambda: parse_interval(f"[{text}, {text}]", BINARY64)):
+        with pytest.raises(ValueError, match="9 is not representable in b64$"):
+            build()
+
+
 def test_exact_decimal_counts_fives_fast():
     start = time.perf_counter()
     text = exact_decimal(F(1, 10**50000))

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from intervalfp import (
+    BINARY64,
     ExtInterval,
     Fp,
     FpKind,
@@ -491,6 +492,20 @@ def test_a_wrong_step_is_caught_by_the_compare(toy, monkeypatch, name, mutant, c
     _patch_step(monkeypatch, name, mutant)
     got = tuple(len(exhaustive_compare(toy, mode)) for mode in (ZeroMode.FINITE, ZeroMode.INFINITE))
     assert got == counts
+
+
+@pytest.mark.parametrize("name, mutant, count", [
+    ("_toward", _borrow_at_e_min, 45),
+    ("_toward", _borrow_too_far, 680),
+    ("_away", _carry_early, 72),
+], ids=["borrow-at-e-min", "borrow-to-2p-2", "carry-early"])
+def test_a_wrong_step_is_caught_by_the_binary64_suite(monkeypatch, name, mutant, count):
+    """The same mutants against binary64's sampled suite, as `check --format
+    b64 --samples 2000` runs it: the fixed block of the sample holds the
+    sum (2**1023 - 2**970) + 2**900, whose upward rounding carries into the
+    top binade."""
+    _patch_step(monkeypatch, name, mutant)
+    assert len(run_theorem_suite(BINARY64, samples=2000).mismatches) == count
 
 
 def test_a_widened_zero_is_caught_by_the_suites(toy, monkeypatch):

@@ -81,6 +81,18 @@ def test_word_validation():
         word("1.01|")  # nothing discarded
     with pytest.raises(ValueError):
         word("2.01|0")
+    for fields in [(False, 0b101, 2, 0), (False, 0b101, 2, 2), (False, 0b1001, 2, 1)]:
+        with pytest.raises(ValueError):
+            PreRoundedWord(*fields)
+    # the checks cannot be skipped, and a word is not a sequence to order or add
+    w = word("1.01|1")
+    with pytest.raises(TypeError):
+        PreRoundedWord._make((False, 0b101, 2, 0))
+    with pytest.raises(TypeError):
+        w._replace(r=0)
+    for combine in (lambda: w < w, lambda: w + w, lambda: w * 2):
+        with pytest.raises(TypeError):
+            combine()
 
 
 def test_word_value_round_trip():
