@@ -308,11 +308,11 @@ def test_cmd_eval_syntax_error(capsys):
         (["flagdemo", "-1.11|1", "--format", "p3e-2:3", "--exp", "3"],
          "recovered bounds: [-inf, -14]"),
         (["eval", "--1"], "[1, 1]"),
-        (["eval", "---1"], "[-1, -1]"),
         (["eval", "--(1)", "--format", "p3e-2:3"], "[1, 1]"),
         (["eval", "--.5"], "[0.5, 0.5]"),
         (["eval", "--inf"], "[0x1.fffffffffffffp+1023, +inf)"),
         (["eval", "--nan", "--mode", "infinite"], "empty"),
+        (["eval", "---1"], "[-1, -1]"),
     ],
 )
 def test_operand_may_start_with_minus(argv, line, capsys):
