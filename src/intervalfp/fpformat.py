@@ -27,11 +27,12 @@ digits.
 
 Every record of the package is a NamedTuple: immutable, compared and
 hashed by value, and cheap to build (a suite's running tally,
-`harness.SuiteResult`, is the one mutable class).  A record whose
-constructor validates (`FloatFormat`, `roundflag.PreRoundedWord`)
-subclasses a NamedTuple of its fields and checks them in `__new__`; like
-`Fp`, it refuses the tuple's ordering and arithmetic, and the `_make` and
-`_replace` that would skip the check.
+`harness.SuiteResult`, is the one mutable class).  A record built only
+through its class (`FloatFormat`, `Fp`, `interval.ExtInterval`,
+`roundflag.PreRoundedWord`) subclasses `_Validated` and a NamedTuple of
+its fields, in that order, and checks the fields in `__new__` where they
+need it; `_Validated` refuses the tuple's ordering and arithmetic, and the
+`_make` and `_replace` that would skip the class.
 """
 
 from __future__ import annotations
@@ -101,15 +102,26 @@ def _refused(*args, **kwargs):
     raise TypeError("a value is built by calling its class, not by _make or _replace")
 
 
+class _Validated:
+    """Mixin, listed ahead of a NamedTuple of fields, for a record built
+    only through its class: the tuple's ordering, concatenation and
+    repetition, `_make` and `_replace` are refused.  A subclass may define
+    its own operators over these."""
+
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
+    _make = _replace = _refused
+
+
 class _FloatFormatFields(NamedTuple):
     precision: int
     e_min: int
     e_max: int
-    subnormals: bool = True
-    host: bool = False
+    subnormals: bool
+    host: bool
 
 
-class FloatFormat(_FloatFormatFields):
+class FloatFormat(_Validated, _FloatFormatFields):
     """A binary float format: precision bits, exponent range, subnormal toggle.
 
     `host`, derived, says whether binary64 holds every value of the format
@@ -117,8 +129,6 @@ class FloatFormat(_FloatFormatFields):
     binary32's and every small format's but not binary128's."""
 
     __slots__ = ()
-    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
-    _make = _replace = _refused
 
     def __new__(cls, precision: int, e_min: int, e_max: int, subnormals: bool = True):
         if precision < 2:
@@ -257,7 +267,7 @@ class _FpFields(NamedTuple):
     e: int = 0
 
 
-class Fp(_FpFields):
+class Fp(_Validated, _FpFields):
     """One datum of a format: a finite nonzero value, a zero, an infinity,
     or NaN.
 
@@ -276,9 +286,6 @@ class Fp(_FpFields):
 
     def __init__(self, fmt, kind, negative=False, c=0, e=0):
         """Every Fp is built through here; the benchmark's object counter and `built` wrap it."""
-
-    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
-    _make = _replace = _refused
 
     # -- constructors --------------------------------------------------------
 

@@ -325,8 +325,9 @@ def run_theorem_suite(
     fmt: FloatFormat, samples: int = 100_000, seed: int = DEFAULT_SEED
 ) -> SuiteResult:
     """Check that each directed IEEE result equals the matching interval
-    bound: over every finite operand pair for enumerable formats, or a
-    seeded random sample of at least one pair for binary64.  Any other
+    bound: over every finite operand pair for enumerable formats, or for
+    binary64 over the first `samples` finite pairs of `binary64_pairs`,
+    the fixed stress pairs and then seeded random ones.  Any other
     format too large to enumerate raises ValueError (the sampler draws
     binary64 values only), and so does samples < 1 on binary64; an
     enumerable format ignores samples.  Division skips zero divisors, the
@@ -352,7 +353,7 @@ def run_theorem_suite(
             raise ValueError(f"samples must be at least 1, not {samples}")
         # the same seeded stream again for each op, so no pair is held
         pairs = partial(binary64_pairs, samples, seed, finite_only=True)
-        result.notes.append(f"random sample of {samples} pairs, seed {seed}")
+        result.notes.append(f"{samples} pairs, fixed stress pairs first, then random with seed {seed}")
         rounded = None
     for op in OpKind:
         skip_zero_divisors = op is _DIV

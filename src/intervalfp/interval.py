@@ -36,8 +36,8 @@ from fractions import Fraction
 from math import frexp, inf, ldexp
 from typing import NamedTuple, Optional, Union
 
-from .fpformat import (FloatFormat, Fp, _DOWN, _FINITE, _INF, _UP, _ZERO, _away, _enclose,
-                       _refused, _toward, _unsupported, value_cmp)
+from .fpformat import (FloatFormat, Fp, _DOWN, _FINITE, _INF, _UP, _ZERO, _Validated, _away,
+                       _enclose, _toward, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -73,7 +73,7 @@ class _ExtIntervalFields(NamedTuple):
     hi: Optional[Fp] = None
 
 
-class ExtInterval(_ExtIntervalFields):
+class ExtInterval(_Validated, _ExtIntervalFields):
     """Empty, or the reals between two format bounds (closed where finite).
 
     An immutable, unordered value like `Fp`: the tuple underneath compares
@@ -81,8 +81,6 @@ class ExtInterval(_ExtIntervalFields):
     arithmetic, not the tuple's, and `_make` and `_replace` are refused."""
 
     __slots__ = ()
-    __lt__ = __le__ = __gt__ = __ge__ = __rmul__ = _unsupported
-    _make = _replace = _refused
 
     @staticmethod
     def empty(fmt: FloatFormat) -> "ExtInterval":

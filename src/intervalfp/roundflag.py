@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 # recover_bounds is the word demo's last step, re-exported for its callers
-from .fpformat import (FloatFormat, Fp, RoundFlag, _FINITE, _refused, _unsupported, recover_bounds,
-                       short_decimal)
+from .fpformat import FloatFormat, Fp, RoundFlag, _FINITE, _Validated, recover_bounds, short_decimal
 
 _WORD_RE = re.compile(r"^(-)?([01])\.([01]+)\|([01]+)$")
 
@@ -39,12 +38,10 @@ class _PreRoundedWordFields(NamedTuple):
     r: int  # index of the last retained fraction bit
 
 
-class PreRoundedWord(_PreRoundedWordFields):
+class PreRoundedWord(_Validated, _PreRoundedWordFields):
     """A signed binary word b0.b1...bW with the retain/discard cut after bit r."""
 
     __slots__ = ()
-    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
-    _make = _replace = _refused
 
     def __new__(cls, negative: bool, sig: int, width: int, r: int):
         if r < 1:
