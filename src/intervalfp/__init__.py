@@ -24,12 +24,7 @@ from .fpformat import (
     value_cmp,
 )
 from .interval import ExtInterval, OpKind, hull, member, parse_interval, subset
-from .roundflag import (
-    PreRoundedWord,
-    RoundedWord,
-    apply_flagged_round,
-    compute_flag,
-)
+from .roundflag import PreRoundedWord
 from .semantics import (
     IdentityRecord,
     ZeroMode,
@@ -70,14 +65,11 @@ __all__ = [
     "PreRoundedWord",
     "RealSet",
     "RoundFlag",
-    "RoundedWord",
     "RoundingDirection",
     "SuiteResult",
     "ZeroMode",
-    "apply_flagged_round",
     "backend_agreement",
     "classify_vs_ieee",
-    "compute_flag",
     "deviation_report",
     "exact_relational_set",
     "exhaustive_compare",

@@ -29,15 +29,17 @@ than its digits.
 
 A warning is a record, not text: `eval_expr` hands its callback a
 `RoundedLiteral` holding the literal, its nearest value and the paper's
-rounding flag, from which `recover_bounds` gives the literal's bracket.
-`eval` and `repl` print ``warning: `` and `str` of the record; the
-sentence is built only then.
+rounding flag, both from the format layer's one flag rule, from which
+`recover_bounds` gives the literal's bracket with the one bracket builder
+that the point kernel takes too.  `eval` and `repl` print ``warning: ``
+and `str` of the record; the sentence is built only then.
 
 Subcommands: ``eval`` an expression, ``check`` a format against the
 independent oracle and the directed-rounding conformance suite, ``report``
 the special-operand identity table (exit 1 if a record's interval is not the
-one its text states), ``flagdemo`` the rounding-flag scheme, and a
-line-oriented ``repl``.
+one its text states), ``flagdemo`` the rounding-flag scheme on a word, whose
+flag (ties up, the paper's table) and bracket come from that same rule and
+builder, and a line-oriented ``repl``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .fpformat import (
 )
 from .interval import ExtInterval, OpKind, apply_op, negate
 from .oracle import exhaustive_compare
-from .roundflag import PreRoundedWord, apply_flagged_round, attach_exponent
+from .roundflag import PreRoundedWord, rounded_str
 from .semantics import ZeroMode, extract_bound, interpret
 from .harness import DEFAULT_SEED, deviation_report, run_theorem_suite
 
@@ -93,11 +95,12 @@ class Lit(NamedTuple):
 class RoundedLiteral(NamedTuple):
     """An inexact literal as `eval_expr` rounded it: the format, the
     literal, its nearest value and the rounding flag, which says on which
-    side of nearest the literal lies.  `recover_bounds(nearest, flag)` is
-    the bracket of adjacent format values around the literal ([M, +inf) or
-    [0, m] beyond the range, mirrored for a negative literal), and `str`
-    is the command line's warning sentence, built only when it is asked
-    for."""
+    side of nearest the literal lies; both come from the format layer's one
+    flag rule, ties to even.  `recover_bounds(nearest, flag)`, which steps
+    from nearest with the one bracket builder, is the bracket of adjacent
+    format values around the literal ([M, +inf) or [0, m] beyond the range,
+    mirrored for a negative literal), and `str` is the command line's
+    warning sentence, built only when it is asked for."""
 
     fmt: FloatFormat
     literal: Lit
@@ -427,16 +430,16 @@ def _cmd_flagdemo(args, fmt: FloatFormat, _mode: ZeroMode, _seed: int) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rounded = apply_flagged_round(word)
+    rounded, flag = word.rounded()
     print(f"word:     {word}   (exact value {word.value()})")
-    print(f"rounded:  {rounded}   flag: {rounded.flag.value}")
+    print(f"rounded:  {rounded_str(rounded)}   flag: {flag.value}")
     exponent = args.exp
     try:
-        result = attach_exponent(rounded, exponent, fmt)
+        result, flag = word.place(fmt, exponent)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    lo, hi = recover_bounds(result, rounded.flag)
+    lo, hi = recover_bounds(result, flag)
     true_value = word.value() * Fraction(2) ** exponent
     down, up = fmt.round_both(true_value)
     print(f"placed at 2^{exponent} in {fmt.descriptor()}: {result}")

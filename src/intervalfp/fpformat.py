@@ -6,18 +6,24 @@ in an exact canonical encoding with one sign bit on every datum except NaN,
 so every finite number converts to a `fractions.Fraction` without loss.
 
 Rounding follows the paper's reading: the effect of rounding is one bound
-of the result's interval.  One core (`_enclose`), on integers only, gives
-the bracket of adjacent format values around a rational and the paper's
-flag, which says whether the nearest value is the side away from zero
-(rounded up), the side toward it (not up), or both (exact).  Nearest and
-each directed rounding is one side of that bracket, and only the side
-asked for is built.  The step from a value to its neighbour, on the
-integer fields (c, e), is stated once (`_away`, `_toward`): the core, `Fp`'s
-neighbours and the interval layer's host kernel take it.  `recover_bounds`
-is the hardware's view of the same pair: from a nearest value and its flag
-it rebuilds the bracket.  Tiny
-formats can be enumerated exhaustively, which is what the verification
-suites rely on; binary64 is just another instance of the same machinery.
+of the result's interval.  A magnitude cut at an ulp is a truncated
+significand c at exponent e plus a remainder, and the bracket of adjacent
+format values around it is c and the value one unit further from zero.
+Each piece of that is stated once, on integers:
+- the step to a neighbour (`_away`, `_toward`), with its carry, its borrow
+  and the infinity past e_max;
+- the paper's flag (`_round_cut`), which says whether the nearest value is
+  the side away from zero (rounded up), the side toward it (not up), or
+  both (exact); its tie rule is an argument, to even for the library and
+  up for the paper's word table (`roundflag`);
+- the bracket from one known side (`_bracket`).
+The one core (`_enclose`) cuts a rational and takes the flag or the side
+asked for, or the bracket; nearest and each directed rounding is one side,
+and only that side is built.  The interval layer's host kernel takes the
+bracket from its nearest value, and `recover_bounds`, the hardware's view,
+takes it from a nearest value and its flag.  Tiny formats can be
+enumerated exhaustively, which is what the verification suites rely on;
+binary64 is just another instance of the same machinery.
 
 Literal text is read as integers, a sign, a significand and powers of two
 and ten (`decode_literal`), and rounded to nearest once (`round_literal`).
@@ -392,15 +398,15 @@ class Fp(_Validated, _FpFields):
         """Successor in the value order, with -0 immediately below +0.
 
         next_up(M) is +inf and next_up(-inf) is -M; NaN and +inf have no
-        successor."""
+        successor.  It is the upper side of the bracket around a value just
+        above self: one step away from zero from +0 or a positive value,
+        toward zero from a negative one (`recover_bounds`)."""
         k = self.kind
         if k is _NAN or (k is _INF and not self.negative):
             raise DomainError(f"next_up undefined for {self}")
-        if not self.negative:
-            return self.away_from_zero()
-        if k is _ZERO:
+        if k is _ZERO and self.negative:
             return Fp.zero(self.fmt)
-        return self.toward_zero()
+        return recover_bounds(self, _ROUNDED_UP if self.negative else _NOT_ROUNDED_UP)[1]
 
     def next_down(self) -> "Fp":
         """Predecessor in the same order: the mirror -next_up(-x).  NaN and
@@ -408,32 +414,6 @@ class Fp(_Validated, _FpFields):
         if self.is_nan or (self.is_inf and self.negative):
             raise DomainError(f"next_down undefined for {self}")
         return -(-self).next_up()
-
-    def away_from_zero(self) -> "Fp":
-        """The neighbour one unit further from zero, with the same sign
-        (`_away`): past M comes the infinity and past a zero the least
-        positive value.  Nothing lies past an infinity, so an infinity (or
-        NaN) is returned as it is."""
-        fmt, kind, negative, c, e = self
-        if kind is _ZERO:
-            e = fmt.e_min
-        elif kind is not _FINITE:
-            return self
-        c, e = _away(fmt, c, e)
-        return Fp(fmt, _FINITE, negative, c, e) if e <= fmt.e_max else Fp(fmt, _INF, negative)
-
-    def toward_zero(self) -> "Fp":
-        """The neighbour one unit nearer zero, with the same sign
-        (`_toward`): below the least positive value comes the zero and
-        below an infinity M.  Nothing lies nearer zero than a zero, so a
-        zero (or NaN) is returned as it is."""
-        fmt, kind, negative, c, e = self
-        if kind is _INF:  # as `_away` writes it: 2**(p - 1) at e_max + 1
-            c, e = 1 << (fmt.precision - 1), fmt.e_max + 1
-        elif kind is not _FINITE:
-            return self
-        c, e = _toward(fmt, c, e)
-        return Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative)
 
     # -- arithmetic-free helpers ------------------------------------------------------
 
@@ -516,7 +496,7 @@ def value_cmp(a: Fp, b: Fp) -> int:
     return (ka > kb) - (ka < kb)
 
 
-# -- the one rounding of a rational, and the bracket from the flag ------------------
+# -- the cut, the flag and the bracket, and the one rounding of a rational ----------
 
 
 def _ratio(q: RationalLike) -> tuple[int, int]:
@@ -550,6 +530,53 @@ def _toward(fmt: FloatFormat, c: int, e: int) -> tuple[int, int]:
     return ((1 << fmt.precision) - 1, e - 1) if e > fmt.e_min else (0, e)
 
 
+def _side(fmt: FloatFormat, negative: bool, c: int, e: int, away: bool, signed_zero: bool) -> Fp:
+    """One side of the bracket around a magnitude cut to significand c at
+    exponent e: c itself, a zero when c is 0, or with `away` one unit on
+    (`_away`), the infinity past e_max.  A zero is +0, or with
+    `signed_zero` signed by `negative`."""
+    if away:
+        c, e = _away(fmt, c, e)
+        return Fp(fmt, _FINITE, negative, c, e) if e <= fmt.e_max else Fp(fmt, _INF, negative)
+    return Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
+
+
+def _round_cut(fmt: FloatFormat, negative: bool, c: int, e: int, rest: int, unit: int,
+               ties_even: bool, signed_zero: bool = True) -> tuple[Fp, RoundFlag]:
+    """(nearest, flag): the magnitude c + rest/unit units at exponent e,
+    cut after c (0 <= rest, 0 < unit), rounded to nearest, and the paper's
+    flag, the one flag rule of the package.  With no rest the value is c
+    and EXACT.  Otherwise it is ROUNDED_UP, to the side one unit on
+    (`_side`), past half a unit, and at half with `ties_even` when c is odd
+    (a zero counts as even, M as odd) or without it always, the paper's
+    table; NOT_ROUNDED_UP keeps c."""
+    if not rest:
+        return _side(fmt, negative, c, e, False, signed_zero), _EXACT
+    twice = rest << 1
+    up = twice > unit or twice == unit and (c & 1 == 1 or not ties_even)
+    return _side(fmt, negative, c, e, up, signed_zero), (_ROUNDED_UP if up else _NOT_ROUNDED_UP)
+
+
+def _bracket(fmt: FloatFormat, negative: bool, c: int, e: int, away: bool,
+             signed_zero: bool) -> tuple[Fp, Fp]:
+    """(lo, hi): the two adjacent values around a value strictly between
+    them, from the one side (c, e) that is known: the side away from zero
+    with `away`, else the side toward it, and one step (`_toward`, `_away`)
+    to the other.  The side away from zero is the infinity past e_max, the
+    side toward it a zero when c is 0, +0 or with `signed_zero` signed by
+    `negative`."""
+    e_max = fmt.e_max
+    if away:
+        far = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+        c, e = _toward(fmt, c, e)
+        near = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
+    else:
+        near = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
+        c, e = _away(fmt, c, e)
+        far = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+    return (far, near) if negative else (near, far)
+
+
 def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirection] = None,
              signed_zero: bool = False) -> tuple[Optional[Fp], Optional[Fp], Optional[RoundFlag]]:
     """(lo, hi, flag): the least format interval around num/den (den > 0)
@@ -559,14 +586,14 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
     The magnitude is truncated toward zero at the ulp of its binade, found
     from floor(log2) by one divmod.  With no remainder the value is exact:
     one object is both sides, and the flag is EXACT.  Otherwise the side
-    away from zero is one unit on (`_away`).  Asked for nearest, twice the
-    remainder against the unit says which side it is: ROUNDED_UP flags the
-    side away from zero, NOT_ROUNDED_UP the side toward it, and a tie goes
-    to the even significand, where a zero or an infinity counts as even;
-    asked for anything else, an inexact value's flag is None.  Two regimes
-    set their sides apart: beyond M they are M and the infinity, which is
-    nearest; without subnormals, below the least normal they are 0 and the
-    least normal, which is nearest only past half of itself.
+    away from zero is one unit on (`_side`, `_bracket`).  Asked for
+    nearest, the flag rule (`_round_cut`, ties to even) says which side it
+    is: ROUNDED_UP flags the side away from zero, NOT_ROUNDED_UP the side
+    toward it; asked for anything else, an inexact value's flag is None.
+    Two regimes set their sides apart: beyond M they are M and the
+    infinity, which is nearest; without subnormals, below the least normal
+    they are 0 and the least normal, which is nearest only past half of
+    itself.
 
     `side` names the one side to build, by rounding direction (nearest is
     the side the flag names), and the other side is None; with no side both
@@ -582,8 +609,8 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
     e = num.bit_length() - den.bit_length()  # floor(log2(num/den)) is e or e - 1
     if (num < den << e) if e >= 0 else (num << -e < den):
         e -= 1
-    if e > e_max:  # M, and one unit on the infinity
-        c, e, up = (1 << p) - 1, e_max, True
+    if e > e_max:  # M, a whole unit or more below the value, and one unit on the infinity
+        c, e, r, unit = (1 << p) - 1, e_max, 1, 1
     else:
         if e >= e_min:
             shift = p - 1 - e  # the ulp of the binade is 2**-shift
@@ -595,37 +622,38 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
         if not r:
             x = Fp(fmt, _FINITE, negative, c, e)
             return x, x, _EXACT
-        up = side is _NEAREST and (r << 1 > unit or (r << 1 == unit and c & 1 == 1))
+    if side is None:
+        lo, hi = _bracket(fmt, negative, c, e, False, signed_zero)
+        return lo, hi, None
+    if side is _NEAREST:
+        x, flag = _round_cut(fmt, negative, c, e, r, unit, True, signed_zero)
+        away = flag is _ROUNDED_UP
+    else:
+        away = side is not _TO_ZERO and (side is _UP) is not negative
+        x, flag = _side(fmt, negative, c, e, away, signed_zero), None
     # the upper side of a positive value is the one away from zero
-    keep_away = side is None or (
-        up if side is _NEAREST else side is not _TO_ZERO and (side is _UP) is not negative)
-    keep_toward = side is None or not keep_away
-    toward = away = None
-    if keep_toward:
-        toward = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
-    if keep_away:
-        c, e = _away(fmt, c, e)
-        away = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
-    flag = (_ROUNDED_UP if up else _NOT_ROUNDED_UP) if side is _NEAREST else None
-    return (away, toward, flag) if negative else (toward, away, flag)
+    return (None, x, flag) if away is not negative else (x, None, flag)
 
 
 def recover_bounds(nearest: Fp, flag: RoundFlag) -> tuple[Fp, Fp]:
     """(round down, round up) from a result rounded to nearest and its flag.
 
     The exact value lies between the result and its neighbour toward zero
-    when the magnitude was rounded up, away from zero when it was not, and
-    the result's sign decides which of the two is the lower bound.  A side
-    with no neighbour (toward zero from a zero, past an infinity) keeps the
-    result alone, as a saturated bound."""
-    if nearest.kind is _NAN:
+    when the magnitude was rounded up, away from zero when it was not
+    (`_bracket`), and the result's sign decides which of the two is the
+    lower bound.  A side with no neighbour (toward zero from a zero, past
+    an infinity) keeps the result alone, as a saturated bound."""
+    fmt, kind, negative, c, e = nearest
+    if kind is _NAN:
         raise DomainError("cannot recover bounds around NaN")
     if flag is _EXACT:
         return nearest, nearest
-    up = flag is _ROUNDED_UP
-    other = nearest.toward_zero() if up else nearest.away_from_zero()
-    # the exact value lies below a positive result rounded up
-    return (other, nearest) if up != nearest.negative else (nearest, other)
+    away = flag is _ROUNDED_UP
+    if kind is not _FINITE:  # a zero is c = 0 at e_min, an infinity as `_away` writes it
+        if (kind is _ZERO) is away:
+            return nearest, nearest
+        c, e = (0, fmt.e_min) if kind is _ZERO else (1 << (fmt.precision - 1), fmt.e_max + 1)
+    return _bracket(fmt, negative, c, e, away, True)
 
 
 # -- literals -----------------------------------------------------------------------

@@ -5,18 +5,23 @@ is cut after bit r.  Rounding it to r fraction bits while latching one
 flag -- did the word round up, truncate, or come out exact -- is enough to
 rebuild both directed-rounding bounds from the single rounded result: the
 true value lies between it and its neighbour on the side the flag names.
-The library reads the bracket and the flag from one rounding core on
-integers (`fpformat._enclose`); `recover_bounds`, there too, is the
-hardware's view of that pair, the bracket rebuilt from nearest and its
-flag.  This module is the word-level demonstration, on masks and shifts.
 
-The up/truncate rule is a pure table on (b_r, b_{r+1}): the word rounds up
-exactly when the first discarded bit is set, i.e. ties round up.  That tie
-rule intentionally differs from the to-nearest-even rule of
-`FloatFormat.round_flagged`; recover_bounds only needs the direction, not
-the tie rule.  The exact state (all discarded bits zero, the usual
-sticky-bit OR) is an extension the table cannot express but bound recovery
-requires, since an exact result must not be widened.
+This module holds only the word's text: `PreRoundedWord` parses, prints
+and values a word and checks where a format can place it.  The arithmetic
+is the library's own, on integers in `fpformat`: the kept bits b0..br are
+the truncated significand, the dropped bits the remainder, and the one
+flag rule (`fpformat._round_cut`) gives the nearest value and the flag,
+with the carry out of b0 and the saturation past e_max of the library's
+step away from zero.  `recover_bounds`, re-exported here, rebuilds the
+bracket from them with the library's bracket builder.
+
+The word rounds up exactly when its first discarded bit is set, the
+paper's table on (b_r, b_{r+1}): ties round up.  That tie rule, an
+argument of the flag rule, intentionally differs from the to-nearest-even
+rule of `FloatFormat.round_flagged`; recover_bounds only needs the
+direction, not the tie rule.  The exact state (all discarded bits zero,
+the usual sticky-bit OR) is an extension the table cannot express but
+bound recovery requires, since an exact result must not be widened.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 # recover_bounds is the word demo's last step, re-exported for its callers
-from .fpformat import FloatFormat, Fp, RoundFlag, _FINITE, _Validated, recover_bounds, short_decimal
+from .fpformat import FloatFormat, Fp, RoundFlag, _round_cut, _Validated, recover_bounds, short_decimal
 
 _WORD_RE = re.compile(r"^(-)?([01])\.([01]+)\|([01]+)$")
 
@@ -62,12 +67,9 @@ class PreRoundedWord(_Validated, _PreRoundedWordFields):
         width = len(kept) + len(dropped)
         return PreRoundedWord(neg is not None, int(b0 + kept + dropped, 2), width, len(kept))
 
-    def magnitude(self) -> Fraction:
-        """Exact unsigned value of the full word."""
-        return Fraction(self.sig, 1 << self.width)
-
     def value(self) -> Fraction:
-        mag = self.magnitude()
+        """Exact value of the full word."""
+        mag = Fraction(self.sig, 1 << self.width)
         return -mag if self.negative else mag
 
     def __str__(self):
@@ -75,87 +77,51 @@ class PreRoundedWord(_Validated, _PreRoundedWordFields):
         bits = format(self.sig, f"0{self.width + 1}b")
         return f"{sign}{bits[0]}.{bits[1 : self.r + 1]}|{bits[self.r + 1 :]}"
 
+    def _cut(self, fmt: FloatFormat, exponent: int) -> tuple[Fp, RoundFlag]:
+        k = self.width - self.r  # the dropped bits
+        return _round_cut(fmt, self.negative, self.sig >> k, exponent, self.sig & ((1 << k) - 1),
+                          1 << k, False)
 
-class RoundedWord(NamedTuple):
-    """Result of flagged rounding: the word b0.b1...br and the flag.  A carry
-    out of b0 means the significand overflowed one binary place and the
-    caller owns the exponent adjustment."""
+    def rounded(self) -> tuple[Fp, RoundFlag]:
+        """(the word rounded at its cut, the flag) in the word's own format:
+        r fraction bits at 2**0, a ``0.`` word subnormal, and the binade
+        above for a carry out of b0 (`rounded_str` prints it)."""
+        return self._cut(FloatFormat(self.r + 1, 0, 1), 0)
 
-    negative: bool
-    sig: int  # the bits b0..br, plus the carry above them
-    r: int
-    flag: RoundFlag
+    def place(self, fmt: FloatFormat, exponent: int) -> tuple[Fp, RoundFlag]:
+        """(nearest, flag): the word at 2**exponent in the format, rounded
+        at its cut as `rounded` rounds it.
 
-    @property
-    def carry(self) -> bool:
-        return self.sig >> (self.r + 1) != 0
-
-    def magnitude(self) -> Fraction:
-        return Fraction(self.sig, 1 << self.r)
-
-    def value(self) -> Fraction:
-        mag = self.magnitude()
-        return -mag if self.negative else mag
-
-    def __str__(self):
-        sign = "-" if self.negative else ""
-        bits = format(self.sig & ((2 << self.r) - 1), f"0{self.r + 1}b")
-        word = f"{sign}{bits[0]}.{bits[1:]}"
-        return word + " +carry" if self.carry else word
-
-
-def compute_flag(word: PreRoundedWord) -> RoundFlag:
-    """Flag for the magnitude word: exact when nothing set is discarded,
-    otherwise up or not per the first discarded bit."""
-    discarded = word.width - word.r
-    if word.sig & ((1 << discarded) - 1) == 0:
-        return RoundFlag.EXACT
-    first = word.sig >> (discarded - 1) & 1
-    return RoundFlag.ROUNDED_UP if first else RoundFlag.NOT_ROUNDED_UP
-
-
-def apply_flagged_round(word: PreRoundedWord) -> RoundedWord:
-    """Round the word at the cut: increment one unit in the last retained
-    place when the flag says up, truncate otherwise."""
-    flag = compute_flag(word)
-    sig = word.sig >> (word.width - word.r)
-    if flag is RoundFlag.ROUNDED_UP:
-        sig += 1
-    return RoundedWord(word.negative, sig, word.r, flag)
+        The word must be one the format produces: it keeps precision - 1
+        fraction bits, and a ``1.`` word sits at an exponent in
+        e_min..e_max, a ``0.`` word (subnormal) only at e_min.  Without
+        subnormals a ``0.`` word places only where it rounds to zero or
+        carries into b0.  Any other placement raises ValueError.  A carry
+        moves the significand to the next exponent, a carry past the top
+        exponent saturates to infinity, and a zero keeps the word's sign."""
+        r, name = self.r, fmt.descriptor()
+        if r != fmt.precision - 1:
+            raise ValueError(f"the word keeps {r} fraction bits, {name} {fmt.precision - 1}")
+        if self.sig >> self.width:
+            if not fmt.e_min <= exponent <= fmt.e_max:
+                raise ValueError(
+                    f"exponent {exponent} is outside {name}'s range {fmt.e_min}..{fmt.e_max}")
+        elif exponent != fmt.e_min:
+            raise ValueError(f"a 0. word sits only at {name}'s e_min {fmt.e_min}")
+        elif not fmt.subnormals:
+            c = self.rounded()[0].c
+            if 0 < c < 1 << r:  # the rounded word is 0.b1...br, not zero
+                s = exponent - r  # its value is c * 2**s
+                value = short_decimal((-c if self.negative else c) << max(s, 0), 1 << max(-s, 0))
+                raise ValueError(f"{value} is not representable in {name}")
+        return self._cut(fmt, exponent)
 
 
-def attach_exponent(rounded: RoundedWord, exponent: int, fmt: FloatFormat) -> Fp:
-    """Place a rounded-word significand at a binary exponent in a format.
-
-    The word must be one the format produces: it keeps precision - 1
-    fraction bits, and a ``1.`` word sits at an exponent in e_min..e_max, a
-    ``0.`` word (subnormal) only at e_min.  Any other placement raises
-    ValueError, as does a nonzero ``0.`` word in a format without
-    subnormals.  A carry moves the significand to the next exponent, and a
-    carry past the top exponent saturates to infinity; a zero keeps the
-    word's sign."""
-    kept = rounded.r
-    if kept != fmt.precision - 1:
-        raise ValueError(
-            f"the word keeps {kept} fraction bits, {fmt.descriptor()} {fmt.precision - 1}"
-        )
-    sig, negative = rounded.sig, rounded.negative
-    if sig >> kept:
-        if not fmt.e_min <= exponent <= fmt.e_max:
-            raise ValueError(
-                f"exponent {exponent} is outside {fmt.descriptor()}'s range "
-                f"{fmt.e_min}..{fmt.e_max}"
-            )
-    elif exponent != fmt.e_min:
-        raise ValueError(f"a 0. word sits only at {fmt.descriptor()}'s e_min {fmt.e_min}")
-    elif sig == 0:
-        return Fp.zero(fmt, negative)
-    elif not fmt.subnormals:
-        s = exponent - kept  # the value is sig * 2**s
-        value = short_decimal((-sig if negative else sig) << max(s, 0), 1 << max(-s, 0))
-        raise ValueError(f"{value} is not representable in {fmt.descriptor()}")
-    if rounded.carry:
-        sig, exponent = sig >> 1, exponent + 1
-        if exponent > fmt.e_max:
-            return Fp.inf(fmt, negative)
-    return Fp(fmt, _FINITE, negative, sig, exponent)
+def rounded_str(x: Fp) -> str:
+    """A value of a word's own format (`PreRoundedWord.rounded`) as the word
+    ``b0.b1...br``; a carry out of b0 keeps b0..br, all 0, and adds
+    ``+carry``."""
+    carry = x.e > 0
+    bits = format(0 if carry else x.c, f"0{x.fmt.precision}b")
+    word = f"{'-' if x.negative else ''}{bits[0]}.{bits[1:]}"
+    return word + " +carry" if carry else word

@@ -1,19 +1,25 @@
 """Expression language and the command-line surface."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import intervalfp
-from intervalfp import FpKind, OpKind
-from intervalfp.cli import NEG, ExprSyntaxError, Lit, eval_expr, main, parse, unparse
+from intervalfp import Fp, FpKind, OpKind, PreRoundedWord, RoundingDirection, value_cmp
+from intervalfp.cli import NEG, ExprSyntaxError, Lit, _cmd_flagdemo, eval_expr, main, parse, unparse
 from intervalfp import BINARY64, ZeroMode, member, oracle_op, parse_format, parse_interval
 
 ADD, SUB, MUL, DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
@@ -466,6 +472,103 @@ def test_cmd_flagdemo_huge_exponent_is_refused_fast(capsys):
     assert main(["flagdemo", "1.011|11", "--format", "p4e-3:3", "--exp", "2000000000"]) == 1
     assert time.perf_counter() - start < 1.0
     assert "outside p4e-3:3's range -3..3" in capsys.readouterr().err
+
+
+def test_a_zero_word_that_carries_into_b0_sits_only_at_e_min(capsys):
+    # 0.11|1 rounds up to 1.00, but the word is a subnormal one: at 2^3 its
+    # value 7 is exact in p3e-2:3, and no bracket of 8 describes it
+    assert main(["flagdemo", "0.11|1", "--format", "p3e-2:3", "--exp", "3"]) == 1
+    assert capsys.readouterr() == (
+        "word:     0.11|1   (exact value 7/8)\nrounded:  1.00   flag: rounded-up\n",
+        "error: a 0. word sits only at p3e-2:3's e_min -2\n")
+    assert main(["flagdemo", "0.11|1", "--format", "p3e-2:3", "--exp", "-2"]) == 0
+    assert "recovered bounds: [0.1875, 0.25]" in capsys.readouterr().out
+
+
+def _run(command, *args):
+    """(exit code, stdout, stderr) of command(*args)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = command(*args)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Python's own words, which no error line of the command may show
+_INTERNALS = ("Traceback", "Error", "Exception", "object", "NoneType", "__", "<", "int()",
+              "invalid literal", "line ")
+
+
+@st.composite
+def _flagdemo_cases(draw):
+    """(word, format, exponent): an optional '-', b0 of 0 or 1, 1-8 kept
+    bits (the format's own count as often as not) and 1-6 dropped bits,
+    at an exponent around the format's range or at +-10**30."""
+    descriptor = draw(st.sampled_from(("p3e-2:3", "p3e-2:3ns", "p4e-3:3")))
+    fmt = parse_format(descriptor)
+
+    def bits(count):
+        return "".join(draw(st.lists(st.sampled_from("01"), min_size=count, max_size=count)))
+
+    kept = draw(st.one_of(st.just(fmt.precision - 1), st.integers(1, 8)))
+    word = f"{draw(st.sampled_from(('', '-')))}{bits(1)}.{bits(kept)}|{bits(draw(st.integers(1, 6)))}"
+    exp = draw(st.one_of(st.integers(fmt.e_min - 3, fmt.e_max + 3),
+                         st.sampled_from((-10**30, 10**30))))
+    return word, descriptor, exp
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(_flagdemo_cases())
+def test_flagdemo_on_hostile_words_exits_cleanly_or_recovers_the_directed_rounding(case):
+    """main returns 0 or 1 and never raises; exit 1 prints one error line
+    in the command's words; exit 0 prints recovered bounds that equal, by
+    value, the format's round-down and round-up of the word's exact value
+    at its exponent."""
+    word, descriptor, exp = case
+    code, out, err = _run(main, ["flagdemo", word, "--format", descriptor, "--exp", str(exp)])
+    if code == 1:
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and not any(s in line for s in _INTERNALS), line
+        return
+    assert code == 0 and err == ""
+    fmt = parse_format(descriptor)
+    recovered = out.splitlines()[3].removeprefix("recovered bounds: [").removesuffix("]")
+    lo, hi = (Fp.from_text(fmt, text) for text in recovered.split(", "))
+    q = PreRoundedWord.parse(word).value() * F(2) ** exp
+    assert value_cmp(lo, fmt.round(q, RoundingDirection.TO_NEG_INF)) == 0, out
+    assert value_cmp(hi, fmt.round(q, RoundingDirection.TO_POS_INF)) == 0, out
+
+
+def _flagdemo_grid():
+    """(format, exponent) places and words: every word of 2-6 kept and 1-3
+    dropped bits, both signs and both values of b0, at every exponent of
+    p3e-2:3 and p4e-3:3 and one past each end, and at binary64's e_min - 1,
+    e_min, 0, e_max and e_max + 1."""
+    places = [(fmt, e) for fmt in map(parse_format, ("p3e-2:3", "p4e-3:3"))
+              for e in range(fmt.e_min - 1, fmt.e_max + 2)]
+    places += [(BINARY64, e) for e in (-1023, -1022, 0, 1023, 1024)]
+    words = [f"{sign}{b0}.{k:0{kept}b}|{d:0{dropped}b}"
+             for sign, b0, kept, dropped in product(("", "-"), "01", range(2, 7), range(1, 4))
+             for k, d in product(range(1 << kept), range(1 << dropped))]
+    return places, words
+
+
+# sha256 of flagdemo's exit codes, stdout and stderr over `_flagdemo_grid`
+_FLAGDEMO_GRID_SHA256 = "a38b3cabb74c682b48bd5950ed79719672b273df52066ef5206fd98d29138719"
+
+
+def test_flagdemo_output_over_a_word_grid_is_pinned():
+    """The demo's text cannot move silently: 152,768 runs of the command
+    behind `flagdemo`, which `main` calls once it has parsed the line,
+    hashed in order."""
+    places, words = _flagdemo_grid()
+    digest = hashlib.sha256()
+    for fmt, exp in places:
+        for word in words:
+            code, out, err = _run(_cmd_flagdemo, SimpleNamespace(word=word, exp=exp), fmt,
+                                  ZeroMode.FINITE, 0)
+            digest.update(f"{code}\n{out}{err}\0".encode())
+    assert len(places) * len(words) == 152_768
+    assert digest.hexdigest() == _FLAGDEMO_GRID_SHA256
 
 
 def test_cmd_repl(capsys, monkeypatch):

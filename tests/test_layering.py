@@ -65,8 +65,8 @@ def test_the_oracle_imports_construction_and_what_it_checks():
              for alias in node.names}
     assert names == {"FloatFormat", "Fp", "FpKind", "ExtInterval", "OpKind", "ZeroMode",
                      "fp_interval_op", "interpret"}
-    borrowed = {"round", "round_both", "round_flagged", "next_up", "next_down", "toward_zero",
-                "away_from_zero", "max_finite", "min_pos", "to_rational", "lo_ext", "hi_ext"}
+    borrowed = {"round", "round_both", "round_flagged", "next_up", "next_down", "max_finite",
+                "min_pos", "to_rational", "lo_ext", "hi_ext"}
     for name in ("oracle", "harness"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -121,3 +121,25 @@ def test_the_interval_layer_has_no_rounding_of_its_own():
     assert "_enclose" in imported
     assert defined & {"_enclose", "_nearest"} == set()
     assert "divmod" not in called
+
+
+def test_the_flag_rule_and_the_bracket_are_stated_once():
+    """The neighbour steps (`_away`, `_toward`), the flag rule
+    (`_round_cut`) and the bracket builder (`_bracket`) live in fpformat
+    alone: no other module defines them or reads the steps, and roundflag
+    reads no RoundFlag member by name, so the word demo takes its flag and
+    its bracket from the library's own arithmetic."""
+    steps, shared = {"_away", "_toward"}, {"_away", "_toward", "_round_cut", "_bracket"}
+    members = {flag.name for flag in intervalfp.RoundFlag}
+    for name in LAYERS[1:]:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert (read | imported) & steps == set(), name
+        assert defined & shared == set(), name
+        if name == "roundflag":
+            attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert attrs & members == set()
+            assert (read | imported) & {f"_{member}" for member in members} == set()

@@ -30,6 +30,7 @@ from intervalfp.oracle import (_NEG, _POS, MeaningMismatch, Mismatch, _to_real_s
                                round_scaled)
 
 from formats import CATALOG_FORMATS
+from words import recovery_mismatches
 
 
 def rs(lo, hi):
@@ -387,11 +388,12 @@ def test_rounding_against_bisection(descriptor):
 
 
 def _patch_step(monkeypatch, name, mutant):
-    """Put mutant in place of the neighbour step `fpformat.<name>` under
-    both module names, so the exact core, `Fp`'s neighbours and the point
-    kernel all take it."""
+    """Put mutant in place of `fpformat.<name>`, a neighbour step or the
+    bracket builder, in every module that holds the name: the steps live
+    in fpformat alone, and `interval` imports the bracket builder."""
     for owner in (fpformat, iv_mod):
-        monkeypatch.setattr(owner, name, mutant)
+        if name in vars(owner):
+            monkeypatch.setattr(owner, name, mutant)
 
 
 def _skip_a_neighbour(monkeypatch):
@@ -442,18 +444,19 @@ def test_a_wrong_neighbour_is_caught_by_the_suites(toy, monkeypatch):
     """Mutation (a): when the step away from zero carries at 2**p, it
     lands on half + 1 instead of half, so a bound just above a power of two
     skips a value.  Both suites see it, the compare as operation mismatches
-    only."""
+    only.  (A carry past e_max is the infinity whatever its significand,
+    and an overflow's bracket is stepped from M, so overflows are immune.)"""
     _skip_a_neighbour(monkeypatch)
     counts = {}
     for mode in ZeroMode:
         report = exhaustive_compare(toy, mode)
         assert all(isinstance(m, Mismatch) for m in report), mode
         counts[mode] = len(report)
-    assert counts == {ZeroMode.FINITE: 1816, ZeroMode.INFINITE: 1784}
-    assert len(run_theorem_suite(toy).mismatches) == 2352
+    assert counts == {ZeroMode.FINITE: 768, ZeroMode.INFINITE: 736}
+    assert len(run_theorem_suite(toy).mismatches) == 736
 
 
-_TOWARD, _AWAY = fpformat._toward, fpformat._away
+_TOWARD, _AWAY, _BRACKET = fpformat._toward, fpformat._away, fpformat._bracket
 
 
 def _borrow_at_e_min(fmt, c, e):
@@ -478,32 +481,51 @@ def _carry_early(fmt, c, e):
     return c_next, (e_next + 1 if e < e_next == fmt.e_max else e_next)
 
 
-@pytest.mark.parametrize("name, mutant, counts", [
-    ("_toward", _borrow_at_e_min, (456, 456)),
-    ("_toward", _borrow_too_far, (1616, 1616)),
-    ("_away", _carry_early, (272, 264)),
-], ids=["borrow-at-e-min", "borrow-to-2p-2", "carry-early"])
-def test_a_wrong_step_is_caught_by_the_compare(toy, monkeypatch, name, mutant, counts):
-    """The neighbour steps' mutants, each in place of its step under both
-    module names: the point kernel of a small format takes the same steps
-    as binary64's, so the exhaustive compare sees each in both zero modes.
-    (An underflow to 2m stays binary64's own: a small format's ops never
-    underflow on the host, and `test_point_op.hard_pairs` catches it.)"""
+def _negative_sides_swapped(fmt, negative, c, e, away, signed_zero):
+    """The bracket builder orders a negative value's sides as a positive
+    value's: the side toward zero comes out as the lower bound."""
+    lo, hi = _BRACKET(fmt, negative, c, e, away, signed_zero)
+    return (hi, lo) if negative else (lo, hi)
+
+
+@pytest.mark.parametrize("name, mutant, counts, demo", [
+    ("_toward", _borrow_at_e_min, (0, 0), 120),
+    ("_toward", _borrow_too_far, (0, 0), 180),
+    ("_away", _carry_early, (272, 264), 30),
+    ("_bracket", _negative_sides_swapped, (3788, 3788), 728),
+], ids=["borrow-at-e-min", "borrow-to-2p-2", "carry-early", "bracket-sides-swapped"])
+def test_a_wrong_step_is_caught_by_the_compare(toy, monkeypatch, name, mutant, counts, demo):
+    """The mutants of the neighbour steps and of the bracket builder, each
+    in place of its function, against the exhaustive compare in both zero
+    modes and the word demo's exhaustive recovery check (the 1,680 words
+    of `test_recovery_equals_directed_rounding_exhaustive`).  The point
+    kernel of a small format takes binary64's steps and bracket, and the
+    demo takes the same bracket from `recover_bounds`, so a wrong bracket
+    fails both.  No small-format operation steps toward zero: its kernel
+    brackets r's truncation, which is the side toward zero, and steps
+    away.  So the compare reads 0 under the `_toward` mutants, and the
+    demo, whose rounded-up words step toward zero, and binary64's suite
+    below catch them.  (An underflow to 2m stays binary64's own: a small
+    format's ops never underflow on the host, and
+    `test_point_op.hard_pairs` catches it.)"""
     _patch_step(monkeypatch, name, mutant)
     got = tuple(len(exhaustive_compare(toy, mode)) for mode in (ZeroMode.FINITE, ZeroMode.INFINITE))
-    assert got == counts
+    checked, found = recovery_mismatches(toy, 4)
+    assert (got, len(found), checked) == (counts, demo, 1680)
 
 
 @pytest.mark.parametrize("name, mutant, count", [
     ("_toward", _borrow_at_e_min, 45),
-    ("_toward", _borrow_too_far, 680),
+    ("_toward", _borrow_too_far, 192),
     ("_away", _carry_early, 72),
 ], ids=["borrow-at-e-min", "borrow-to-2p-2", "carry-early"])
 def test_a_wrong_step_is_caught_by_the_binary64_suite(monkeypatch, name, mutant, count):
     """The same mutants against binary64's sampled suite, as `check --format
     b64 --samples 2000` runs it: the fixed block of the sample holds the
     sum (2**1023 - 2**970) + 2**900, whose upward rounding carries into the
-    top binade."""
+    top binade.  Binary64's kernel steps toward zero from r where r is
+    nearest and rounded up; an overflow is bracketed from M, not from the
+    infinity, so the borrow mutants see no overflowing pair."""
     _patch_step(monkeypatch, name, mutant)
     assert len(run_theorem_suite(BINARY64, samples=2000).mismatches) == count
 

@@ -248,7 +248,7 @@ def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
 def _recorded_calls(monkeypatch, names=()):
     """The list that records each nearest rounding (the rounding core asked
     for its nearest side, in either module, or a `FloatFormat` entry),
-    `recover_bounds`, the neighbour steps, `Fp.from_float`,
+    `recover_bounds`, `Fp`'s neighbour methods, `Fp.from_float`,
     `ExtInterval.unchecked` and the interval module's functions in
     `names`."""
     calls = []
@@ -271,7 +271,7 @@ def _recorded_calls(monkeypatch, names=()):
         monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
     for owner, name in ((Fp, "from_float"), (interval.ExtInterval, "unchecked")):
         monkeypatch.setattr(owner, name, staticmethod(recorded(name, getattr(owner, name))))
-    for name in ("toward_zero", "away_from_zero"):
+    for name in ("next_up", "next_down"):
         monkeypatch.setattr(Fp, name, recorded(name, getattr(Fp, name)))
     return calls
 

@@ -1,4 +1,9 @@
-"""Rounding-flag scheme: the up/truncate table and bound recovery."""
+"""Rounding-flag scheme: the up/truncate table and bound recovery.
+
+The word demo has no arithmetic of its own: a word's rounding and its
+placement in a format are the library's flag rule and neighbour step, and
+its bracket is `recover_bounds`.  These tests pin the paper's table on
+words, then the chain from a placed word to its bracket."""
 
 from fractions import Fraction as F
 
@@ -9,20 +14,20 @@ from intervalfp import (
     Fp,
     PreRoundedWord,
     RoundFlag,
-    RoundingDirection,
-    apply_flagged_round,
-    compute_flag,
     parse_format,
     recover_bounds,
 )
-from intervalfp.roundflag import attach_exponent
-from intervalfp.semantics import same_value
+from intervalfp.roundflag import rounded_str
 
-RD = RoundingDirection
+from words import all_words, recovery_mismatches
 
 
 def word(text):
     return PreRoundedWord.parse(text)
+
+
+def flag(text):
+    return word(text).rounded()[1]
 
 
 # -- flag table ----------------------------------------------------------------
@@ -35,43 +40,43 @@ def word(text):
 def test_flag_table_rows(b_r, b_r1, rounds_up):
     # with and without extra set bits after the first discarded one
     for tail in ("", "0", "1", "01"):
-        w = word(f"1.0{b_r}|{b_r1}{tail}")
-        flag = compute_flag(w)
-        assert (flag is RoundFlag.ROUNDED_UP) == rounds_up
+        got = flag(f"1.0{b_r}|{b_r1}{tail}")
+        assert (got is RoundFlag.ROUNDED_UP) == rounds_up
         if not rounds_up and not int(f"0{tail}" or "0"):
             expected_exact = b_r1 == 0 and not any(int(c) for c in tail)
-            assert (flag is RoundFlag.EXACT) == expected_exact
+            assert (got is RoundFlag.EXACT) == expected_exact
 
 
 def test_flag_examples():
-    assert compute_flag(word("1.011|11")) is RoundFlag.ROUNDED_UP
-    assert compute_flag(word("1.010|001")) is RoundFlag.NOT_ROUNDED_UP
-    assert compute_flag(word("1.010|00")) is RoundFlag.EXACT
+    assert flag("1.011|11") is RoundFlag.ROUNDED_UP
+    assert flag("1.010|001") is RoundFlag.NOT_ROUNDED_UP
+    assert flag("1.010|00") is RoundFlag.EXACT
 
 
 def test_ties_round_up_not_to_even():
     # exactly halfway, retained word even: the table still rounds up
-    w = word("1.010|10")
-    assert compute_flag(w) is RoundFlag.ROUNDED_UP
-    assert apply_flagged_round(w).magnitude() == F(11, 8)
+    x, got = word("1.010|10").rounded()
+    assert got is RoundFlag.ROUNDED_UP
+    assert x.to_rational() == F(11, 8)
 
 
 def test_apply_flagged_round_examples():
-    r = apply_flagged_round(word("1.011|11"))
-    assert (str(r), r.flag) == ("1.100", RoundFlag.ROUNDED_UP)
-    r = apply_flagged_round(word("1.010|10"))
-    assert (str(r), r.flag) == ("1.011", RoundFlag.ROUNDED_UP)
-    r = apply_flagged_round(word("1.010|00"))
-    assert (str(r), r.flag) == ("1.010", RoundFlag.EXACT)
-    r = apply_flagged_round(word("1.111|01"))
-    assert (str(r), r.flag) == ("1.111", RoundFlag.NOT_ROUNDED_UP)
+    # the word rounded at its cut, as the demo prints it
+    for text, want in [("1.011|11", ("1.100", RoundFlag.ROUNDED_UP)),
+                       ("1.010|10", ("1.011", RoundFlag.ROUNDED_UP)),
+                       ("1.010|00", ("1.010", RoundFlag.EXACT)),
+                       ("1.111|01", ("1.111", RoundFlag.NOT_ROUNDED_UP)),
+                       ("-0.000|01", ("-0.000", RoundFlag.NOT_ROUNDED_UP)),
+                       ("0.111|1", ("1.000", RoundFlag.ROUNDED_UP))]:
+        x, got = word(text).rounded()
+        assert (rounded_str(x), got) == want, text
 
 
 def test_carry_out_reported():
-    r = apply_flagged_round(word("1.111|1"))
-    assert r.carry and r.magnitude() == 2
-    r = apply_flagged_round(word("-1.111|1"))
-    assert r.carry and r.value() == -2
+    x, _ = word("1.111|1").rounded()
+    assert rounded_str(x) == "0.000 +carry" and x.to_rational() == 2
+    x, _ = word("-1.111|1").rounded()
+    assert rounded_str(x) == "-0.000 +carry" and x.to_rational() == -2
 
 
 def test_word_validation():
@@ -147,69 +152,42 @@ def test_recover_bounds_refuses_nan(toy):
             recover_bounds(Fp.nan(toy), flag)
 
 
-def all_words(fmt, max_discarded):
-    """Every pre-rounded word the format can produce: full-precision
-    retained bits (r = precision - 1), up to max_discarded dropped bits.
-    Leading-zero words align only at the bottom exponent (subnormals)."""
-    r = fmt.precision - 1
-    for negative in (False, True):
-        for b0 in (1, 0):
-            for kept in range(1 << r):
-                for k in range(1, max_discarded + 1):
-                    for dropped in range(1 << k):
-                        sig = (((b0 << r) | kept) << k) | dropped
-                        w = PreRoundedWord(negative, sig, r + k, r)
-                        exponents = (
-                            range(fmt.e_min, fmt.e_max + 1) if b0 else (fmt.e_min,)
-                        )
-                        for e in exponents:
-                            yield w, e
-
-
 def test_recovery_equals_directed_rounding_exhaustive(toy):
-    checked = 0
-    for w, e in all_words(toy, 4):
-        rounded = apply_flagged_round(w)
-        nearest = attach_exponent(rounded, e, toy)
-        lo, hi = recover_bounds(nearest, rounded.flag)
-        true_value = w.value() * F(2) ** e
-        want_lo = toy.round(true_value, RD.TO_NEG_INF)
-        want_hi = toy.round(true_value, RD.TO_POS_INF)
-        # zero signs compare by value: the scheme keeps the word's sign bit
-        # on a zero result where the rounder pins exact zero to +0
-        assert same_value(lo, want_lo), (w, e, lo, want_lo)
-        assert same_value(hi, want_hi), (w, e, hi, want_hi)
-        checked += 1
+    checked, found = recovery_mismatches(toy, 4)
+    assert found == []
     assert checked == 1680  # 2 signs x 4 kept x 30 discard patterns x 7 placements
 
 
 def test_flag_faithfulness(toy):
-    for w, e in all_words(toy, 3):
-        rounded = apply_flagged_round(w)
-        exact = w.magnitude()
-        got = rounded.magnitude()
-        if rounded.flag is RoundFlag.EXACT:
-            assert got == exact
-        elif rounded.flag is RoundFlag.ROUNDED_UP:
-            assert got > exact
+    for w, _ in all_words(toy, 3):
+        x, got = w.rounded()
+        exact, rounded = abs(w.value()), abs(x.to_rational())
+        if got is RoundFlag.EXACT:
+            assert rounded == exact
+        elif got is RoundFlag.ROUNDED_UP:
+            assert rounded > exact
         else:
-            assert got < exact
+            assert rounded < exact
 
 
 def test_attach_exponent_enforces_its_placement(toy):
-    one = apply_flagged_round(word("1.01|1"))
-    zero_lead = apply_flagged_round(word("0.01|0"))
-    assert attach_exponent(one, toy.e_max, toy) == Fp.from_exact(toy, F(12))
-    assert attach_exponent(zero_lead, toy.e_min, toy) == Fp.from_exact(toy, F(1, 16))
-    carried = apply_flagged_round(word("1.11|1"))
-    assert attach_exponent(carried, toy.e_max, toy) == Fp.inf(toy)  # saturates
+    def placed(text, e):
+        return word(text).place(toy, e)[0]
+
+    assert placed("1.01|1", toy.e_max) == Fp.from_exact(toy, F(12))
+    assert placed("0.01|0", toy.e_min) == Fp.from_exact(toy, F(1, 16))
+    assert placed("1.11|1", toy.e_max) == Fp.inf(toy)  # a carry past e_max saturates
+    assert placed("0.11|1", toy.e_min) == Fp.from_exact(toy, F(1, 4))  # carries into b0
     with pytest.raises(ValueError, match="keeps 3 fraction bits"):
-        attach_exponent(apply_flagged_round(word("1.011|1")), 0, toy)
+        placed("1.011|1", 0)
     for e in (toy.e_min - 1, toy.e_max + 1, -(10**12), 10**12):
         with pytest.raises(ValueError, match="outside"):
-            attach_exponent(one, e, toy)
-    with pytest.raises(ValueError, match="only at"):
-        attach_exponent(zero_lead, toy.e_min + 1, toy)
+            placed("1.01|1", e)
+    # a 0. word sits at e_min, also where its rounding carries into b0
+    for text in ("0.01|0", "0.11|1"):
+        for e in (toy.e_min + 1, toy.e_max, toy.e_max + 1):
+            with pytest.raises(ValueError, match="only at"):
+                placed(text, e)
 
 
 @pytest.mark.parametrize("descriptor", ["p3e-2:3", "p3e-2:3ns", "p4e-3:3"])
@@ -221,21 +199,22 @@ def test_attach_exponent_places_every_word_as_its_value(descriptor):
     M = fmt.max_finite().to_rational()
     placed = refused = 0
     for w, e in all_words(fmt, 4):
-        rounded = apply_flagged_round(w)
-        mag = rounded.magnitude() * F(2) ** e
+        rounded, _ = w.rounded()
+        negative = w.negative
+        mag = abs(rounded.to_rational()) * F(2) ** e
         try:
             if mag == 0:
-                want = Fp.zero(fmt, rounded.negative)
+                want = Fp.zero(fmt, negative)
             elif mag > M:
-                want = Fp.inf(fmt, rounded.negative)
+                want = Fp.inf(fmt, negative)
             else:
-                want = Fp.from_exact(fmt, -mag if rounded.negative else mag)
+                want = Fp.from_exact(fmt, -mag if negative else mag)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
-                attach_exponent(rounded, e, fmt)
+                w.place(fmt, e)
             assert str(info.value) == str(exc), (w, e)
             refused += 1
             continue
-        assert attach_exponent(rounded, e, fmt) == want, (w, e)
+        assert w.place(fmt, e)[0] == want, (w, e)
         placed += 1
     assert refused == (0 if fmt.subnormals else 180) and placed > 1000
