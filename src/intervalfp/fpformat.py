@@ -12,11 +12,12 @@ format values around it is c and the value one unit further from zero.
 Each piece of that is stated once, on integers:
 - the step to a neighbour (`_away`, `_toward`), with its carry, its borrow
   and the infinity past e_max;
-- the paper's flag (`_round_cut`), which says whether the nearest value is
-  the side away from zero (rounded up), the side toward it (not up), or
-  both (exact); its tie rule is an argument, to even for the library and
-  up for the paper's word table (`roundflag`);
-- the bracket from one known side (`_bracket`).
+- the paper's flag and the nearest value it names (`_round_cut`): the
+  side away from zero (rounded up), the side toward it (not up), or both
+  (exact); its tie rule is an argument, to even for the library and the
+  host kernel, up for the paper's word table (`roundflag`);
+- the value at (c, e) (`_side`), and the bracket from one known side
+  (`_bracket`).
 The one core (`_enclose`) cuts a rational and takes the flag or the side
 asked for, or the bracket; nearest and each directed rounding is one side,
 and only that side is built.  The interval layer's host kernel takes the
@@ -530,31 +531,31 @@ def _toward(fmt: FloatFormat, c: int, e: int) -> tuple[int, int]:
     return ((1 << fmt.precision) - 1, e - 1) if e > fmt.e_min else (0, e)
 
 
-def _side(fmt: FloatFormat, negative: bool, c: int, e: int, away: bool, signed_zero: bool) -> Fp:
-    """One side of the bracket around a magnitude cut to significand c at
-    exponent e: c itself, a zero when c is 0, or with `away` one unit on
-    (`_away`), the infinity past e_max.  A zero is +0, or with
+def _side(fmt: FloatFormat, negative: bool, c: int, e: int, signed_zero: bool) -> Fp:
+    """The value at significand c and exponent e, as the steps write it:
+    the infinity past e_max, and a zero when c is 0, +0 or with
     `signed_zero` signed by `negative`."""
-    if away:
-        c, e = _away(fmt, c, e)
-        return Fp(fmt, _FINITE, negative, c, e) if e <= fmt.e_max else Fp(fmt, _INF, negative)
+    if e > fmt.e_max:
+        return Fp(fmt, _INF, negative)
     return Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
 
 
-def _round_cut(fmt: FloatFormat, negative: bool, c: int, e: int, rest: int, unit: int,
-               ties_even: bool, signed_zero: bool = True) -> tuple[Fp, RoundFlag]:
-    """(nearest, flag): the magnitude c + rest/unit units at exponent e,
-    cut after c (0 <= rest, 0 < unit), rounded to nearest, and the paper's
-    flag, the one flag rule of the package.  With no rest the value is c
-    and EXACT.  Otherwise it is ROUNDED_UP, to the side one unit on
-    (`_side`), past half a unit, and at half with `ties_even` when c is odd
-    (a zero counts as even, M as odd) or without it always, the paper's
-    table; NOT_ROUNDED_UP keeps c."""
+def _round_cut(fmt: FloatFormat, c: int, e: int, rest: int, unit: int,
+               ties_even: bool) -> tuple[int, int, RoundFlag]:
+    """(c, e, flag): the magnitude c + rest/unit units at exponent e, cut
+    after c (0 <= rest, 0 < unit), rounded to nearest, and the paper's flag,
+    the one flag rule of the package.  With no rest the value is c and
+    EXACT.  Otherwise it is ROUNDED_UP, one unit on (`_away`), past half a
+    unit, and at half with `ties_even` when c is odd (a zero counts as even,
+    M as odd) or without it always, the paper's table; NOT_ROUNDED_UP keeps
+    c."""
     if not rest:
-        return _side(fmt, negative, c, e, False, signed_zero), _EXACT
+        return c, e, _EXACT
     twice = rest << 1
-    up = twice > unit or twice == unit and (c & 1 == 1 or not ties_even)
-    return _side(fmt, negative, c, e, up, signed_zero), (_ROUNDED_UP if up else _NOT_ROUNDED_UP)
+    if twice > unit or twice == unit and (c & 1 == 1 or not ties_even):
+        c, e = _away(fmt, c, e)
+        return c, e, _ROUNDED_UP
+    return c, e, _NOT_ROUNDED_UP
 
 
 def _bracket(fmt: FloatFormat, negative: bool, c: int, e: int, away: bool,
@@ -562,18 +563,20 @@ def _bracket(fmt: FloatFormat, negative: bool, c: int, e: int, away: bool,
     """(lo, hi): the two adjacent values around a value strictly between
     them, from the one side (c, e) that is known: the side away from zero
     with `away`, else the side toward it, and one step (`_toward`, `_away`)
-    to the other.  The side away from zero is the infinity past e_max, the
-    side toward it a zero when c is 0, +0 or with `signed_zero` signed by
-    `negative`."""
-    e_max = fmt.e_max
+    to the other.  The sides are written as `_side` writes them, the one
+    away from zero the infinity past e_max and the one toward it a zero
+    when c is 0; the kernel's hot path builds them here, without a call
+    per side."""
     if away:
-        far = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+        c_far, e_far = c, e
         c, e = _toward(fmt, c, e)
-        near = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
     else:
-        near = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
-        c, e = _away(fmt, c, e)
-        far = Fp(fmt, _FINITE, negative, c, e) if e <= e_max else Fp(fmt, _INF, negative)
+        c_far, e_far = _away(fmt, c, e)
+    near = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
+    if e_far > fmt.e_max:
+        far = Fp(fmt, _INF, negative)
+    else:
+        far = Fp(fmt, _FINITE, negative, c_far, e_far)
     return (far, near) if negative else (near, far)
 
 
@@ -586,7 +589,7 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
     The magnitude is truncated toward zero at the ulp of its binade, found
     from floor(log2) by one divmod.  With no remainder the value is exact:
     one object is both sides, and the flag is EXACT.  Otherwise the side
-    away from zero is one unit on (`_side`, `_bracket`).  Asked for
+    away from zero is one unit on (`_away`, `_bracket`).  Asked for
     nearest, the flag rule (`_round_cut`, ties to even) says which side it
     is: ROUNDED_UP flags the side away from zero, NOT_ROUNDED_UP the side
     toward it; asked for anything else, an inexact value's flag is None.
@@ -626,11 +629,13 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
         lo, hi = _bracket(fmt, negative, c, e, False, signed_zero)
         return lo, hi, None
     if side is _NEAREST:
-        x, flag = _round_cut(fmt, negative, c, e, r, unit, True, signed_zero)
+        c, e, flag = _round_cut(fmt, c, e, r, unit, True)
         away = flag is _ROUNDED_UP
     else:
-        away = side is not _TO_ZERO and (side is _UP) is not negative
-        x, flag = _side(fmt, negative, c, e, away, signed_zero), None
+        away, flag = side is not _TO_ZERO and (side is _UP) is not negative, None
+        if away:
+            c, e = _away(fmt, c, e)
+    x = _side(fmt, negative, c, e, signed_zero)
     # the upper side of a positive value is the one away from zero
     return (None, x, flag) if away is not negative else (x, None, flag)
 

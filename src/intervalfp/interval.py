@@ -25,8 +25,8 @@ sides, not nearest values.  `hull`, `lo_ext`, `hi_ext`, `member` and
 Point operands share one corner, and in every format binary64 holds
 (`FloatFormat.host`: binary64, binary32, every small format) `point_op`
 decides it as the paper's hardware would: one host float op, rounded once
-more to the format, gives one side of the bracket, and the format layer's
-bracket builder (`fpformat._bracket`) the other.
+more to the format, gives the nearest value and the flag (`fpformat._round_cut`),
+and the format layer's bracket builder (`fpformat._bracket`) the other side.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from fractions import Fraction
 from math import frexp, inf, ldexp
 from typing import NamedTuple, Optional, Union
 
-from .fpformat import (FloatFormat, Fp, _DOWN, _FINITE, _INF, _UP, _ZERO, _Validated, _bracket,
-                       _enclose, value_cmp)
+from .fpformat import (FloatFormat, Fp, _DOWN, _FINITE, _INF, _ROUNDED_UP, _UP, _ZERO, _Validated,
+                       _bracket, _enclose, _round_cut, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -326,16 +326,16 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     takes the bound recipes.  Every other is decided as the paper's hardware
     would: one host float op gives r, binary64's nearest a op b (only
     `harness._native_mode` leaves round-to-nearest, around its own float
-    ops), rounded once more to the format.  As host rounding is monotone
-    and the format's values are host floats, a op b lies in r's gap of the
-    format: with bits dropped, the gap of r's truncation, which needs no
-    flag; with none dropped, an integer comparison of |a op b| with |r|
-    gives the flag of r, the nearest value, or says r is exact.  The
-    bracket is the format layer's (`fpformat._bracket`), one step from the
-    known side, so every host format takes binary64's bracket and the
-    small formats' exhaustive suites check it, with its step away from
-    zero.  Binary64's own overflow and underflow read as an r beyond M or
-    below the least ulp."""
+    ops), rounded once more to the format.  The format layer's flag rule
+    (`fpformat._round_cut`, ties to even) rounds dropped bits and gives the
+    flag, and a op b lies in r's gap of the format, as host rounding is
+    monotone and the format's values are host floats; with none dropped, an
+    integer comparison of |a op b| with |r| gives it, or says r is exact.
+    The bracket is the format layer's (`fpformat._bracket`), one step from
+    the nearest value even where the cut r is the other side, so every host
+    format takes binary64's steps and the small formats' exhaustive suites
+    check them.  Binary64's own overflow and underflow read as an r beyond
+    M or below the least ulp."""
     fmt, _, na, ca, ea = a
     b_fmt, _, nb, cb, eb = b
     if fmt is not b_fmt and fmt != b_fmt:
@@ -362,8 +362,8 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
         return tuple.__new__(ExtInterval, (fmt, zero, zero))
     else:  # binary64 underflowed: a op b lies below the least value's ulp
         c, e, negative = 1, e_min - 53, na != nb
-    if e > e_max:  # beyond M: a op b lies between M and the infinity
-        c, e, rest = (1 << p) - 1, e_max, 1
+    if e > e_max:  # beyond M, where the infinity, one unit on, is nearest
+        c, e, rest, unit = (1 << p) - 1, e_max, 1, 1
     else:  # cut r at the binade's ulp, or below e_min the subnormal ulp or the least normal
         drop = 53 - p
         if e < e_min:
@@ -371,13 +371,13 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
             e = e_min
         rest = 0
         if drop:
-            rest = c & ((1 << drop) - 1)
+            unit = 1 << drop
+            rest = c & (unit - 1)
             c >>= drop
-    # with bits dropped, a op b lies in the gap of r's truncation, which is
-    # the side toward zero; with none, r is the nearest value, and |a op b|
-    # against |r|, on integers, says which side r is, or that it is exact
-    away = False
-    if not rest:
+    if rest:  # the flag rule rounds r to nearest, ties to even
+        c, e, flag = _round_cut(fmt, c, e, rest, unit, True)
+        away = flag is _ROUNDED_UP
+    else:  # r is nearest, and |a op b| against |r|, on integers, gives its flag
         if is_sum:  # at the least of the three exponents
             low = min(ea, eb, e)
             exact = abs(((-ca if na else ca) << (ea - low)) + ((-cb if nb else cb) << (eb - low)))

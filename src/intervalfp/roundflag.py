@@ -11,9 +11,10 @@ and values a word and checks where a format can place it.  The arithmetic
 is the library's own, on integers in `fpformat`: the kept bits b0..br are
 the truncated significand, the dropped bits the remainder, and the one
 flag rule (`fpformat._round_cut`) gives the nearest value and the flag,
-with the carry out of b0 and the saturation past e_max of the library's
-step away from zero.  `recover_bounds`, re-exported here, rebuilds the
-bracket from them with the library's bracket builder.
+with the carry out of b0 of the library's step away from zero, and
+`fpformat._side` writes that value, the infinity past e_max.
+`recover_bounds`, re-exported here, rebuilds the bracket from them with
+the library's bracket builder.
 
 The word rounds up exactly when its first discarded bit is set, the
 paper's table on (b_r, b_{r+1}): ties round up.  That tie rule, an
@@ -31,7 +32,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 # recover_bounds is the word demo's last step, re-exported for its callers
-from .fpformat import FloatFormat, Fp, RoundFlag, _round_cut, _Validated, recover_bounds, short_decimal
+from .fpformat import (FloatFormat, Fp, RoundFlag, _round_cut, _side, _Validated, recover_bounds,
+                       short_decimal)
 
 _WORD_RE = re.compile(r"^(-)?([01])\.([01]+)\|([01]+)$")
 
@@ -79,8 +81,9 @@ class PreRoundedWord(_Validated, _PreRoundedWordFields):
 
     def _cut(self, fmt: FloatFormat, exponent: int) -> tuple[Fp, RoundFlag]:
         k = self.width - self.r  # the dropped bits
-        return _round_cut(fmt, self.negative, self.sig >> k, exponent, self.sig & ((1 << k) - 1),
-                          1 << k, False)
+        c, e, flag = _round_cut(fmt, self.sig >> k, exponent, self.sig & ((1 << k) - 1), 1 << k,
+                                False)
+        return _side(fmt, self.negative, c, e, True), flag
 
     def rounded(self) -> tuple[Fp, RoundFlag]:
         """(the word rounded at its cut, the flag) in the word's own format:

@@ -552,23 +552,44 @@ def _flagdemo_grid():
     return places, words
 
 
-# sha256 of flagdemo's exit codes, stdout and stderr over `_flagdemo_grid`
+# sha256 of flagdemo's exit codes, stdout and stderr over `_flagdemo_grid`: over
+# every case, and over every case that `_zero_word_carry_off_e_min` does not select
 _FLAGDEMO_GRID_SHA256 = "a38b3cabb74c682b48bd5950ed79719672b273df52066ef5206fd98d29138719"
+_FLAGDEMO_GRID_KEPT_SHA256 = "b3860a7ffbd52d54fa1b1a737d1287424d6b006ca041dd71b142884b1de882ae"
+
+
+def _zero_word_carry_off_e_min(fmt, exp, word):
+    """A ``0.`` word of the format's width whose rounding carries into b0,
+    at an exponent other than e_min, where a ``0.`` word is refused."""
+    return exp != fmt.e_min and word.lstrip("-").startswith(f"0.{'1' * (fmt.precision - 1)}|1")
 
 
 def test_flagdemo_output_over_a_word_grid_is_pinned():
     """The demo's text cannot move silently: 152,768 runs of the command
     behind `flagdemo`, which `main` calls once it has parsed the line,
-    hashed in order."""
+    hashed in order.
+
+    The full digest is taken with a ``0.`` word that carries into b0
+    refused off e_min (`test_a_zero_word_that_carries_into_b0_sits_only_at_e_min`).
+    Before that refusal the grid hashed to
+    e2dd9e89b66884a424dc408f7259d5d45caf377b63d6257e00e71dd406b3b960,
+    and only its 210 cases that `_zero_word_carry_off_e_min` selects
+    moved: the other 152,558 hash to the second digest before and after."""
     places, words = _flagdemo_grid()
-    digest = hashlib.sha256()
+    digest, kept, moved = hashlib.sha256(), hashlib.sha256(), 0
     for fmt, exp in places:
         for word in words:
             code, out, err = _run(_cmd_flagdemo, SimpleNamespace(word=word, exp=exp), fmt,
                                   ZeroMode.FINITE, 0)
-            digest.update(f"{code}\n{out}{err}\0".encode())
-    assert len(places) * len(words) == 152_768
+            record = f"{code}\n{out}{err}\0".encode()
+            digest.update(record)
+            if _zero_word_carry_off_e_min(fmt, exp, word):
+                moved += 1
+            else:
+                kept.update(record)
+    assert (len(places) * len(words), moved) == (152_768, 210)
     assert digest.hexdigest() == _FLAGDEMO_GRID_SHA256
+    assert kept.hexdigest() == _FLAGDEMO_GRID_KEPT_SHA256
 
 
 def test_cmd_repl(capsys, monkeypatch):

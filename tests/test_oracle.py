@@ -444,16 +444,15 @@ def test_a_wrong_neighbour_is_caught_by_the_suites(toy, monkeypatch):
     """Mutation (a): when the step away from zero carries at 2**p, it
     lands on half + 1 instead of half, so a bound just above a power of two
     skips a value.  Both suites see it, the compare as operation mismatches
-    only.  (A carry past e_max is the infinity whatever its significand,
-    and an overflow's bracket is stepped from M, so overflows are immune.)"""
+    only."""
     _skip_a_neighbour(monkeypatch)
     counts = {}
     for mode in ZeroMode:
         report = exhaustive_compare(toy, mode)
         assert all(isinstance(m, Mismatch) for m in report), mode
         counts[mode] = len(report)
-    assert counts == {ZeroMode.FINITE: 768, ZeroMode.INFINITE: 736}
-    assert len(run_theorem_suite(toy).mismatches) == 736
+    assert counts == {ZeroMode.FINITE: 1816, ZeroMode.INFINITE: 1784}
+    assert len(run_theorem_suite(toy).mismatches) == 2352
 
 
 _TOWARD, _AWAY, _BRACKET = fpformat._toward, fpformat._away, fpformat._bracket
@@ -489,8 +488,8 @@ def _negative_sides_swapped(fmt, negative, c, e, away, signed_zero):
 
 
 @pytest.mark.parametrize("name, mutant, counts, demo", [
-    ("_toward", _borrow_at_e_min, (0, 0), 120),
-    ("_toward", _borrow_too_far, (0, 0), 180),
+    ("_toward", _borrow_at_e_min, (456, 456), 120),
+    ("_toward", _borrow_too_far, (1616, 1616), 180),
     ("_away", _carry_early, (272, 264), 30),
     ("_bracket", _negative_sides_swapped, (3788, 3788), 728),
 ], ids=["borrow-at-e-min", "borrow-to-2p-2", "carry-early", "bracket-sides-swapped"])
@@ -501,11 +500,7 @@ def test_a_wrong_step_is_caught_by_the_compare(toy, monkeypatch, name, mutant, c
     of `test_recovery_equals_directed_rounding_exhaustive`).  The point
     kernel of a small format takes binary64's steps and bracket, and the
     demo takes the same bracket from `recover_bounds`, so a wrong bracket
-    fails both.  No small-format operation steps toward zero: its kernel
-    brackets r's truncation, which is the side toward zero, and steps
-    away.  So the compare reads 0 under the `_toward` mutants, and the
-    demo, whose rounded-up words step toward zero, and binary64's suite
-    below catch them.  (An underflow to 2m stays binary64's own: a small
+    fails both.  (An underflow to 2m stays binary64's own: a small
     format's ops never underflow on the host, and
     `test_point_op.hard_pairs` catches it.)"""
     _patch_step(monkeypatch, name, mutant)
@@ -516,16 +511,14 @@ def test_a_wrong_step_is_caught_by_the_compare(toy, monkeypatch, name, mutant, c
 
 @pytest.mark.parametrize("name, mutant, count", [
     ("_toward", _borrow_at_e_min, 45),
-    ("_toward", _borrow_too_far, 192),
+    ("_toward", _borrow_too_far, 680),
     ("_away", _carry_early, 72),
 ], ids=["borrow-at-e-min", "borrow-to-2p-2", "carry-early"])
 def test_a_wrong_step_is_caught_by_the_binary64_suite(monkeypatch, name, mutant, count):
     """The same mutants against binary64's sampled suite, as `check --format
     b64 --samples 2000` runs it: the fixed block of the sample holds the
     sum (2**1023 - 2**970) + 2**900, whose upward rounding carries into the
-    top binade.  Binary64's kernel steps toward zero from r where r is
-    nearest and rounded up; an overflow is bracketed from M, not from the
-    infinity, so the borrow mutants see no overflowing pair."""
+    top binade."""
     _patch_step(monkeypatch, name, mutant)
     assert len(run_theorem_suite(BINARY64, samples=2000).mismatches) == count
 
