@@ -18,12 +18,12 @@ mismatches, notes).  The conformance suite checks the headline property:
 for finite operands, the directed-rounding IEEE result equals the matching
 bound of the operation's interval.  Zeros take part as exact points and
 results are compared by numeric value, since an interval bound carries no
-zero sign.  The rules are applied once per pair and op, to two finite
-nonzero operands first, as nearly every pair has them: one exact value
-serves both directed results, and over an enumerable format each distinct
-value is rounded once per run.  Backend agreement diffs the softfloat
-reference against the host FPU, and the totality fuzz checks that every
-operation returns a well-formed, non-empty interval.
+zero sign.  The reference states each of the standard's rules once: the
+NaN, infinity and zero operands first, then the exact finite arithmetic,
+whose one value serves both directed results; over an enumerable format
+each distinct value is rounded once per run.  Backend agreement diffs the
+softfloat reference against the host FPU, and the totality fuzz checks
+that every operation returns a well-formed, non-empty interval.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ from .semantics import (
 
 DEFAULT_SEED = 271828
 # module names for the members read on every pair (see `fpformat._FINITE`)
+# and for the rounding directions, which also key the fesetround table
 _ADD, _SUB, _MUL, _DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
+_DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
+_TRUNC, _NEAR = RoundingDirection.TO_ZERO, RoundingDirection.NEAREST
 
 
 # -- IEEE 754 reference (softfloat) -------------------------------------------------
@@ -75,57 +78,48 @@ def ieee_reference(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection) -> Fp
     format's least step, rounded by the oracle.  NaN is an ordinary value."""
     v, s = _exact_or_special(a, b, op)
     if isinstance(v, Fp):  # a special case: the results down and otherwise
-        return v if direction is RoundingDirection.TO_NEG_INF else s
-    if direction is RoundingDirection.NEAREST:
+        return v if direction is _DOWN else s
+    if direction is _NEAR:
         return round_scaled(v, s, a.fmt, None)
-    toward_zero = direction is RoundingDirection.TO_ZERO
-    up = v < 0 if toward_zero else direction is RoundingDirection.TO_POS_INF
+    up = v < 0 if direction is _TRUNC else direction is _UP
     return round_scaled(v, s, a.fmt, up)
 
 
 def _exact_or_special(a: Fp, b: Fp, op: OpKind) -> tuple:
-    """a op b before rounding, by the standard's rules: (v, s) for the exact
-    nonzero result v * 2**s, v an int or a `Fraction`, or in a special case
-    two `Fp`s, the result when rounding down and in every other direction.
-    Two finite nonzero operands, nearly every pair, are taken first; their
-    exact cancellation is +0, or -0 when rounding down."""
+    """a op b before rounding, by the standard's rules: in a special case
+    two `Fp`s, the result when rounding down and in every other direction,
+    else (v, s) for the exact nonzero result v * 2**s, v an int or a
+    `Fraction`.  The rules for a NaN, an infinity or a zero operand come
+    first; what they leave is exact arithmetic on the operands' units, where
+    a sum's cancellation, opposite zeros included, is +0, or -0 when
+    rounding down."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands use different formats")
-    if a.kind is _FINITE and b.kind is _FINITE:
+    if a.kind is not _FINITE or b.kind is not _FINITE:
+        if op is _SUB:
+            op, b = _ADD, -b
+        sign = a.negative != b.negative
+        if a.is_nan or b.is_nan:
+            return _both(Fp.nan(fmt))
         if op is _MUL:
-            return units(a) * units(b), 2 * least_step(fmt)
+            if a.is_inf or b.is_inf:
+                return _both(Fp.nan(fmt) if a.is_zero or b.is_zero else Fp.inf(fmt, sign))
+            return _both(Fp.zero(fmt, sign))
         if op is _DIV:
-            return Fraction(units(a), units(b)), 0
-        v = units(a) + units(b) if op is _ADD else units(a) - units(b)
-        return (v, least_step(fmt)) if v else (Fp(fmt, _ZERO, True), Fp(fmt, _ZERO))
-    if op is _SUB:
-        op, b = _ADD, -b
-    sign = a.negative != b.negative
-    if a.is_nan or b.is_nan:
-        return _both(Fp.nan(fmt))
-    if op is _ADD:
+            if (a.is_inf and b.is_inf) or (a.is_zero and b.is_zero):
+                return _both(Fp.nan(fmt))
+            return _both(Fp.inf(fmt, sign) if a.is_inf or b.is_zero else Fp.zero(fmt, sign))
         if a.is_inf or b.is_inf:
             return _both(Fp.nan(fmt) if a.is_inf and b.is_inf and sign else a if a.is_inf else b)
-        v = units(a) + units(b)
-        if v == 0:  # opposite zeros or exact cancellation: +0 except when rounding down
-            if a.is_zero and b.is_zero and not sign:
-                return _both(a)
-            return Fp.zero(fmt, True), Fp.zero(fmt)
-        return v, least_step(fmt)
+        if a.is_zero and b.is_zero and not sign:
+            return _both(a)
     if op is _MUL:
-        if a.is_inf or b.is_inf:
-            return _both(Fp.nan(fmt) if a.is_zero or b.is_zero else Fp.inf(fmt, sign))
-        if a.is_zero or b.is_zero:
-            return _both(Fp.zero(fmt, sign))
         return units(a) * units(b), 2 * least_step(fmt)
-    if (a.is_inf and b.is_inf) or (a.is_zero and b.is_zero):
-        return _both(Fp.nan(fmt))
-    if a.is_inf or b.is_zero:
-        return _both(Fp.inf(fmt, sign))
-    if b.is_inf or a.is_zero:
-        return _both(Fp.zero(fmt, sign))
-    return Fraction(units(a), units(b)), 0
+    if op is _DIV:
+        return Fraction(units(a), units(b)), 0
+    v = units(a) + units(b) if op is _ADD else units(a) - units(b)
+    return (v, least_step(fmt)) if v else (Fp(fmt, _ZERO, True), Fp(fmt, _ZERO))
 
 
 def _both(x: Fp) -> tuple[Fp, Fp]:
@@ -137,16 +131,10 @@ def _both(x: Fp) -> tuple[Fp, Fp]:
 # fesetround constants differ per architecture; candidates are verified
 # semantically before use, never assumed.
 _FE_CANDIDATES = (
-    {"near": 0x0, "down": 0x400, "up": 0x800, "zero": 0xC00},  # x86 family
-    {"near": 0x0, "up": 0x400000, "down": 0x800000, "zero": 0xC00000},  # arm64
+    {_NEAR: 0x0, _DOWN: 0x400, _UP: 0x800, _TRUNC: 0xC00},  # x86 family
+    {_NEAR: 0x0, _UP: 0x400000, _DOWN: 0x800000, _TRUNC: 0xC00000},  # arm64
 )
 _LIB_NAMES = ("libm.so.6", "libm.so", "libc.so.6", "libSystem.B.dylib")
-_FE_NAMES = {
-    RoundingDirection.TO_NEG_INF: "down",
-    RoundingDirection.TO_POS_INF: "up",
-    RoundingDirection.TO_ZERO: "zero",
-    RoundingDirection.NEAREST: "near",
-}
 
 
 @lru_cache(maxsize=None)
@@ -170,10 +158,10 @@ def _native_rounding() -> Optional[tuple[ctypes.CDLL, dict]]:
     for consts in _FE_CANDIDATES:
         old = lib.fegetround()
         try:
-            if lib.fesetround(consts["down"]) != 0:
+            if lib.fesetround(consts[_DOWN]) != 0:
                 continue
             got_dn = one / three
-            if lib.fesetround(consts["up"]) != 0:
+            if lib.fesetround(consts[_UP]) != 0:
                 continue
             got_up = one / three
         finally:
@@ -187,7 +175,7 @@ def _native_rounding() -> Optional[tuple[ctypes.CDLL, dict]]:
 def _native_mode(direction: RoundingDirection):
     lib, consts = _native_rounding()
     old = lib.fegetround()
-    lib.fesetround(consts[_FE_NAMES[direction]])
+    lib.fesetround(consts[direction])
     try:
         yield
     finally:
@@ -318,7 +306,7 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-_DIRECTED = (RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF)
+_DIRECTED = (_DOWN, _UP)
 
 
 def run_theorem_suite(
@@ -332,11 +320,11 @@ def run_theorem_suite(
     binary64 values only), and so does samples < 1 on binary64; an
     enumerable format ignores samples.  Division skips zero divisors, the
     one case the claim excludes.  Each pair's exact IEEE value is computed
-    once, by the rules for two finite nonzero operands before the special
-    cases, and serves both directions; over an enumerable format the two
-    directed results are kept per distinct value for the length of the run,
-    so each is rounded once.  A sample keeps no such table, since nearly all
-    of its values are distinct."""
+    once, by the reference's rules for a zero operand and then its one
+    exact arithmetic, and serves both directions; over an enumerable format
+    the two directed results are kept per distinct value for the length of
+    the run, so each is rounded once.  A sample keeps no such table, since
+    nearly all of its values are distinct."""
     result = SuiteResult(f"conformance {fmt.descriptor()}")
     try:
         finites = [v for v in fmt.enumerate() if v.is_finite]
@@ -393,20 +381,19 @@ def classify_vs_ieee(a: Fp, b: Fp, op: OpKind, mode: ZeroMode) -> Classification
     NEWLY_DEFINED: IEEE yields NaN but the set semantics yields a set.
     CONFORMS: the results agree, either as the single float representing
     the result set (wide results such as the meaning of +inf) or bound by
-    bound against the two directed IEEE results.  DEVIATES otherwise."""
-    r_dn = ieee_reference(a, b, op, RoundingDirection.TO_NEG_INF)
-    r_up = ieee_reference(a, b, op, RoundingDirection.TO_POS_INF)
+    bound against the two directed IEEE results, so with exact zeros
+    (infinite mode) two finite operands always conform, as the theorem
+    suite checks.  DEVIATES otherwise."""
+    r_dn, r_up = (ieee_reference(a, b, op, direction) for direction in _DIRECTED)
     if r_dn.is_nan:
         return Classification.NEWLY_DEFINED
-    result = fp_interval_op(a, b, op, mode)
-    single = represent(result, mode)
-    if single is not None:
-        ok = same_value(single, r_dn) and same_value(single, r_up)
-    else:
-        ok = same_value(
-            fp_scalar_op(a, b, op, RoundingDirection.TO_NEG_INF, mode), r_dn
-        ) and same_value(fp_scalar_op(a, b, op, RoundingDirection.TO_POS_INF, mode), r_up)
-    return Classification.CONFORMS if ok else Classification.DEVIATES
+    single = represent(fp_interval_op(a, b, op, mode), mode)
+    if single is not None and same_value(single, r_dn) and same_value(single, r_up):
+        return Classification.CONFORMS
+    if all(same_value(fp_scalar_op(a, b, op, direction, mode), ieee)
+           for direction, ieee in zip(_DIRECTED, (r_dn, r_up))):
+        return Classification.CONFORMS
+    return Classification.DEVIATES
 
 
 class ReportRow(NamedTuple):

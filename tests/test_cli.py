@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intervalfp
-from intervalfp import Fp, FpKind, OpKind, PreRoundedWord, RoundingDirection, value_cmp
+from intervalfp import (ExtInterval, Fp, FpKind, OpKind, PreRoundedWord, RoundingDirection,
+                        oracle, value_cmp)
 from intervalfp.cli import NEG, ExprSyntaxError, Lit, _cmd_flagdemo, eval_expr, main, parse, unparse
 from intervalfp import BINARY64, ZeroMode, member, oracle_op, parse_format, parse_interval
 
@@ -372,6 +373,28 @@ def test_cmd_check_infinite_mode(capsys):
     assert main(["check", "--format", "p2e0:0ns", "--mode", "infinite"]) == 0
 
 
+def test_cmd_check_fails_on_oracle_mismatches_and_shows_twenty(capsys, monkeypatch):
+    """An upper bound one step too high on every finite product fails the
+    check: the oracle line counts the mismatches, and the first twenty
+    follow it, indented, before the conformance suite's own lines."""
+    interval_op = oracle.fp_interval_op
+
+    def widened(a, b, op, mode):
+        out = interval_op(a, b, op, mode)
+        if op is MUL and not out.is_empty and out.hi.is_finite:
+            return ExtInterval.unchecked(out.lo, out.hi.next_up())
+        return out
+
+    monkeypatch.setattr(oracle, "fp_interval_op", widened)
+    mismatches = oracle.exhaustive_compare(parse_format("p3e-2:3"), ZeroMode.FINITE)
+    assert len(mismatches) > 20
+    assert main(["check", "--format", "p3e-2:3", "--mode", "finite"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"oracle: p3e-2:3 finite zeros: {len(mismatches)} mismatches"
+    assert lines[1:21] == [f"  {m}" for m in mismatches[:20]]
+    assert lines[21] == "conformance p3e-2:3: 24864 comparisons, ok"
+
+
 def test_cmd_check_refuses_unsampled_format(capsys):
     # too large to enumerate, and the sampler draws binary64 values only
     assert main(["check", "--format", "p24e-126:127", "--samples", "20"]) == 1
@@ -653,6 +676,8 @@ def test_long_programs_evaluate_and_print(text, want):
         (":mode infinite finite",
          "bad command ':mode infinite finite' (:format F, :mode M, :round R, :quit)"),
         (":quit now", "bad command ':quit now' (:format F, :mode M, :round R, :quit)"),
+        # a line that does not parse is refused the same way
+        ("1 +", "syntax error at position 3: expected number or inf or nan or ( or -"),
     ],
 )
 def test_repl_refuses_a_bad_setting_and_keeps_the_old_one(command, message, capsys, monkeypatch):

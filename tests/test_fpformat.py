@@ -403,6 +403,16 @@ def test_the_flag_recovers_the_bracket(descriptor):
     assert zeros or fmt is BINARY64, "no negative q rounds to -0"
 
 
+def test_a_side_with_no_neighbour_saturates(toy):
+    """A zero rounded up has no neighbour toward zero, and an infinity not
+    rounded up none past itself: both bounds are the value, in either sign."""
+    for negative in (False, True):
+        for x, flag in ((Fp.zero(toy, negative), RoundFlag.ROUNDED_UP),
+                        (Fp.inf(toy, negative), RoundFlag.NOT_ROUNDED_UP)):
+            lo, hi = recover_bounds(x, flag)
+            assert lo is x and hi is x
+
+
 # -- conversions and text -----------------------------------------------------------
 
 

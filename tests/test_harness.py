@@ -19,11 +19,13 @@ from intervalfp import (
     backend_agreement,
     classify_vs_ieee,
     deviation_report,
+    fp_interval_op,
     identity_catalog,
     ieee_reference,
     ieee_reference_native,
     native_rounding_available,
     parse_format,
+    represent,
     run_theorem_suite,
     totality_fuzz,
 )
@@ -82,6 +84,14 @@ def test_overflow_stays_finite_when_directed_inward(toy):
     assert ieee_reference(M, two, OpKind.MUL, DOWN) == M
     assert ieee_reference(M, two, OpKind.MUL, UP) == Fp.inf(toy)
     assert ieee_reference(-M, two, OpKind.MUL, UP) == -M
+
+
+def test_operands_of_two_formats_are_refused(toy, toy4):
+    one, other = Fp.from_exact(toy, 1), Fp.from_exact(toy4, 1)
+    for op in OpKind:
+        for a, b in ((one, other), (other, one), (Fp.nan(toy), Fp.inf(toy4))):
+            with pytest.raises(ValueError, match="operands use different formats"):
+                ieee_reference(a, b, op, UP)
 
 
 def test_nan_propagates(toy):
@@ -337,6 +347,31 @@ def test_div_by_zero_threshold(toy):
         assert cls is want, a
 
 
+def test_finite_operands_conform_in_infinite_mode(toy, toy4):
+    """Either conformance test counts: -14 + -14 in p3e-2:3 is (-inf, -14],
+    the meaning of -inf, but IEEE rounds it up to -14, so only its bounds
+    match the directed IEEE results.  Every pair of finite operands
+    conforms, as the theorem suite says, zero divisors aside; with
+    finite-width zeros only a zero operand, a one-ulp set, can deviate."""
+    m = Fp.from_exact(toy, -14)
+    result = fp_interval_op(m, m, OpKind.ADD, ZeroMode.INFINITE)
+    assert str(result) == "(-inf, -14]"
+    assert represent(result, ZeroMode.INFINITE) == Fp.inf(toy, negative=True)
+    assert ieee_reference(m, m, OpKind.ADD, DOWN) == Fp.inf(toy, negative=True)
+    assert ieee_reference(m, m, OpKind.ADD, UP) == m
+    assert classify_vs_ieee(m, m, OpKind.ADD, ZeroMode.INFINITE) is Classification.CONFORMS
+    for fmt in (toy, toy4):
+        finites = [v for v in fmt.enumerate() if v.is_finite]
+        for mode in ZeroMode:
+            deviating = [(a, op, b) for op in OpKind for a in finites for b in finites
+                         if not (op is OpKind.DIV and b.is_zero)
+                         and classify_vs_ieee(a, b, op, mode) is not Classification.CONFORMS]
+            if mode is ZeroMode.INFINITE:
+                assert deviating == [], fmt
+            else:
+                assert deviating and all(a.is_zero or b.is_zero for a, _, b in deviating), fmt
+
+
 def test_formerly_nan_patterns_all_newly_defined(toy):
     inf, ninf, z = Fp.inf(toy), Fp.inf(toy, negative=True), Fp.zero(toy)
     cases = [
@@ -404,15 +439,21 @@ def test_totality_fuzz_sample():
     assert result.checked == 4 * 800
 
 
+def _no_product(fmt):
+    raise ArithmeticError("no product")
+
+
 @pytest.mark.parametrize("fault, problem", [
     (lambda fmt: ExtInterval(fmt, Fp.zero(fmt, negative=True), Fp.inf(fmt)), "malformed"),
     (lambda fmt: ExtInterval(fmt, Fp.inf(fmt, negative=True), Fp.zero(fmt, negative=True)),
      "malformed"),
     (ExtInterval.empty, "empty result"),
+    (_no_product, "raised ArithmeticError('no product')"),
 ])
 def test_totality_fuzz_reports_a_bad_result(fault, problem, monkeypatch):
-    """A -0 bound (which `ExtInterval.make` would turn into +0) and an empty
-    result are each reported for every product, and nothing else is."""
+    """A -0 bound (which `ExtInterval.make` would turn into +0), an empty
+    result and an exception are each reported for every product, and
+    nothing else is."""
     interval_op = harness.fp_interval_op
 
     def faulty(a, b, op, mode):

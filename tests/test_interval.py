@@ -54,9 +54,11 @@ def test_bound_normalisation(toy):
     assert x == ExtInterval.make(Fp.zero(toy), Fp.from_exact(toy, 1))
 
 
-def test_make_rejects_malformed(toy):
+def test_make_rejects_malformed(toy, toy4):
     with pytest.raises(ValueError):
         ExtInterval.make(Fp.from_exact(toy, 2), Fp.from_exact(toy, 1))
+    with pytest.raises(ValueError, match="mismatched bound formats"):
+        ExtInterval.make(Fp.from_exact(toy, 1), Fp.from_exact(toy4, 2))
     with pytest.raises(ValueError):
         ExtInterval.make(Fp.inf(toy), Fp.inf(toy))
     with pytest.raises(ValueError):

@@ -107,6 +107,44 @@ def test_the_unused_import_check_sees_leftovers():
     assert unused_imports(ast.parse("from .fpformat import recover_bounds\n"), "roundflag") == []
 
 
+def unread_private_names(trees: dict) -> list[str]:
+    """'module._X (line n)' for every module-level private name (`_X = ...`)
+    that neither its own module nor a module importing it from there reads.
+    `trees` maps module names to their parsed source."""
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (name for target in targets for name in ast.walk(target)):
+                if isinstance(name, ast.Name) and name.id[:1] == "_" and name.id[:2] != "__":
+                    defined[module, name.id] = node.lineno
+    read = set()
+    for module, tree in trees.items():
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {(module, name) for name in loads}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                read |= {(node.module, alias.name) for alias in node.names
+                         if (alias.asname or alias.name) in loads}
+    return [f"{module}.{name} (line {line})" for (module, name), line in defined.items()
+            if (module, name) not in read]
+
+
+def test_every_private_module_name_is_read():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(trees) == []
+
+
+def test_the_private_name_check_sees_leftovers():
+    trees = {"m": ast.parse("_A, _B = 1, 2\n_C: int = 3\n_D = 4\n__all__ = []\n\n"
+                            "def f():\n    _E = _A\n    return _E\n"),
+             "n": ast.parse("from .m import _C, _D as d\n\nprint(_C)\n")}
+    assert unread_private_names(trees) == ["m._B (line 1)", "m._D (line 3)"]
+
+
 def test_the_interval_layer_has_no_rounding_of_its_own():
     """interval.py rounds through the format layer's one core: `_enclose` is
     imported from fpformat, and interval defines no rounding function and
