@@ -37,9 +37,10 @@ hashed by value, and cheap to build (a suite's running tally,
 `harness.SuiteResult`, is the one mutable class).  A record built only
 through its class (`FloatFormat`, `Fp`, `interval.ExtInterval`,
 `roundflag.PreRoundedWord`) subclasses `_Validated` and a NamedTuple of
-its fields, in that order, and checks the fields in `__new__` where they
-need it; `_Validated` refuses the tuple's ordering and arithmetic, and the
-`_make` and `_replace` that would skip the class.
+its fields, in that order; `_Validated` refuses the tuple's ordering and
+arithmetic, and the `_make` and `_replace` that would skip the class.
+`FloatFormat`, `ExtInterval` and `PreRoundedWord` check their fields in
+`__new__`; `Fp`, the kernel's builder, checks none.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class _Validated:
     """Mixin, listed ahead of a NamedTuple of fields, for a record built
     only through its class: the tuple's ordering, concatenation and
     repetition, `_make` and `_replace` are refused.  A subclass may define
-    its own operators over these."""
+    its own operators over these.  `FloatFormat`, `ExtInterval` and
+    `PreRoundedWord` check their fields in `__new__`; `Fp` does not."""
 
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported

@@ -45,10 +45,14 @@ from .fpformat import (
     FloatFormat,
     Fp,
     RoundingDirection,
+    _DOWN,
     _FINITE,
+    _NEAREST,
+    _TO_ZERO,
+    _UP,
     _ZERO,
 )
-from .interval import ExtInterval, OpKind
+from .interval import _ADD, _DIV, _MUL, _SUB, ExtInterval, OpKind
 from .oracle import least_step, round_scaled, units
 from .semantics import (
     ZeroMode,
@@ -62,11 +66,6 @@ from .semantics import (
 )
 
 DEFAULT_SEED = 271828
-# module names for the members read on every pair (see `fpformat._FINITE`)
-# and for the rounding directions, which also key the fesetround table
-_ADD, _SUB, _MUL, _DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
-_DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
-_TRUNC, _NEAR = RoundingDirection.TO_ZERO, RoundingDirection.NEAREST
 
 
 # -- IEEE 754 reference (softfloat) -------------------------------------------------
@@ -79,9 +78,9 @@ def ieee_reference(a: Fp, b: Fp, op: OpKind, direction: RoundingDirection) -> Fp
     v, s = _exact_or_special(a, b, op)
     if isinstance(v, Fp):  # a special case: the results down and otherwise
         return v if direction is _DOWN else s
-    if direction is _NEAR:
+    if direction is _NEAREST:
         return round_scaled(v, s, a.fmt, None)
-    up = v < 0 if direction is _TRUNC else direction is _UP
+    up = v < 0 if direction is _TO_ZERO else direction is _UP
     return round_scaled(v, s, a.fmt, up)
 
 
@@ -131,8 +130,8 @@ def _both(x: Fp) -> tuple[Fp, Fp]:
 # fesetround constants differ per architecture; candidates are verified
 # semantically before use, never assumed.
 _FE_CANDIDATES = (
-    {_NEAR: 0x0, _DOWN: 0x400, _UP: 0x800, _TRUNC: 0xC00},  # x86 family
-    {_NEAR: 0x0, _UP: 0x400000, _DOWN: 0x800000, _TRUNC: 0xC00000},  # arm64
+    {_NEAREST: 0x0, _DOWN: 0x400, _UP: 0x800, _TO_ZERO: 0xC00},  # x86 family
+    {_NEAREST: 0x0, _UP: 0x400000, _DOWN: 0x800000, _TO_ZERO: 0xC00000},  # arm64
 )
 _LIB_NAMES = ("libm.so.6", "libm.so", "libc.so.6", "libSystem.B.dylib")
 
@@ -470,9 +469,9 @@ def backend_agreement(
 def totality_fuzz(pairs_per_op: int = 1_000_000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Throw random non-NaN binary64 pairs at every operation in finite-zero
     mode and verify the result is always a well-formed interval: no
-    exception, never empty, and bounds that `ExtInterval.make` accepts as
-    they are (so no NaN, no misplaced infinity, no -0, lo <= hi).  Each
-    failure is a mismatch."""
+    exception, never empty, and bounds that the `ExtInterval` class call
+    accepts as they are (so no NaN, no misplaced infinity, no -0, lo <= hi).
+    Each failure is a mismatch."""
     result = SuiteResult("totality fuzz b64")
     for op in OpKind:
         for a, b in binary64_pairs(pairs_per_op, seed + ord(op.value)):
@@ -486,7 +485,7 @@ def totality_fuzz(pairs_per_op: int = 1_000_000, seed: int = DEFAULT_SEED) -> Su
                 result.mismatches.append(f"{a} {op.value} {b}: empty result")
                 continue
             try:
-                well_formed = ExtInterval.make(out.lo, out.hi) == out
+                well_formed = ExtInterval(*out) == out
             except ValueError:
                 well_formed = False
             if not well_formed:

@@ -3,7 +3,8 @@
 An interval is either empty or a pair of bounds drawn from one float
 format, where an infinite bound means the set is unbounded on that side.
 Bounds that are real zero are stored as +0: the sign of zero carries no
-set-theoretic meaning inside an interval.
+set-theoretic meaning inside an interval.  The class call is the one
+checked way to build an interval; the operations build their results directly.
 
 The four arithmetic operations are total, and `apply_op` is their one
 entry: the operators of `ExtInterval` are its spelling.  It checks that the
@@ -78,21 +79,21 @@ class ExtInterval(_Validated, _ExtIntervalFields):
 
     An immutable, unordered value like `Fp`: the tuple underneath compares
     and hashes the three fields, the operators below are interval
-    arithmetic, not the tuple's, and `_make` and `_replace` are refused."""
+    arithmetic, not the tuple's, and `_make` and `_replace` are refused.
+
+    ``ExtInterval(fmt)`` is empty; ``ExtInterval(fmt, lo, hi)`` holds bounds
+    of fmt, neither NaN, with lo <= hi, no +inf below or -inf above, zero
+    bounds as +0 and equal bounds as one object, and refuses others.  The
+    operations build results that hold the same by `tuple.__new__`."""
 
     __slots__ = ()
 
-    @staticmethod
-    def empty(fmt: FloatFormat) -> "ExtInterval":
-        return ExtInterval(fmt)
-
-    @staticmethod
-    def make(lo: Fp, hi: Fp) -> "ExtInterval":
-        """Build a non-empty interval from outside input: the bounds are
-        checked, zero bounds are normalised to +0, and equal bounds become
-        one object, so a point built here is a point (lo is hi) as
-        `apply_op` reads it."""
-        if lo.fmt is not hi.fmt and lo.fmt != hi.fmt:
+    def __new__(cls, fmt: FloatFormat, lo: Optional[Fp] = None, hi: Optional[Fp] = None):
+        if lo is None and hi is None:
+            return tuple.__new__(cls, (fmt, None, None))
+        if lo is None or hi is None:
+            raise ValueError("an interval has two bounds or none")
+        if lo.fmt is not fmt and lo.fmt != fmt or hi.fmt is not fmt and hi.fmt != fmt:
             raise ValueError("mismatched bound formats")
         if lo.is_nan or hi.is_nan:
             raise ValueError("NaN cannot be an interval bound")
@@ -102,34 +103,26 @@ class ExtInterval(_Validated, _ExtIntervalFields):
             order = value_cmp(lo, hi)
             if order > 0:
                 raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
-            if order == 0:  # one finite value, or two zeros that become +0
+            if order == 0:  # one finite value, or two zeros
                 lo = hi
-        return ExtInterval.unchecked(lo, hi)
+        if lo.kind is _ZERO and lo.negative:  # a zero bound is stored as +0
+            lo = Fp(fmt, _ZERO)
+        if hi.kind is _ZERO and hi.negative:  # with a zero lo, the point 0
+            hi = lo if lo.kind is _ZERO else Fp(fmt, _ZERO)
+        return tuple.__new__(cls, (fmt, lo, hi))
 
     @staticmethod
-    def unchecked(lo: Fp, hi: Fp) -> "ExtInterval":
-        """Build a non-empty interval from bounds known to be valid (one
-        format, no NaN, lo <= hi, no +inf below or -inf above) without
-        checking them; zero bounds are normalised to +0, one object when
-        both are zeros, as a point is."""
-        if lo.kind is _ZERO and hi.kind is _ZERO:
-            lo = hi = hi if not hi.negative else lo if not lo.negative else Fp.zero(lo.fmt)
-        elif lo.kind is _ZERO and lo.negative:
-            lo = Fp.zero(lo.fmt)
-        elif hi.kind is _ZERO and hi.negative:
-            hi = Fp.zero(hi.fmt)
-        return tuple.__new__(ExtInterval, (lo.fmt, lo, hi))
+    def empty(fmt: FloatFormat) -> "ExtInterval":
+        return tuple.__new__(ExtInterval, (fmt, None, None))
 
     @staticmethod
-    def point(x: Fp) -> "ExtInterval":
-        """The singleton set of a finite value."""
-        if not x.is_finite:
-            raise ValueError(f"{x} is not finite")
-        return ExtInterval.unchecked(x, x)
+    def make(lo: Fp, hi: Fp) -> "ExtInterval":
+        """The class call with lo's format (a name the benchmark times)."""
+        return ExtInterval(lo.fmt, lo, hi)
 
     @staticmethod
     def full_line(fmt: FloatFormat) -> "ExtInterval":
-        return ExtInterval(fmt, Fp.inf(fmt, negative=True), Fp.inf(fmt))
+        return tuple.__new__(ExtInterval, (fmt, Fp(fmt, _INF, True), Fp(fmt, _INF)))
 
     # -- views -------------------------------------------------------------
 
@@ -151,7 +144,7 @@ class ExtInterval(_Validated, _ExtIntervalFields):
         return self.hi.to_rational()
 
     def is_point(self) -> bool:
-        return not self.is_empty and self.lo == self.hi and self.lo.is_finite
+        return self.lo is not None and self.lo is self.hi
 
     def contains_zero(self) -> bool:
         # zero bounds are stored as +0, so the sign bits decide
@@ -342,7 +335,8 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
         raise ValueError("operands use different formats")
     p, e_min, e_max, subnormals, host = fmt  # one unpacking, cheaper than four reads by name
     if not host:
-        return apply_op(op, ExtInterval.unchecked(a, a), ExtInterval.unchecked(b, b))
+        return apply_op(op, tuple.__new__(ExtInterval, (fmt, a, a)),
+                        tuple.__new__(ExtInterval, (fmt, b, b)))
     if op is _SUB:
         nb = not nb
     # an operand on the host is c * 2**(e + s), and a zero has c = 0
@@ -456,13 +450,16 @@ def _quotient(xl: Bound, xh: Bound, yl: Bound, yh: Bound, fmt: FloatFormat) -> E
 
 
 def negate(x: ExtInterval) -> ExtInterval:
-    """Exact mirror image; no rounding is involved."""
-    if x.is_empty:
+    """Exact mirror image; no rounding is involved.  The one operation that
+    flips signs, so it keeps a zero bound at +0 itself."""
+    fmt, lo, hi = x
+    if lo is None:
         return x
-    if x.lo is x.hi:
-        p = -x.lo
-        return ExtInterval.unchecked(p, p)
-    return ExtInterval.unchecked(-x.hi, -x.lo)
+    if lo is hi:
+        p = lo if lo.kind is _ZERO else -lo
+        return tuple.__new__(ExtInterval, (fmt, p, p))
+    return tuple.__new__(ExtInterval, (fmt, hi if hi.kind is _ZERO else -hi,
+                                       lo if lo.kind is _ZERO else -lo))
 
 
 # -- predicates -----------------------------------------------------------------------
@@ -507,4 +504,4 @@ def parse_interval(text: str, fmt: FloatFormat) -> ExtInterval:
     for side, got, need in zip(("lower", "upper"), (t[0], t[-1]), want):
         if got != need:
             raise ValueError(f"bad interval syntax {text!r}: the {side} bound takes {need!r}")
-    return ExtInterval.make(lo, hi)
+    return ExtInterval(fmt, lo, hi)

@@ -36,14 +36,13 @@ from .fpformat import (
     FloatFormat,
     Fp,
     RoundingDirection,
+    _DOWN,
     _FINITE,
     _NAN,
+    _UP,
     _ZERO,
 )
 from .interval import ExtInterval, OpKind, apply_op, point_op
-
-
-_DOWN, _UP = RoundingDirection.TO_NEG_INF, RoundingDirection.TO_POS_INF
 
 
 class ZeroMode(Enum):
@@ -69,7 +68,7 @@ class ZeroMode(Enum):
 def interpret(x: Fp, mode: ZeroMode) -> ExtInterval:
     """The set of reals a float stands for."""
     if x.kind is _FINITE:
-        return ExtInterval.unchecked(x, x)
+        return tuple.__new__(ExtInterval, (x.fmt, x, x))
     return _special_meaning(x, mode)
 
 
@@ -83,11 +82,11 @@ def _special_meaning(x: Fp, mode: ZeroMode) -> ExtInterval:
             raise DomainError("NaN has no set meaning with finite-width zeros")
         return ExtInterval.empty(fmt)
     if x.is_inf:
-        meaning = ExtInterval.make(fmt.max_finite(), Fp.inf(fmt))
+        meaning = ExtInterval(fmt, fmt.max_finite(), Fp.inf(fmt))
     elif mode is ZeroMode.INFINITE:
-        return ExtInterval.point(Fp.zero(fmt))  # both zeros: the exact point 0
+        return ExtInterval(fmt, Fp.zero(fmt), Fp.zero(fmt))  # both zeros: the exact point 0
     else:
-        meaning = ExtInterval.make(Fp.zero(fmt), fmt.min_pos())
+        meaning = ExtInterval(fmt, Fp.zero(fmt), fmt.min_pos())
     return -meaning if x.negative else meaning
 
 
@@ -236,8 +235,8 @@ class IdentityRecord(NamedTuple):
         import ast  # only the catalog's formulas are parsed, so only here
 
         lo, hi = ast.parse(self.expr_text[1:-1], mode="eval").body.elts
-        return ExtInterval.make(
-            _outward(fmt, _exact(lo, names), _DOWN), _outward(fmt, _exact(hi, names), _UP)
+        return ExtInterval(
+            fmt, _outward(fmt, _exact(lo, names), _DOWN), _outward(fmt, _exact(hi, names), _UP)
         )
 
     def make_operands(self, fmt: FloatFormat, a: Optional[Fp]) -> tuple[Fp, Fp]:

@@ -382,7 +382,7 @@ def test_cmd_check_fails_on_oracle_mismatches_and_shows_twenty(capsys, monkeypat
     def widened(a, b, op, mode):
         out = interval_op(a, b, op, mode)
         if op is MUL and not out.is_empty and out.hi.is_finite:
-            return ExtInterval.unchecked(out.lo, out.hi.next_up())
+            return ExtInterval(out.fmt, out.lo, out.hi.next_up())
         return out
 
     monkeypatch.setattr(oracle, "fp_interval_op", widened)

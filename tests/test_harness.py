@@ -178,7 +178,7 @@ def test_theorem_suite_reports_a_widened_bound(toy, monkeypatch):
     def widened(a, b, op, mode):
         out = interval_op(a, b, op, mode)
         if op is OpKind.MUL and out.hi.is_finite:
-            return ExtInterval.unchecked(out.lo, out.hi.next_up())
+            return ExtInterval(out.fmt, out.lo, out.hi.next_up())
         return out
 
     monkeypatch.setattr(harness, "fp_interval_op", widened)
@@ -444,16 +444,17 @@ def _no_product(fmt):
 
 
 @pytest.mark.parametrize("fault, problem", [
-    (lambda fmt: ExtInterval(fmt, Fp.zero(fmt, negative=True), Fp.inf(fmt)), "malformed"),
-    (lambda fmt: ExtInterval(fmt, Fp.inf(fmt, negative=True), Fp.zero(fmt, negative=True)),
+    (lambda fmt: tuple.__new__(ExtInterval, (fmt, Fp.zero(fmt, negative=True), Fp.inf(fmt))),
      "malformed"),
+    (lambda fmt: tuple.__new__(ExtInterval, (fmt, Fp.inf(fmt, negative=True),
+                                             Fp.zero(fmt, negative=True))), "malformed"),
     (ExtInterval.empty, "empty result"),
     (_no_product, "raised ArithmeticError('no product')"),
 ])
 def test_totality_fuzz_reports_a_bad_result(fault, problem, monkeypatch):
-    """A -0 bound (which `ExtInterval.make` would turn into +0), an empty
-    result and an exception are each reported for every product, and
-    nothing else is."""
+    """A -0 bound (built past the `ExtInterval` class call, which would
+    turn it into +0), an empty result and an exception are each reported
+    for every product, and nothing else is."""
     interval_op = harness.fp_interval_op
 
     def faulty(a, b, op, mode):

@@ -1,19 +1,26 @@
 """Interval layer: hull, the four total operations through `apply_op` and the
 operators that spell it, predicates, syntax."""
 
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from intervalfp import BINARY64, Fp, OpKind, parse_format, parse_interval
+from intervalfp import BINARY64, Fp, OpKind, ZeroMode, interpret, parse_format, parse_interval
 from intervalfp.interval import (ExtInterval, NEG_INF, POS_INF, apply_op, hull, member, negate,
                                  subset)
 
 
 def iv(text, fmt):
     return parse_interval(text, fmt)
+
+
+def point(x):
+    """The point interval of a finite value, through the checked class call."""
+    return ExtInterval(x.fmt, x, x)
 
 
 def rand_interval(rng, fmt, values=None):
@@ -65,6 +72,55 @@ def test_make_rejects_malformed(toy, toy4):
         ExtInterval.make(Fp.nan(toy), Fp.from_exact(toy, 1))
 
 
+def test_the_class_call_refuses_bounds_that_form_no_set(toy, toy4):
+    """The class call is the checked entry: it refuses a NaN bound, reversed
+    bounds, +inf below or -inf above, one missing bound and a bound of
+    another format, so no operation ever computes on them."""
+    one, two = Fp.from_exact(toy, 1), Fp.from_exact(toy, 2)
+    refused = {
+        "NaN cannot be an interval bound": [(Fp.nan(toy), one), (one, Fp.nan(toy))],
+        "exceeds upper bound": [(two, one)],
+        "bounds leave no reals": [(Fp.inf(toy), Fp.inf(toy)), (-two, Fp.inf(toy, True))],
+        "two bounds or none": [(one,), (None, one)],
+        "mismatched bound formats": [(Fp.from_exact(toy4, 1), Fp.from_exact(toy4, 2)),
+                                     (one, Fp.from_exact(toy4, 2))],
+    }
+    for message, cases in refused.items():
+        for bounds in cases:
+            with pytest.raises(ValueError, match=message):
+                ExtInterval(toy, *bounds)
+    assert ExtInterval(toy) == ExtInterval.empty(toy) and ExtInterval(toy).is_empty
+
+
+def test_copied_and_pickled_intervals_keep_their_points(toy):
+    """A copy or a pickle goes through the class call, so a point stays one
+    object (lo is hi) and two equal bounds given apart become one."""
+    one = Fp.from_exact(toy, 1)
+    apart = ExtInterval(toy, one, Fp.from_exact(toy, 1))
+    assert apart.lo is apart.hi and apart.is_point()
+    for x in (point(one), apart, iv("[0, 0]", toy), iv("[1, 2]", toy), ExtInterval.empty(toy)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and y.is_point() == x.is_point(), (x, y)
+
+
+@pytest.mark.parametrize("descriptor", ["p3e-2:3", "p2e0:0ns"])
+def test_every_result_is_what_the_class_call_builds(descriptor):
+    """The operations build their results past the class call, so each
+    result, and its mirror by `negate`, must be what the class call builds
+    from its fields: no -0 bound, and a point exactly when lo is hi.  Over
+    every pair of meanings, the four ops and both zero modes."""
+    fmt = parse_format(descriptor)
+    for mode in ZeroMode:
+        values = fmt.enumerate() + ([Fp.nan(fmt)] if mode is ZeroMode.INFINITE else [])
+        meanings = [interpret(v, mode) for v in values]
+        results = [apply_op(op, x, y) for x in meanings for y in meanings for op in OpKind]
+        for r in meanings + results + [negate(r) for r in results]:
+            assert r == ExtInterval(*r), r
+            if not r.is_empty:
+                assert not (r.lo.is_zero and r.lo.negative or r.hi.is_zero and r.hi.negative), r
+                assert (r.lo is r.hi) == (r.lo == r.hi), r
+
+
 def test_ext_interval_is_an_immutable_unordered_value(toy):
     x = iv("[1, 2]", BINARY64)
     for field in ("fmt", "lo", "hi", "extra"):
@@ -87,7 +143,7 @@ def test_ext_interval_is_an_immutable_unordered_value(toy):
 
 
 def test_ext_interval_refuses_the_namedtuple_helpers(toy):
-    # _make and _replace would build an interval around make and unchecked
+    # _make and _replace would build an interval around the class call's checks
     x = iv("[1, 2]", toy)
     with pytest.raises(TypeError):
         ExtInterval._make(tuple(x))
@@ -100,7 +156,7 @@ def test_ext_interval_refuses_the_namedtuple_helpers(toy):
 def test_equal_intervals_from_every_path_are_equal_and_hash_alike(toy):
     one, two = Fp.from_exact(toy, 1), Fp.from_exact(toy, 2)
     half = iv("[0.5, 1]", toy)
-    paths = [iv("[1, 2]", toy), ExtInterval.make(one, two), ExtInterval.unchecked(one, two),
+    paths = [iv("[1, 2]", toy), ExtInterval.make(one, two), ExtInterval(toy, one, two),
              half + half, hull(F(1), F(2), toy)]
     assert all(x == paths[0] for x in paths), paths
     assert len({hash(x) for x in paths}) == 1, paths
@@ -114,15 +170,16 @@ def test_zero_bounds_given_as_two_objects_make_one_zero_point(toy):
     # two points to point_op; the point 0 is a +0 whatever the signs given
     for lo_negative in (False, True):
         for hi_negative in (False, True):
-            x = ExtInterval.unchecked(Fp.zero(toy, lo_negative), Fp.zero(toy, hi_negative))
+            x = ExtInterval(toy, Fp.zero(toy, lo_negative), Fp.zero(toy, hi_negative))
             assert x.lo is x.hi and not x.lo.negative and x == iv("[0, 0]", toy), x
             for y in (x + x, x - x, x * x):
                 assert y.lo is y.hi and y == x, y
     one = Fp.from_exact(toy, 1)
-    x = ExtInterval.unchecked(Fp.zero(toy, True), one)
+    x = ExtInterval(toy, Fp.zero(toy, True), one)
     assert x.lo is not x.hi and not x.lo.negative and x == iv("[0, 1]", toy)
-    x = ExtInterval.unchecked(-one, Fp.zero(toy, True))
+    x = ExtInterval(toy, -one, Fp.zero(toy, True))
     assert x.lo is not x.hi and not x.hi.negative and x == iv("[-1, 0]", toy)
+    assert x.contains_zero()
 
 
 # -- the paper-derived operation examples -------------------------------------------
@@ -200,8 +257,8 @@ def test_operands_of_two_formats_are_refused(toy, toy4):
     """Every op and `subset` check the format before the empty test, so no
     pair of formats passes, not even two empty sets."""
     def kinds(fmt):
-        point = ExtInterval.point(Fp.from_exact(fmt, 1))
-        return [point, iv("[1, 2]", fmt), iv("[0, 0]", fmt), ExtInterval.empty(fmt)]
+        return [point(Fp.from_exact(fmt, 1)), iv("[1, 2]", fmt), iv("[0, 0]", fmt),
+                ExtInterval.empty(fmt)]
 
     for x in kinds(toy):
         for y in kinds(toy4) + kinds(BINARY64):
@@ -231,7 +288,7 @@ def test_apply_op_sends_points_and_only_points_to_point_op(toy, monkeypatch):
         return real(op, a, b)
 
     monkeypatch.setattr(interval_mod, "point_op", spy)
-    zero, one, two = (ExtInterval.point(Fp.from_exact(toy, v)) for v in (0, 1, 2))
+    zero, one, two = (point(Fp.from_exact(toy, v)) for v in (0, 1, 2))
     for op in OpKind:
         for x, y in ((one, two), (zero, two), (two, two)):
             calls.clear()
@@ -324,7 +381,7 @@ def test_sub_is_add_of_the_mirror_without_negate(toy, monkeypatch):
 
     rng = random.Random(22)
     values = toy.enumerate()
-    points = [ExtInterval.point(v) for v in values if v.is_finite]
+    points = [point(v) for v in values if v.is_finite]
     pairs = [(rand_interval(rng, toy, values), rand_interval(rng, toy, values))
              for _ in range(600)]
     pairs += [(x, y) for x in points[::3] for y in points[::3]]
@@ -346,7 +403,7 @@ def test_point_interval_consistency(toy):
     finite = [v for v in toy.enumerate() if v.is_finite and not v.is_zero]
     for a in finite:
         for b in finite:
-            pa, pb = ExtInterval.point(a), ExtInterval.point(b)
+            pa, pb = point(a), point(b)
             qa, qb = a.to_rational(), b.to_rational()
             for op, real in (
                 (OpKind.ADD, qa + qb),
@@ -359,7 +416,7 @@ def test_point_interval_consistency(toy):
                 except ValueError:
                     continue  # not exactly representable
                 got = apply_op(op, pa, pb)
-                assert got == ExtInterval.point(expected), (a, b, op)
+                assert got == point(expected), (a, b, op)
 
 
 def test_binary64_point_ops_build_no_fraction(monkeypatch):
@@ -482,7 +539,7 @@ def test_parse_variants(toy):
     assert parse_interval("empty", toy).is_empty
     assert parse_interval("(-inf, inf)", toy) == ExtInterval.full_line(toy)
     assert parse_interval("[0x1.8p+1, inf)", toy) == parse_interval("[3, +inf)", toy)
-    assert parse_interval("[-0, 0]", toy) == ExtInterval.point(Fp.zero(toy))
+    assert parse_interval("[-0, 0]", toy) == point(Fp.zero(toy))
     with pytest.raises(ValueError):
         parse_interval("[2, 1]", toy)
     with pytest.raises(ValueError):

@@ -248,9 +248,9 @@ def test_products_and_quotients_fall_back_only_below_the_normal_range(op):
 def _recorded_calls(monkeypatch, names=()):
     """The list that records each nearest rounding (the rounding core asked
     for its nearest side, in either module, or a `FloatFormat` entry),
-    `recover_bounds`, `Fp`'s neighbour methods, `Fp.from_float`,
-    `ExtInterval.unchecked` and the interval module's functions in
-    `names`."""
+    `recover_bounds`, `Fp`'s neighbour methods, `Fp.from_float`, the
+    checking and normalising builds of `ExtInterval` (the class call and
+    `make`) and the interval module's functions in `names`."""
     calls = []
 
     def recorded(name, f):
@@ -269,7 +269,8 @@ def _recorded_calls(monkeypatch, names=()):
         monkeypatch.setattr(FloatFormat, name, recorded(name, getattr(FloatFormat, name)))
     for owner, name in ((fpformat, "recover_bounds"), *((interval, name) for name in names)):
         monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
-    for owner, name in ((Fp, "from_float"), (interval.ExtInterval, "unchecked")):
+    for owner, name in ((Fp, "from_float"), (interval.ExtInterval, "make"),
+                        (interval.ExtInterval, "__new__")):
         monkeypatch.setattr(owner, name, staticmethod(recorded(name, getattr(owner, name))))
     for name in ("next_up", "next_down"):
         monkeypatch.setattr(Fp, name, recorded(name, getattr(Fp, name)))
@@ -303,9 +304,9 @@ def test_binary64_point_op_builds_only_its_bounds(op, built, monkeypatch):
 def test_the_exact_core_builds_only_its_bounds(descriptor, built, monkeypatch):
     """Every Fp that a point op (on the host kernel) or a wide bound (on the
     exact core) builds is a bound of its result, and nearest rounding,
-    `recover_bounds`, `Fp`'s neighbour methods and `ExtInterval.unchecked`
-    are never called: over every pair of meanings in both zero modes, and
-    seeded wide intervals."""
+    `recover_bounds`, `Fp`'s neighbour methods and `ExtInterval`'s checking
+    builds are never called: over every pair of meanings in both zero
+    modes, and seeded wide intervals."""
     fmt = parse_format(descriptor)
     rng = random.Random(23)
     values = fmt.enumerate()
@@ -362,8 +363,7 @@ def test_the_enclosure_is_round_both(descriptor):
                 q = EXACT[op](a.to_rational(), b.to_rational())
                 n, d = q.numerator, q.denominator
                 lo, hi, flag = interval._enclose(fmt, n, d)
-                assert interval.ExtInterval(fmt, lo, hi) == interval.ExtInterval.unchecked(
-                    *fmt.round_both(q)), (a, op, b)
+                assert (fmt, lo, hi) == interval.ExtInterval(fmt, *fmt.round_both(q)), (a, op, b)
                 nearest = interval._enclose(fmt, n, d, RoundingDirection.NEAREST)
                 assert nearest[2] is fmt.round_flagged(q)[1], (a, op, b)
                 alone = (interval._enclose(fmt, n, d, RoundingDirection.TO_NEG_INF),
@@ -526,6 +526,6 @@ def test_point_op_decides_binary64_by_a_field_before_comparing_formats(toy):
         host = point_op(OpKind.MUL, x, x)
     finally:
         FloatFormat.__eq__ = eq
-    assert got == interval.ExtInterval.point(two)
-    assert host == interval.ExtInterval.point(x)
+    assert got == interval.ExtInterval(toy, two, two)
+    assert host == interval.ExtInterval(fields, x, x)
     assert fields is not BINARY64 and parse_format("p53e-1022:1023") is BINARY64
