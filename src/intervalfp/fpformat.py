@@ -39,8 +39,9 @@ through its class (`FloatFormat`, `Fp`, `interval.ExtInterval`,
 `roundflag.PreRoundedWord`) subclasses `_Validated` and a NamedTuple of
 its fields, in that order; `_Validated` refuses the tuple's ordering and
 arithmetic, and the `_make` and `_replace` that would skip the class.
-`FloatFormat`, `ExtInterval` and `PreRoundedWord` check their fields in
-`__new__`; `Fp`, the kernel's builder, checks none.
+Each checks its fields in `__new__`.  The library's own paths, which
+build `Fp` values from encodings they already know to be canonical, skip
+that check through one builder, `_build`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import re
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[Fraction, int]
@@ -114,8 +116,8 @@ class _Validated:
     """Mixin, listed ahead of a NamedTuple of fields, for a record built
     only through its class: the tuple's ordering, concatenation and
     repetition, `_make` and `_replace` are refused.  A subclass may define
-    its own operators over these.  `FloatFormat`, `ExtInterval` and
-    `PreRoundedWord` check their fields in `__new__`; `Fp` does not."""
+    its own operators over these.  Each subclass checks its fields in
+    `__new__`."""
 
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _unsupported
@@ -284,17 +286,34 @@ class Fp(_Validated, _FpFields):
     included; NaN is unsigned (`negative` is False).  Finite nonzero values
     satisfy ``value = (-1)**negative * c * 2**(e - p + 1)`` with the
     canonical constraint that c has exactly p bits (normal) or e is the
-    minimum exponent and c has fewer (subnormal).  Each representable real
-    has exactly one encoding, so equality of the five fields, which the
-    tuple underneath compares and hashes, is value identity, with +0 and -0
-    distinct.  A value is immutable and unordered, and the tuple's
+    minimum exponent and c has fewer (subnormal, where the format has
+    them); a zero, an infinity and NaN have c = e = 0.  Each representable
+    real has exactly one encoding, so equality of the five fields, which
+    the tuple underneath compares and hashes, is value identity, with +0
+    and -0 distinct.  A value is immutable and unordered, and the tuple's
     concatenation and repetition, `_make` and `_replace` do not apply to it.
+
+    The class call refuses fields that are not such an encoding, and the
+    library's own paths build through `_build`, which checks nothing.
     """
 
     __slots__ = ()
 
+    def __new__(cls, fmt: FloatFormat, kind: FpKind, negative: bool = False, c: int = 0, e: int = 0):
+        if not (isinstance(fmt, FloatFormat) and isinstance(kind, FpKind) and isinstance(negative, bool)):
+            raise TypeError("an Fp takes a FloatFormat, an FpKind and a bool sign")
+        if kind is _FINITE:
+            p, e_min, e_max, subnormals, _ = fmt
+            if not (type(c) is int and type(e) is int and e_min <= e <= e_max and (
+                    c >> (p - 1) == 1 or e == e_min and subnormals and 0 < c < 1 << (p - 1))):
+                raise ValueError(f"c and e are not the encoding of a finite value of {fmt.descriptor()}")
+        elif c or e or negative and kind is _NAN:
+            raise ValueError(f"a {kind.value} has c = e = 0" + (" and no sign" if kind is _NAN else ""))
+        return tuple.__new__(cls, (fmt, kind, negative, c, e))
+
     def __init__(self, fmt, kind, negative=False, c=0, e=0):
-        """Every Fp is built through here; the benchmark's object counter and `built` wrap it."""
+        """A no-op after the class call's checks, which `_build` skips; the
+        benchmark's object counter wraps it, so it counts checked builds."""
 
     # -- constructors --------------------------------------------------------
 
@@ -425,7 +444,7 @@ class Fp(_Validated, _FpFields):
         fmt, kind, negative, c, e = self
         if kind is _NAN:
             return self
-        return Fp(fmt, kind, not negative, c, e)
+        return _build((fmt, kind, not negative, c, e))
 
     # -- text form ----------------------------------------------------------------------
 
@@ -468,6 +487,11 @@ class Fp(_Validated, _FpFields):
     def __repr__(self):
         return f"Fp({str(self)!r}, {self.fmt.descriptor()!r})"
 
+
+# The unchecked builder of the library's own paths, called with a tuple of
+# all five fields.  Callers read it as a module global at each call, so a
+# test can wrap it.
+_build = partial(tuple.__new__, Fp)
 
 BINARY64 = FloatFormat(precision=53, e_min=-1022, e_max=1023, subnormals=True)
 
@@ -538,8 +562,8 @@ def _side(fmt: FloatFormat, negative: bool, c: int, e: int, signed_zero: bool) -
     the infinity past e_max, and a zero when c is 0, +0 or with
     `signed_zero` signed by `negative`."""
     if e > fmt.e_max:
-        return Fp(fmt, _INF, negative)
-    return Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
+        return _build((fmt, _INF, negative, 0, 0))
+    return _build((fmt, _FINITE, negative, c, e) if c else (fmt, _ZERO, negative and signed_zero, 0, 0))
 
 
 def _round_cut(fmt: FloatFormat, c: int, e: int, rest: int, unit: int,
@@ -574,11 +598,11 @@ def _bracket(fmt: FloatFormat, negative: bool, c: int, e: int, away: bool,
         c, e = _toward(fmt, c, e)
     else:
         c_far, e_far = _away(fmt, c, e)
-    near = Fp(fmt, _FINITE, negative, c, e) if c else Fp(fmt, _ZERO, negative and signed_zero)
+    near = _build((fmt, _FINITE, negative, c, e) if c else (fmt, _ZERO, negative and signed_zero, 0, 0))
     if e_far > fmt.e_max:
-        far = Fp(fmt, _INF, negative)
+        far = _build((fmt, _INF, negative, 0, 0))
     else:
-        far = Fp(fmt, _FINITE, negative, c_far, e_far)
+        far = _build((fmt, _FINITE, negative, c_far, e_far))
     return (far, near) if negative else (near, far)
 
 
@@ -605,7 +629,7 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
     are built.  A zero side is +0, or with `signed_zero` signed like
     num/den, and 0 itself is +0."""
     if not num:
-        zero = Fp(fmt, _ZERO)
+        zero = _build((fmt, _ZERO, False, 0, 0))
         return zero, zero, _EXACT
     negative = num < 0
     if negative:
@@ -625,7 +649,7 @@ def _enclose(fmt: FloatFormat, num: int, den: int, side: Optional[RoundingDirect
         unit = den if shift >= 0 else den << -shift  # one ulp, on the shifted num's scale
         c, r = divmod(num << shift if shift >= 0 else num, unit)
         if not r:
-            x = Fp(fmt, _FINITE, negative, c, e)
+            x = _build((fmt, _FINITE, negative, c, e))
             return x, x, _EXACT
     if side is None:
         lo, hi = _bracket(fmt, negative, c, e, False, signed_zero)

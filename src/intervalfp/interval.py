@@ -3,8 +3,10 @@
 An interval is either empty or a pair of bounds drawn from one float
 format, where an infinite bound means the set is unbounded on that side.
 Bounds that are real zero are stored as +0: the sign of zero carries no
-set-theoretic meaning inside an interval.  The class call is the one
-checked way to build an interval; the operations build their results directly.
+set-theoretic meaning inside an interval.  The class calls of
+`ExtInterval` and `Fp` are the checked ways to build an interval and a
+bound; the operations build their results and bounds directly, by
+`tuple.__new__` and the format layer's builder (`fpformat._build`).
 
 The four arithmetic operations are total, and `apply_op` is their one
 entry: the operators of `ExtInterval` are its spelling.  It checks that the
@@ -38,7 +40,7 @@ from math import frexp, inf, ldexp
 from typing import NamedTuple, Optional, Union
 
 from .fpformat import (FloatFormat, Fp, _DOWN, _FINITE, _INF, _ROUNDED_UP, _UP, _ZERO, _Validated,
-                       _bracket, _enclose, _round_cut, value_cmp)
+                       _bracket, _build, _enclose, _round_cut, value_cmp)
 
 # Extended rational of the Fraction view: an exact Fraction or one of the
 # float infinities, which are used purely as symbols.
@@ -106,9 +108,9 @@ class ExtInterval(_Validated, _ExtIntervalFields):
             if order == 0:  # one finite value, or two zeros
                 lo = hi
         if lo.kind is _ZERO and lo.negative:  # a zero bound is stored as +0
-            lo = Fp(fmt, _ZERO)
+            lo = _build((fmt, _ZERO, False, 0, 0))
         if hi.kind is _ZERO and hi.negative:  # with a zero lo, the point 0
-            hi = lo if lo.kind is _ZERO else Fp(fmt, _ZERO)
+            hi = lo if lo.kind is _ZERO else _build((fmt, _ZERO, False, 0, 0))
         return tuple.__new__(cls, (fmt, lo, hi))
 
     @staticmethod
@@ -122,7 +124,8 @@ class ExtInterval(_Validated, _ExtIntervalFields):
 
     @staticmethod
     def full_line(fmt: FloatFormat) -> "ExtInterval":
-        return tuple.__new__(ExtInterval, (fmt, Fp(fmt, _INF, True), Fp(fmt, _INF)))
+        return tuple.__new__(ExtInterval, (fmt, _build((fmt, _INF, True, 0, 0)),
+                                           _build((fmt, _INF, False, 0, 0))))
 
     # -- views -------------------------------------------------------------
 
@@ -291,8 +294,8 @@ def _round_out(lo: Bound, hi: Bound, fmt: FloatFormat) -> ExtInterval:
     a product with a zero point) is one object."""
     if lo == hi:
         return _round_point(lo, fmt)
-    lo_fp = Fp(fmt, _INF, True) if lo[1] == 0 else _enclose(fmt, *lo, _DOWN)[0]
-    hi_fp = Fp(fmt, _INF) if hi[1] == 0 else _enclose(fmt, *hi, _UP)[1]
+    lo_fp = _build((fmt, _INF, True, 0, 0)) if lo[1] == 0 else _enclose(fmt, *lo, _DOWN)[0]
+    hi_fp = _build((fmt, _INF, False, 0, 0)) if hi[1] == 0 else _enclose(fmt, *hi, _UP)[1]
     return tuple.__new__(ExtInterval, (fmt, lo_fp, hi_fp))
 
 
@@ -352,7 +355,7 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
     elif r:  # binary64 overflowed: a op b lies beyond M
         c, e = 1, e_max + 1
     elif is_sum or not (ca and cb):  # exact for a sum (subnormals) or a zero operand
-        zero = Fp(fmt, _ZERO)
+        zero = _build((fmt, _ZERO, False, 0, 0))
         return tuple.__new__(ExtInterval, (fmt, zero, zero))
     else:  # binary64 underflowed: a op b lies below the least value's ulp
         c, e, negative = 1, e_min - 53, na != nb
@@ -385,7 +388,7 @@ def point_op(op: OpKind, a: Fp, b: Fp) -> ExtInterval:
         else:
             rounded <<= -shift
         if exact == rounded:
-            near = Fp(fmt, _FINITE, negative, c, e)
+            near = _build((fmt, _FINITE, negative, c, e))
             return tuple.__new__(ExtInterval, (fmt, near, near))
         away = exact < rounded
     lo, hi = _bracket(fmt, negative, c, e, away, False)

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from intervalfp import Fp, parse_format
+from intervalfp import Fp, fpformat, parse_format
 
 
 @pytest.fixture(scope="session")
@@ -23,13 +25,26 @@ def tiny():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every Fp constructed while the test runs, in order."""
+    """Every Fp constructed while the test runs, in order: by the class
+    call, whose `__init__` is wrapped, and by the library's unchecked
+    builder, wrapped under every module name that binds it (no other
+    module builds one by `tuple.__new__`, test_layering checks)."""
     objects = []
-    init = Fp.__init__
+    init, build = Fp.__init__, fpformat._build
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         objects.append(self)
 
+    def recording_build(fields):
+        x = build(fields)
+        objects.append(x)
+        return x
+
     monkeypatch.setattr(Fp, "__init__", recording_init)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "intervalfp":
+            for attr, value in list(vars(module).items()):
+                if value is build:
+                    monkeypatch.setattr(module, attr, recording_build)
     return objects

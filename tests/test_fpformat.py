@@ -526,7 +526,7 @@ def test_fp_is_an_immutable_unordered_value(toy):
 
 
 def test_fp_refuses_the_namedtuple_helpers(toy):
-    # _make and _replace would build an Fp without calling Fp.__init__
+    # _make and _replace would build an Fp past the class call's checks
     x = Fp.from_exact(toy, 3)
     with pytest.raises(TypeError):
         Fp._make(tuple(x))
@@ -535,6 +535,37 @@ def test_fp_refuses_the_namedtuple_helpers(toy):
     # iteration and unpacking stay: the op paths read the five fields at once
     fmt, kind, negative, c, e = x
     assert (fmt, kind, negative, c, e) == tuple(x) == (toy, FpKind.FINITE, False, 6, 1)
+
+
+def test_the_class_call_refuses_a_finite_value_off_its_encoding(toy):
+    # significand 0; c of p + 1 bits, e past e_max, or both (which str would
+    # print as 1152); a subnormal c above e_min; e below e_min; a negative
+    # or a float c
+    for c, e in ((0, 1), (8, 3), (6, 4), (9, 9), (2, 0), (6, -3), (-6, 1), (6.0, 1)):
+        with pytest.raises(ValueError):
+            Fp(toy, FpKind.FINITE, False, c, e)
+    # the least subnormal is an encoding with subnormals and none without
+    assert Fp(toy, FpKind.FINITE, True, 1, -2) == -toy.min_pos()
+    with pytest.raises(ValueError):
+        Fp(parse_format("p3e-2:3ns"), FpKind.FINITE, False, 2, -2)
+
+
+def test_the_class_call_refuses_a_signed_nan_and_a_special_with_fields(toy):
+    # a signed NaN would print as nan and be unequal to Fp.nan
+    nosub = parse_format("p3e-2:3ns")
+    for fmt, kind, negative, c, e in ((toy, FpKind.NAN, True, 0, 0), (toy, FpKind.NAN, False, 0, 1),
+                                      (toy, FpKind.ZERO, False, 0, -2), (nosub, FpKind.ZERO, True, 4, 0),
+                                      (nosub, FpKind.INF, False, 4, 0), (toy, FpKind.INF, True, 7, 4)):
+        with pytest.raises(ValueError):
+            Fp(fmt, kind, negative, c, e)
+    assert Fp(toy, FpKind.NAN) == Fp.nan(toy) and Fp(nosub, FpKind.INF, True) == Fp.inf(nosub, True)
+
+
+def test_the_class_call_refuses_fields_of_the_wrong_type(toy):
+    for args in (("p3e-2:3", FpKind.ZERO), (toy, "zero"), (toy, FpKind.ZERO, 0),
+                 (toy, FpKind.INF, None), (tuple(toy), FpKind.FINITE, False, 6, 1)):
+        with pytest.raises(TypeError):
+            Fp(*args)
 
 
 @pytest.mark.parametrize("descriptor, x", [

@@ -12,6 +12,9 @@ import pytest
 from intervalfp import BINARY64, Fp, OpKind, ZeroMode, interpret, parse_format, parse_interval
 from intervalfp.interval import (ExtInterval, NEG_INF, POS_INF, apply_op, hull, member, negate,
                                  subset)
+from intervalfp.harness import adversarial_binary64
+
+from test_point_op import hard_pairs
 
 
 def iv(text, fmt):
@@ -103,22 +106,30 @@ def test_copied_and_pickled_intervals_keep_their_points(toy):
             assert y == x and y.is_point() == x.is_point(), (x, y)
 
 
-@pytest.mark.parametrize("descriptor", ["p3e-2:3", "p2e0:0ns"])
+@pytest.mark.parametrize("descriptor", ["p3e-2:3", "p2e0:0ns", "b64"])
 def test_every_result_is_what_the_class_call_builds(descriptor):
-    """The operations build their results past the class call, so each
-    result, and its mirror by `negate`, must be what the class call builds
-    from its fields: no -0 bound, and a point exactly when lo is hi.  Over
-    every pair of meanings, the four ops and both zero modes."""
+    """The operations build their results and bounds past the class calls,
+    so each result, and its mirror by `negate`, must be what the class
+    calls build from its fields: every bound a canonical encoding, no -0
+    bound, and a point exactly when lo is hi.  Over every pair of meanings
+    (for binary64, of the fixed block of `binary64_pairs`), the four ops
+    and both zero modes, and for binary64 the kernel's hard pairs."""
     fmt = parse_format(descriptor)
+    results = []
     for mode in ZeroMode:
-        values = fmt.enumerate() + ([Fp.nan(fmt)] if mode is ZeroMode.INFINITE else [])
+        values = (adversarial_binary64() if fmt is BINARY64 else fmt.enumerate()) + (
+            [Fp.nan(fmt)] if mode is ZeroMode.INFINITE else [])
         meanings = [interpret(v, mode) for v in values]
-        results = [apply_op(op, x, y) for x in meanings for y in meanings for op in OpKind]
-        for r in meanings + results + [negate(r) for r in results]:
-            assert r == ExtInterval(*r), r
-            if not r.is_empty:
-                assert not (r.lo.is_zero and r.lo.negative or r.hi.is_zero and r.hi.negative), r
-                assert (r.lo is r.hi) == (r.lo == r.hi), r
+        results += meanings + [apply_op(op, x, y) for x in meanings for y in meanings for op in OpKind]
+    if fmt is BINARY64:
+        results += [apply_op(op, ExtInterval(fmt, a, a), ExtInterval(fmt, b, b))
+                    for op in OpKind for a, b in hard_pairs(op)]
+    for r in results + [negate(r) for r in results]:
+        assert r == ExtInterval(*r), r
+        if not r.is_empty:
+            assert Fp(*r.lo) == r.lo and Fp(*r.hi) == r.hi, r
+            assert not (r.lo.is_zero and r.lo.negative or r.hi.is_zero and r.hi.negative), r
+            assert (r.lo is r.hi) == (r.lo == r.hi), r
 
 
 def test_ext_interval_is_an_immutable_unordered_value(toy):

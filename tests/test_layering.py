@@ -181,3 +181,38 @@ def test_the_flag_rule_and_the_bracket_are_stated_once():
             attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             assert attrs & members == set()
             assert (read | imported) & {f"_{member}" for member in members} == set()
+
+
+def raw_fp_builds(tree: ast.AST) -> list[int]:
+    """Lines that build an Fp past its class call, where the `built` fixture
+    would not see it: `tuple.__new__` handed `Fp` (called, or bound by a
+    partial), or `Fp.__new__`, which skips `Fp.__init__`."""
+    def named(node, owner, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == owner)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            parts = [node.func, *node.args]
+            if any(named(part, "tuple", "__new__") for part in parts) and any(
+                    isinstance(arg, ast.Name) and arg.id == "Fp" for arg in node.args):
+                lines.append(node.lineno)
+        elif named(node, "Fp", "__new__"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_format_layer_builds_an_fp_past_its_class_call():
+    """fpformat's one unchecked builder, `_build`, is the only path past
+    `Fp(...)`; the `built` fixture wraps it and `Fp.__init__`, so no build
+    escapes it."""
+    for name in LAYERS:
+        found = raw_fp_builds(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        assert len(found) == (name == "fpformat"), (name, found)
+
+
+def test_the_raw_build_check_sees_each_spelling():
+    tree = ast.parse("x = tuple.__new__(Fp, f)\nb = partial(tuple.__new__, Fp)\ny = Fp.__new__(Fp, *f)\n"
+                     "z = tuple.__new__(ExtInterval, (f, x, x))\n")
+    assert raw_fp_builds(tree) == [1, 2, 3]
